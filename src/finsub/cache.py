@@ -1,10 +1,10 @@
 """Content-addressed cache for boundary matrices.
 
 Files are keyed by a hash of the construction descriptor (base space
-hash, construction, parameters) plus the degree, and store triplet
-lists.  The cache is purely an optimization: every result is
-reproducible without it.  Writes go through a temp file and rename, so
-concurrent runs never see partial files.
+hash, construction, parameters, engine format) plus the degree, and
+store triplet lists.  The cache is purely an optimization: every result
+is reproducible without it.  Writes go through a temp file and rename,
+so concurrent runs never see partial files.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from typing import Optional
 from .snf import SparseIntMatrix
 
 ENV_VAR = "FINSUB_CACHE_DIR"
+# Part of every descriptor; bump it when the engine changes the boundary
+# matrices a descriptor stands for, so that older entries miss.
+FORMAT = 1
 
 
 def default_cache_dir() -> Optional[str]:

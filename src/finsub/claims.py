@@ -107,7 +107,7 @@ def claim_circle(n: int, d: Optional[int], opts: dict) -> list[VerificationRepor
         raise ValueError("circle claim needs n >= 2")
     m = n if n % 2 else n - 1
     space = exp(sphere_model(1, n + 1), n, ceiling=opts["ceiling"])
-    computed = space_homology(space, maxdeg=n + 1, jobs=opts["jobs"])
+    computed = space_homology(space, maxdeg=n + 1)
     expected = _sphere_groups(m, n)
     return [VerificationReport(
         "circle", {"n": n, "d": 1},
@@ -124,7 +124,7 @@ def claim_tuffley_s2(n: int, d: Optional[int], opts: dict) -> list[VerificationR
         raise ValueError("tuffley-s2 needs n >= 2")
     _check_nd(n, 2, opts["budget_nd"])
     space = exp(sphere_model(2, 2 * n + 1), n, ceiling=opts["ceiling"])
-    computed = space_homology(space, maxdeg=2 * n + 1, jobs=opts["jobs"])
+    computed = space_homology(space, maxdeg=2 * n + 1)
     expected = [HomologyGroup(0)] * (2 * n + 1)
     expected[0] = HomologyGroup(1)
     expected[2 * n] = HomologyGroup(1)
@@ -174,8 +174,7 @@ def claim_thm1(n: int, d: int, opts: dict) -> list[VerificationReport]:
     _check_nd(n, d, opts["budget_nd"])
     space = exp(sphere_model(d, n * d + 1), n, ceiling=opts["ceiling"])
     computed = [g.rank for g in
-                space_homology(space, maxdeg=n * d + 1, coeffs="Q",
-                               jobs=opts["jobs"])]
+                space_homology(space, maxdeg=n * d + 1, coeffs="Q")]
     expected = _thm1_expected(n, d)
     shape = (f"S^{n * d} v S^{(n - 1) * d}" if d % 2 == 0
              else f"S^{((n + 1) // 2) * (d + 1) - 1}")
@@ -195,7 +194,7 @@ def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
     # homology of exp_n S^d in degrees nd-r for r < d needs trusted degrees
     # down to nd-d+1, so trunc nd+1 covers them all
     space = exp(sphere_model(d, n * d + 1), n, ceiling=opts["ceiling"])
-    computed_all = space_homology(space, maxdeg=n * d + 1, jobs=opts["jobs"])
+    computed_all = space_homology(space, maxdeg=n * d + 1)
     reports = []
     for r in range(d):
         t0 = time.time()
@@ -242,9 +241,9 @@ def claim_thm2a_partial(n: int, d: int, opts: dict) -> list[VerificationReport]:
     _check_nd(n, d, opts["budget_nd"])
     deg = n * d - d
     space = exp(sphere_model(d, deg + 1), n, ceiling=opts["ceiling"])
-    h = space_homology(space, maxdeg=deg + 1, jobs=opts["jobs"])[deg]
+    h = space_homology(space, maxdeg=deg + 1)[deg]
     cn = conf_plus(sphere_model(d, deg + 1), n, "bar", ceiling=opts["ceiling"])
-    hc = space_homology(cn, reduced=True, maxdeg=deg + 1, jobs=opts["jobs"])[deg]
+    hc = space_homology(cn, reduced=True, maxdeg=deg + 1)[deg]
     if d % 2 == 0:
         ok = (h.rank == hc.rank + 1 and
               h.torsion_order() == (n - 1) * hc.torsion_order())
@@ -287,10 +286,8 @@ def claim_lemma_quo(n: int, d: Optional[int], opts: dict,
     maxdeg = n * dim + 1
     a = conf_plus(base, n, "based", ceiling=opts["ceiling"])
     b = conf_plus(base, n, "bar", ceiling=opts["ceiling"])
-    ha = space_homology(a, reduced=True, maxdeg=min(maxdeg, a.trunc),
-                        jobs=opts["jobs"])
-    hb = space_homology(b, reduced=True, maxdeg=min(maxdeg, b.trunc),
-                        jobs=opts["jobs"])
+    ha = space_homology(a, reduced=True, maxdeg=min(maxdeg, a.trunc))
+    hb = space_homology(b, reduced=True, maxdeg=min(maxdeg, b.trunc))
     return [VerificationReport(
         "lemma-quo", {"n": n, "d": dim, "space": tag},
         f"the two quotient models of the compactified {n}-point configuration "
@@ -306,7 +303,7 @@ def claim_connectivity(n: int, d: int, opts: dict) -> list[VerificationReport]:
     bound = n + d - 3  # (m + n - 2)-connected with m = d - 1
     trunc = min(n * d + 1, max(bound + 2, 1))
     space = exp(sphere_model(d, trunc), n, ceiling=opts["ceiling"])
-    groups = space_homology(space, reduced=True, maxdeg=trunc, jobs=opts["jobs"])
+    groups = space_homology(space, reduced=True, maxdeg=trunc)
     checked = {k: str(groups[k]) for k in range(0, bound + 1) if k < len(groups)}
     ok = all(groups[k].trivial for k in range(0, bound + 1) if k < len(groups))
     return [VerificationReport(
@@ -366,8 +363,7 @@ def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
     for p in range(1, n + 1):
         cp = conf_plus(base, p, "bar", ceiling=opts["ceiling"])
         betti = [g.rank for g in space_homology(
-            cp, reduced=True, maxdeg=min(n * d + 1, cp.trunc), coeffs="Q",
-            jobs=opts["jobs"])]
+            cp, reduced=True, maxdeg=min(n * d + 1, cp.trunc), coeffs="Q")]
         for m, r in enumerate(betti):
             if r:
                 e1_expected[f"({p},{m - p})"] = r
@@ -398,7 +394,7 @@ def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
         _verdict(expected_inf, computed_inf), time.time() - t0))
     totals = einfty_totals(f)
     betti_top = [g.rank for g in space_homology(
-        tw.stage(n), reduced=True, maxdeg=n * d + 1, coeffs="Q", jobs=opts["jobs"])]
+        tw.stage(n), reduced=True, maxdeg=n * d + 1, coeffs="Q")]
     ok = totals[:len(betti_top)] == betti_top
     reports.append(VerificationReport(
         "e1-collapse", {"n": n, "d": d},
@@ -417,7 +413,7 @@ def claim_groupcoh_xcheck(n: int, d: Optional[int], opts: dict) -> list[Verifica
         raise ValueError("groupcoh-xcheck covers n in {2, 3}")
     _check_nd(n, d, opts["budget_nd"])
     cn = conf_plus(sphere_model(3, 3 * n + 1), n, "bar", ceiling=opts["ceiling"])
-    h = space_homology(cn, reduced=True, maxdeg=3 * n + 1, jobs=opts["jobs"])
+    h = space_homology(cn, reduced=True, maxdeg=3 * n + 1)
     reports = []
     for r in range(3):
         coh = group_cohomology(n, CoefficientAction("sign"), r)
@@ -458,9 +454,9 @@ def claim_generaltwo(n: int, d: Optional[int], opts: dict,
     if dim % 2 == 1:
         rs.append(dim - 1)
     full = exp(base, n, ceiling=opts["ceiling"])
-    h_exp = space_homology(full, maxdeg=n * dim + 1, jobs=opts["jobs"])
+    h_exp = space_homology(full, maxdeg=n * dim + 1)
     cn = conf_plus(base, n, "bar", ceiling=opts["ceiling"])
-    h_cn = space_homology(cn, reduced=True, maxdeg=n * dim + 1, jobs=opts["jobs"])
+    h_cn = space_homology(cn, reduced=True, maxdeg=n * dim + 1)
     expected = {str(n * dim - r): str(h_cn[n * dim - r]) for r in rs}
     computed = {str(n * dim - r): str(h_exp[n * dim - r]) for r in rs}
     return [VerificationReport(
@@ -489,7 +485,7 @@ CLAIMS: dict[str, Callable] = {
 
 def run_claim(claim: str, n: Optional[int], d: Optional[int], *,
               ceiling: int, budget_nd: int = DEFAULT_BUDGET_ND,
-              jobs: int = 1, space: str = "sphere") -> list[VerificationReport]:
+              space: str = "sphere") -> list[VerificationReport]:
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; choose from "
                          f"{', '.join(sorted(CLAIMS))}")
@@ -498,7 +494,7 @@ def run_claim(claim: str, n: Optional[int], d: Optional[int], *,
     if d is None and claim in ("thm1", "thm2", "thm2a-partial", "connectivity",
                                "e1-collapse"):
         raise ValueError(f"claim {claim!r} needs -d")
-    opts = {"ceiling": ceiling, "budget_nd": budget_nd, "jobs": jobs}
+    opts = {"ceiling": ceiling, "budget_nd": budget_nd}
     t0 = time.time()
     fn = CLAIMS[claim]
     if claim in ("lemma-quo", "generaltwo"):

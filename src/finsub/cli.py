@@ -94,6 +94,23 @@ def _resolve_space(space: str, d: Optional[int], trunc: Optional[int],
         f"unknown space {space!r}: use sphere, torus or file:PATH")
 
 
+def _cached_complex(cache: cache_mod.BoundaryCache, key: str, top: int,
+                    reduced: bool) -> Optional[ChainComplex]:
+    """The complex stored under ``key``, or None when a degree is missing
+    or the stored matrices do not form a chain complex."""
+    mats = []
+    for k in range(top + 1):
+        m = cache.get(key, k)
+        if m is None:
+            return None
+        mats.append(m)
+    try:
+        complex_ = ChainComplex([m.cols for m in mats], mats, reduced=reduced)
+    except ValueError:
+        return None
+    return None if complex_.validate() else complex_
+
+
 @click.group()
 @click.version_option(package_name="finsub", prog_name="finsub")
 def main() -> None:
@@ -121,10 +138,8 @@ def main() -> None:
               help=f"boundary-matrix cache (or ${cache_mod.ENV_VAR})")
 @click.option("--ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
               show_default=True, help="per-level simplex budget")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="parallel Smith normal forms across degrees")
 def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
-                 out, cache_dir, ceiling, jobs):
+                 out, cache_dir, ceiling):
     """Homology of a subset-space construction over a base space."""
     if n < 1:
         raise click.UsageError("--n must be >= 1")
@@ -137,35 +152,25 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
             "base": space_hash(base), "construction": construction, "n": n,
             "model": model if construction == "conf" else None,
             "trunc": base.trunc, "reduced": reduced,
+            "format": cache_mod.FORMAT,
         }
         cache = cache_mod.BoundaryCache(cache_dir) if cache_dir else None
         key = cache_mod.descriptor_key(descriptor)
-        complex_ = None
-        if cache:
-            mats = []
-            for k in range(base.trunc + 1):
-                m = cache.get(key, k)
-                if m is None:
-                    mats = None
-                    break
-                mats.append(m)
-            if mats is not None:
-                dims = [m.cols for m in mats]
-                complex_ = ChainComplex(dims, mats, reduced=reduced)
+        complex_ = _cached_complex(cache, key, base.trunc, reduced) if cache else None
         if complex_ is None:
             if construction == "expn":
                 target = exp(base, n, ceiling=ceiling)
             elif construction == "based":
                 target, _ = exp_based(base, n, ceiling=ceiling)
             elif construction == "bar":
-                target, _ = exp_bar(base, n, ceiling=ceiling)
+                target = exp_bar(base, n, ceiling=ceiling)
             else:
                 target = conf_plus(base, n, model, ceiling=ceiling)
             complex_ = normalized_complex(target, reduced=reduced)
             if cache:
                 for k, m in enumerate(complex_.boundary):
                     cache.put(key, k, m)
-        groups = homology(complex_, coeffs, jobs=jobs)
+        groups = homology(complex_, coeffs)
         trusted = len(groups) - 2  # top degree of the trusted range
         upto = trusted if max_degree is None else min(max_degree, trusted)
         payload = homology_to_json(
@@ -192,8 +197,7 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
 @click.option("--ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
               show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="write JSON here")
-@click.option("--jobs", type=int, default=1, show_default=True)
-def cmd_verify(claim, n, d, space, budget_nd, ceiling, out, jobs):
+def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
     """Run one claim of the verification matrix.
 
     Exit 0 when every check matches (adjudicated reports never fail),
@@ -201,7 +205,7 @@ def cmd_verify(claim, n, d, space, budget_nd, ceiling, out, jobs):
     """
     try:
         reports = run_claim(claim, n, d, ceiling=ceiling, budget_nd=budget_nd,
-                            jobs=jobs, space=space)
+                            space=space)
     except (BudgetError, ResourceError) as exc:
         click.echo(f"resource error: {exc}", err=True)
         sys.exit(2)

@@ -3,12 +3,30 @@
 For a based space X the n-th subset space has, at level k, the nonempty
 subsets of X's level-k table of size at most n; faces and degeneracies
 act elementwise (faces may merge elements, so cardinality can drop).
-Variants: subsets containing the basepoint (``exp_based``) and the
-quotient by them (``exp_bar``); successive quotients of either chain
-model the one-point compactified configuration spaces (``conf_plus``).
 
-Subset keys are sorted index tuples; each level table is ordered
-lexicographically, which makes all constructions deterministic.
+Every variant is one filter on these subset keys: a size range and a
+basepoint rule, where keys may be anything, must contain the level-k
+basepoint or must avoid it.
+
+    exp(x, n)              sizes 1..n,   any key
+    exp_based(x, n)        sizes 1..n,   keys containing the basepoint
+    exp_bar(x, n)          sizes 1..n,   keys avoiding the basepoint
+    conf_plus(x, n, "bar")     size n,   keys avoiding the basepoint
+    conf_plus(x, n, "based")   size n+1, keys containing the basepoint
+    tower(x, n, variant)   stage k takes sizes 1..k
+
+A filter whose keys must avoid the basepoint, or whose minimum size is
+above 1, is not closed under faces.  Its space is the quotient of the
+subset space by everything outside the filter: index 0 of each level is
+the collapsed basepoint, and every face that leaves the filter goes to
+it.  Degeneracies never leave a filter.  So ``exp_bar`` is
+exp(x, n) / exp_based(x, n), and ``conf_plus`` gives the successive
+quotients of the bar and based chains, the one-point compactified
+configuration spaces.
+
+Subset keys are sorted index tuples; each level table lists its keys
+lexicographically (after the collapsed basepoint, if any), which makes
+all constructions deterministic.
 """
 
 from __future__ import annotations
@@ -22,11 +40,15 @@ from .simplicial import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
-    quotient,
     underlying,
 )
 
 DEFAULT_LEVEL_CEILING = 5_000_000
+
+# basepoint rules of a key filter
+ANY, CONTAINS, AVOIDS = "any", "contains", "avoids"
+
+Index = list[dict[tuple[int, ...], int]]  # per level: subset key -> simplex
 
 
 class BudgetError(RuntimeError):
@@ -49,65 +71,78 @@ def _check_budget(x, n: int, trunc: int, based: bool, ceiling: int) -> None:
                 f"over the ceiling of {ceiling}; raise the budget or lower trunc")
 
 
-class _SubsetSpace:
-    """A subset space together with its key tables and index dicts."""
-
-    def __init__(self, space: BasedSimplicialSet,
-                 tables: list[list[tuple[int, ...]]],
-                 index: list[dict[tuple[int, ...], int]]):
-        self.space = space
-        self.tables = tables
-        self.index = index
-
-
-def _build_subset_space(x: BasedSimplicialSet, n: int, trunc: int,
-                        based_only: bool, ceiling: int,
-                        with_labels: bool) -> _SubsetSpace:
-    xs = underlying(x)
-    _check_budget(x, n, trunc, based_only, ceiling)
-    tables: list[list[tuple[int, ...]]] = []
-    index: list[dict[tuple[int, ...], int]] = []
-    for k in range(trunc + 1):
-        m = xs.levels[k]
-        if based_only:
-            bp = x.basepoint_at(k)
-            others = [i for i in range(m) if i != bp]
-            subs = [tuple(sorted((bp,) + rest))
-                    for j in range(min(n - 1, len(others)) + 1)
-                    for rest in combinations(others, j)]
+def _keys(m: int, bp: int, lo: int, hi: int, rule: str) -> list[tuple[int, ...]]:
+    """Sorted subsets of range(m) with lo..hi elements passing the rule."""
+    if rule == ANY:
+        keys = [s for j in range(lo, hi + 1) for s in combinations(range(m), j)]
+    else:
+        others = [i for i in range(m) if i != bp]
+        if rule == CONTAINS:
+            keys = [tuple(sorted((bp,) + rest)) for j in range(lo, hi + 1)
+                    for rest in combinations(others, j - 1)]
         else:
-            subs = [rest for j in range(1, min(n, m) + 1)
-                    for rest in combinations(range(m), j)]
-        subs.sort()
-        tables.append(subs)
-        index.append({s: i for i, s in enumerate(subs)})
-    levels = [len(t) for t in tables]
+            keys = [s for j in range(lo, hi + 1) for s in combinations(others, j)]
+    keys.sort()
+    return keys
+
+
+def _build(x: BasedSimplicialSet, lo: int, hi: int, rule: str, trunc: int,
+           ceiling: int, with_labels: bool = False
+           ) -> tuple[BasedSimplicialSet, Index]:
+    """The space of subset keys with lo..hi elements passing ``rule``.
+
+    The ceiling counts the table of every subset of size at most hi
+    (only those containing the basepoint under CONTAINS), however many
+    keys the filter keeps.
+    """
+    _check_budget(x, hi, trunc, rule == CONTAINS, ceiling)
+    xs = underlying(x)
+    collapse = rule == AVOIDS or lo > 1
+    offset = 1 if collapse else 0
+    keys = [_keys(xs.levels[k], x.basepoint_at(k), lo, hi, rule)
+            for k in range(trunc + 1)]
+    index = [{s: i for i, s in enumerate(ks, offset)} for ks in keys]
+    levels = [len(ks) + offset for ks in keys]
     faces = [None] * (trunc + 1)
     degeneracies = [None] * (trunc + 1)
     for k in range(1, trunc + 1):
-        idx = index[k - 1]
+        below = index[k - 1]
         maps = []
-        for i in range(k + 1):
-            fmap_x = xs.faces[k][i]
-            fmap = [idx[tuple(sorted({fmap_x[e] for e in s}))] for s in tables[k]]
-            maps.append(fmap)
+        for fx in xs.faces[k]:
+            if collapse:  # a face image outside the filter is the basepoint
+                found = [below.get(tuple(sorted({fx[e] for e in s})), 0)
+                         for s in keys[k]]
+            else:
+                found = [below[tuple(sorted({fx[e] for e in s}))] for s in keys[k]]
+            maps.append([0] * offset + found)
         faces[k] = maps
     for k in range(trunc):
-        idx = index[k + 1]
-        maps = []
-        for j in range(k + 1):
-            smap_x = xs.degeneracies[k][j]
-            smap = [idx[tuple(sorted(smap_x[e] for e in s))] for s in tables[k]]
-            maps.append(smap)
-        degeneracies[k] = maps
+        above = index[k + 1]
+        degeneracies[k] = [
+            [0] * offset + [above[tuple(sorted(sx[e] for e in s))] for s in keys[k]]
+            for sx in xs.degeneracies[k]]
     labels = None
     if with_labels and xs.labels is not None:
-        labels = [["{" + ",".join(xs.labels[k][e] for e in s) + "}" for s in tables[k]]
+        labels = [["*"] * offset
+                  + ["{" + ",".join(xs.labels[k][e] for e in s) + "}"
+                     for s in keys[k]]
                   for k in range(trunc + 1)]
     space = SimplicialSet(trunc, levels, faces, degeneracies, labels)
-    bp0 = index[0][(x.basepoint.index,)]
-    return _SubsetSpace(BasedSimplicialSet(space, SimplexRef(0, bp0)),
-                        tables, index)
+    bp0 = 0 if collapse else index[0][(x.basepoint.index,)]
+    return BasedSimplicialSet(space, SimplexRef(0, bp0)), index
+
+
+def _inclusion(src: BasedSimplicialSet, src_index: Index,
+               dst: BasedSimplicialSet, dst_index: Index) -> SimplicialMap:
+    """Sends each key of ``src`` to the same key of ``dst``; a collapsed
+    basepoint (index 0) goes to the collapsed basepoint of ``dst``."""
+    maps = []
+    for k, keys in enumerate(src_index):
+        mp = [0] * src.level_size(k)
+        for s, i in keys.items():
+            mp[i] = dst_index[k][s]
+        maps.append(mp)
+    return SimplicialMap(src, dst, maps)
 
 
 def _resolve_trunc(x: BasedSimplicialSet, trunc) -> int:
@@ -128,7 +163,7 @@ def exp(x: BasedSimplicialSet, n: int, trunc=None, *,
     if n < 1:
         raise ValueError("subset spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
-    return _build_subset_space(x, n, trunc, False, ceiling, with_labels).space
+    return _build(x, 1, n, ANY, trunc, ceiling, with_labels)[0]
 
 
 def exp_based(x: BasedSimplicialSet, n: int, trunc=None, *,
@@ -143,27 +178,20 @@ def exp_based(x: BasedSimplicialSet, n: int, trunc=None, *,
     if n < 1:
         raise ValueError("subset spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
-    based = _build_subset_space(x, n, trunc, True, ceiling, with_labels)
-    full = _build_subset_space(x, n, trunc, False, ceiling, with_labels)
-    maps = [[full.index[k][s] for s in based.tables[k]] for k in range(trunc + 1)]
-    incl = SimplicialMap(based.space, full.space, maps)
-    return based.space, incl
+    based, based_index = _build(x, 1, n, CONTAINS, trunc, ceiling, with_labels)
+    full, full_index = _build(x, 1, n, ANY, trunc, ceiling, with_labels)
+    return based, _inclusion(based, based_index, full, full_index)
 
 
 def exp_bar(x: BasedSimplicialSet, n: int, trunc=None, *,
             ceiling: int = DEFAULT_LEVEL_CEILING,
-            with_labels: bool = False
-            ) -> tuple[BasedSimplicialSet, SimplicialMap]:
-    """Quotient of exp(x, n) by the basepoint-containing subsets, with the
-    quotient map."""
+            with_labels: bool = False) -> BasedSimplicialSet:
+    """Quotient of exp(x, n) by the basepoint-containing subsets: the
+    subsets avoiding the basepoint plus the collapsed basepoint."""
     if n < 1:
         raise ValueError("subset spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
-    full = _build_subset_space(x, n, trunc, False, ceiling, with_labels)
-    based = _build_subset_space(x, n, trunc, True, ceiling, with_labels)
-    maps = [[full.index[k][s] for s in based.tables[k]] for k in range(trunc + 1)]
-    incl = SimplicialMap(based.space, full.space, maps)
-    return quotient(full.space, incl)
+    return _build(x, 1, n, AVOIDS, trunc, ceiling, with_labels)[0]
 
 
 def conf_plus(x: BasedSimplicialSet, n: int, model: str = "based", trunc=None, *,
@@ -171,25 +199,18 @@ def conf_plus(x: BasedSimplicialSet, n: int, model: str = "based", trunc=None, *
     """One-point compactified configuration space of n points in x minus
     its basepoint, as a quotient of either subset-space chain.
 
-    model="based": exp_based(x, n+1) / exp_based(x, n);
-    model="bar":   exp_bar(x, n) / exp_bar(x, n-1)  (for n=1, exp_bar(x, 1)).
+    model="based": exp_based(x, n+1) / exp_based(x, n), the keys of size
+    n+1 that contain the basepoint;
+    model="bar": exp_bar(x, n) / exp_bar(x, n-1), the keys of size n that
+    avoid it.
     """
     if n < 1:
         raise ValueError("configuration spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
     if model == "based":
-        big = _build_subset_space(x, n + 1, trunc, True, ceiling, False)
-        small = _build_subset_space(x, n, trunc, True, ceiling, False)
-        maps = [[big.index[k][s] for s in small.tables[k]] for k in range(trunc + 1)]
-        incl = SimplicialMap(small.space, big.space, maps)
-        space, _ = quotient(big.space, incl)
-        return space
+        return _build(x, n + 1, n + 1, CONTAINS, trunc, ceiling)[0]
     if model == "bar":
-        t = tower(x, n, "bar", trunc=trunc, ceiling=ceiling)
-        if n == 1:
-            return t.spaces[0]
-        space, _ = quotient(t.spaces[n - 1], t.inclusions[n - 2])
-        return space
+        return _build(x, n, n, AVOIDS, trunc, ceiling)[0]
     raise ValueError(f"unknown conf_plus model {model!r}")
 
 
@@ -227,54 +248,25 @@ class FiltrationTower:
         return m
 
 
+_TOWER_RULES = {"exp": ANY, "based": CONTAINS, "bar": AVOIDS}
+
+
 def tower(x: BasedSimplicialSet, n: int, variant: str = "bar", trunc=None, *,
           ceiling: int = DEFAULT_LEVEL_CEILING) -> FiltrationTower:
     """Filtration by number of points, in the requested variant.
 
     "exp": exp_1 x in exp_2 x in ... ; "based": the basepoint-containing
-    chain; "bar": the chain of quotients, whose successive cofibers are
-    the compactified configuration spaces.
+    chain; "bar": the chain of quotients exp_bar, whose successive
+    cofibers are the compactified configuration spaces.  Each inclusion
+    sends a subset key to the same key one stage up.
     """
     if n < 1:
         raise ValueError("towers need n >= 1")
+    if variant not in _TOWER_RULES:
+        raise ValueError(f"unknown tower variant {variant!r}")
     trunc = _resolve_trunc(x, trunc)
-    if variant in ("exp", "based"):
-        based_only = variant == "based"
-        stages = [_build_subset_space(x, k, trunc, based_only, ceiling, False)
-                  for k in range(1, n + 1)]
-        spaces = [st.space for st in stages]
-        inclusions = []
-        for k in range(n - 1):
-            nxt = stages[k + 1]
-            maps = [[nxt.index[lev][s] for s in stages[k].tables[lev]]
-                    for lev in range(trunc + 1)]
-            inclusions.append(SimplicialMap(spaces[k], spaces[k + 1], maps))
-        return FiltrationTower(variant, spaces, inclusions)
-    if variant == "bar":
-        spaces = []
-        keymaps = []  # per stage: level -> {subset key: class index}
-        for k in range(1, n + 1):
-            full = _build_subset_space(x, k, trunc, False, ceiling, False)
-            based = _build_subset_space(x, k, trunc, True, ceiling, False)
-            maps = [[full.index[lev][s] for s in based.tables[lev]]
-                    for lev in range(trunc + 1)]
-            incl = SimplicialMap(based.space, full.space, maps)
-            space, qmap = quotient(full.space, incl)
-            spaces.append(space)
-            keymaps.append([
-                {s: qmap.maps[lev][full.index[lev][s]] for s in full.tables[lev]}
-                for lev in range(trunc + 1)])
-        inclusions = []
-        for k in range(n - 1):
-            src, dst = spaces[k], spaces[k + 1]
-            km_src, km_dst = keymaps[k], keymaps[k + 1]
-            maps = []
-            for lev in range(trunc + 1):
-                mp = [dst.basepoint_at(lev)] * src.level_size(lev)
-                for s, cls in km_src[lev].items():
-                    if cls != src.basepoint_at(lev):
-                        mp[cls] = km_dst[lev][s]
-                maps.append(mp)
-            inclusions.append(SimplicialMap(src, dst, maps))
-        return FiltrationTower(variant, spaces, inclusions)
-    raise ValueError(f"unknown tower variant {variant!r}")
+    rule = _TOWER_RULES[variant]
+    stages = [_build(x, 1, k, rule, trunc, ceiling) for k in range(1, n + 1)]
+    inclusions = [_inclusion(*lower, *upper)
+                  for lower, upper in zip(stages, stages[1:])]
+    return FiltrationTower(variant, [space for space, _ in stages], inclusions)

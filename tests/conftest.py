@@ -1,6 +1,37 @@
 """Shared test helpers: random subcomplexes and hand-built spaces."""
 
-from finsub.simplicial import SimplicialMap, SimplicialSet, underlying
+from itertools import combinations_with_replacement
+
+from finsub.simplicial import (
+    BasedSimplicialSet,
+    SimplexRef,
+    SimplicialMap,
+    SimplicialSet,
+    quotient,
+    underlying,
+)
+from finsub.subsetspace import exp_based
+
+
+def simplex_model(m, trunc):
+    """The standard m-simplex, based at vertex 0: level k holds the
+    monotone maps {0..k} -> {0..m} as non-decreasing value tuples."""
+    tables = [sorted(combinations_with_replacement(range(m + 1), k + 1))
+              for k in range(trunc + 1)]
+    index = [{t: i for i, t in enumerate(tab)} for tab in tables]
+    faces = [None] + [[[index[k - 1][t[:i] + t[i + 1:]] for t in tables[k]]
+                       for i in range(k + 1)] for k in range(1, trunc + 1)]
+    degeneracies = [[[index[k + 1][t[:j + 1] + t[j:]] for t in tables[k]]
+                     for j in range(k + 1)] for k in range(trunc)] + [None]
+    space = SimplicialSet(trunc, [len(t) for t in tables], faces, degeneracies)
+    return BasedSimplicialSet(space, SimplexRef(0, 0))
+
+
+def bar_reference(x, n, with_labels=False):
+    """exp_bar built the long way: exp(x, n) divided by exp_based(x, n)
+    through ``quotient``, with the quotient map."""
+    _, incl = exp_based(x, n, with_labels=with_labels)
+    return quotient(incl.target, incl)
 
 
 def make_random_subcomplex(space, rng, p=0.3):

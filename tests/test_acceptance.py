@@ -28,7 +28,7 @@ from finsub.snf import SparseIntMatrix, invariant_factors
 from finsub.spectral import einfty_totals, filtered_from_tower, limit_page
 from finsub.subsetspace import DEFAULT_LEVEL_CEILING, conf_plus, exp, tower
 
-OPTS = {"ceiling": DEFAULT_LEVEL_CEILING, "budget_nd": 8, "jobs": 1}
+OPTS = {"ceiling": DEFAULT_LEVEL_CEILING, "budget_nd": 8}
 
 
 def _claim(name, n, d=None, space="sphere"):

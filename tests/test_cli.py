@@ -141,6 +141,28 @@ def test_homology_cache_roundtrip(runner, tmp_path):
     assert json.loads(stats2.output) == {"entries": 0, "bytes": 0}
 
 
+def test_homology_tampered_cache_entry_is_recomputed(runner, tmp_path):
+    cache_dir = tmp_path / "cache"
+    args = ["homology", "--space", "sphere", "--d", "2", "--n", "2",
+            "--cache-dir", str(cache_dir)]
+    first = runner.invoke(main, args)
+    assert first.exit_code == 0, first.output
+    paths = {int(p.stem.rsplit("-d", 1)[1]): p for p in cache_dir.glob("*.json")}
+    stored = {k: json.loads(p.read_text()) for k, p in paths.items()}
+    # change one entry of d_k in a column that d_{k+1} hits, so d.d != 0
+    k, i = next((k, i) for k in sorted(stored) if k + 1 in stored
+                for i, (_, col, _) in enumerate(stored[k]["triplets"])
+                if any(r == col for r, _, _ in stored[k + 1]["triplets"]))
+    original = paths[k].read_text()
+    tampered = json.loads(original)
+    tampered["triplets"][i][2] += 1
+    paths[k].write_text(json.dumps(tampered))
+    again = runner.invoke(main, args)
+    assert again.exit_code == 0, again.output
+    assert again.output == first.output
+    assert paths[k].read_text() == original  # recomputed and overwritten
+
+
 def test_cache_needs_dir(runner, monkeypatch):
     monkeypatch.delenv("FINSUB_CACHE_DIR", raising=False)
     assert runner.invoke(main, ["cache", "stats"]).exit_code == 2

@@ -1,10 +1,20 @@
 """Subset-space functors: tables, filtrations, configuration models."""
 
+import random
 from math import comb
 
 import pytest
 
-from finsub.simplicial import sphere_model, torus_model, underlying, validate
+from conftest import bar_reference, make_random_subcomplex, simplex_model
+from finsub.simplicial import (
+    BasedSimplicialSet,
+    SimplexRef,
+    quotient,
+    sphere_model,
+    torus_model,
+    underlying,
+    validate,
+)
 from finsub.subsetspace import (
     BudgetError,
     conf_plus,
@@ -61,8 +71,9 @@ def test_exp_based_counts_and_inclusion():
 
 def test_exp_bar_counts():
     c = sphere_model(1, 4)
-    bar, qmap = exp_bar(c, 2)
+    bar = exp_bar(c, 2)
     assert bar.level_size(2) == 4  # 6 - 3 collapsed + 1 basepoint
+    _, qmap = bar_reference(c, 2)
     assert qmap.is_valid()
     for k in range(5):
         assert set(qmap.maps[k]) == set(range(bar.level_size(k)))
@@ -70,13 +81,13 @@ def test_exp_bar_counts():
 
 def test_exp_bar_one_keeps_reduced_homology():
     s2 = sphere_model(2, 4)
-    bar1, _ = exp_bar(s2, 1)
+    bar1 = exp_bar(s2, 1)
     assert space_homology(bar1, reduced=True, maxdeg=3) == \
         space_homology(s2, reduced=True, maxdeg=3)
 
 
 def test_exp_bar_s2_two_top_class():
-    bar, _ = exp_bar(sphere_model(2, 5), 2)
+    bar = exp_bar(sphere_model(2, 5), 2)
     h = space_homology(bar, reduced=True)
     assert [str(g) for g in h] == ["0", "0", "0", "0", "Z"]
 
@@ -164,3 +175,61 @@ def test_exp_labels():
     assert labels is not None
     assert labels[0] == ["{*}"]
     assert "{*,01}" in labels[1]
+
+
+# -- key filters against the quotient constructions they replace -------------
+
+def _random_based_spaces(count, seed=2026):
+    rng = random.Random(seed)
+    out = {}
+    for i in range(count):
+        sub, _ = make_random_subcomplex(simplex_model(3, 3), rng)
+        bp = SimplexRef(0, rng.randrange(sub.levels[0]))
+        out[f"random{i}"] = BasedSimplicialSet(sub, bp)
+    return out
+
+
+BASES = {"S^1": sphere_model(1, 4), "S^2": sphere_model(2, 5),
+         "S^3": sphere_model(3, 5), "T^2": torus_model(3),
+         **_random_based_spaces(4)}
+
+
+def _assert_same(got, ref):
+    assert got == ref  # structure maps and basepoint
+    assert underlying(got).labels == underlying(ref).labels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_key_filters_match_quotients(name, n):
+    x = BASES[name]
+    assert exp(x, 1) == x  # the basepoint singleton is the basepoint
+    _assert_same(exp_bar(x, n, with_labels=True),
+                 bar_reference(x, n, with_labels=True)[0])
+
+    based = tower(x, n + 1, "based")
+    _assert_same(conf_plus(x, n, "based"),
+                 quotient(based.stage(n + 1), based.inclusions[n - 1])[0])
+
+    bars = tower(x, n, "bar")
+    if n == 1:
+        ref = bar_reference(x, 1)[0]
+    else:
+        ref = quotient(bars.stage(n), bars.inclusions[n - 2])[0]
+    _assert_same(conf_plus(x, n, "bar"), ref)
+
+    # bar-tower stage k is exp_bar(x, k); its inclusions are the maps that
+    # the reference quotient maps induce from the exp tower's inclusions
+    qmaps = []
+    for k in range(1, n + 1):
+        ref, qmap = bar_reference(x, k)
+        _assert_same(bars.stage(k), ref)
+        qmaps.append(qmap)
+    exps = tower(x, n, "exp")
+    for k, incl in enumerate(bars.inclusions):
+        for lev, mp in enumerate(exps.inclusions[k].maps):
+            induced = {}
+            for s, t in enumerate(mp):
+                image = qmaps[k + 1].maps[lev][t]
+                assert induced.setdefault(qmaps[k].maps[lev][s], image) == image
+            assert incl.maps[lev] == [induced[c] for c in range(len(induced))]
