@@ -32,6 +32,7 @@ from .subsetspace import (
     exp,
     exp_bar,
     exp_based,
+    keyed_complex,
     tower,
 )
 from .homology import (
@@ -51,7 +52,7 @@ from .homology import (
     space_homology,
 )
 from .groupcoh import CoefficientAction, Permutation, bar_cochain_complex, group_cohomology
-from .spectral import FilteredComplex, Page, advance, e1_page, einfty_totals, filtered_from_tower
+from .spectral import FilteredComplex, Page, advance, e1_page, einfty_totals, filtered_complex
 from .claims import VerificationReport, run_claim
 
 __version__ = "0.1.0"
@@ -63,7 +64,7 @@ __all__ = [
     "SparseIntMatrix", "invariant_factors", "kernel_basis", "rank",
     "smith_normal_form",
     "BudgetError", "FiltrationTower", "conf_plus", "exp", "exp_bar",
-    "exp_based", "tower",
+    "exp_based", "keyed_complex", "tower",
     "ChainComplex", "HomologyBasis", "HomologyGroup", "HomologyMapDescription",
     "connecting_free_index", "connecting_map", "euler_characteristic",
     "homology", "homology_basis", "induced_map", "les_check",
@@ -71,7 +72,7 @@ __all__ = [
     "CoefficientAction", "Permutation", "bar_cochain_complex",
     "group_cohomology",
     "FilteredComplex", "Page", "advance", "e1_page", "einfty_totals",
-    "filtered_from_tower",
+    "filtered_complex",
     "VerificationReport", "run_claim",
     "__version__",
 ]

@@ -20,11 +20,11 @@ from .homology import (
     HomologyGroup,
     connecting_free_index,
     connecting_map,
-    space_homology,
+    homology,
 )
 from .simplicial import BasedSimplicialSet, sphere_model, torus_model
-from .spectral import e1_page, einfty_totals, filtered_from_tower, limit_page
-from .subsetspace import BudgetError, conf_plus, exp, tower
+from .spectral import e1_page, einfty_totals, filtered_complex, limit_page
+from .subsetspace import BudgetError, keyed_complex, tower
 
 DEFAULT_BUDGET_ND = 8
 
@@ -92,6 +92,15 @@ def _check_nd(n: int, d: int, budget_nd: int) -> None:
             f"re-run with a higher --budget-nd if you mean it")
 
 
+def _groups(x: BasedSimplicialSet, n: int, variant: str, opts: dict,
+            reduced: bool = False, coeffs: str = "Z") -> list[HomologyGroup]:
+    """Homology of a subset-space variant in its trusted degrees (below
+    the truncation of x), from the keyed chains."""
+    c = keyed_complex(x, n, variant, reduced=reduced, ceiling=opts["ceiling"])
+    groups = homology(c, coeffs)
+    return groups[:-1] if len(groups) > 1 else groups
+
+
 def _verdict(expected, computed) -> str:
     return MATCH if expected == computed else MISMATCH
 
@@ -106,8 +115,7 @@ def claim_circle(n: int, d: Optional[int], opts: dict) -> list[VerificationRepor
     if n < 2:
         raise ValueError("circle claim needs n >= 2")
     m = n if n % 2 else n - 1
-    space = exp(sphere_model(1, n + 1), n, ceiling=opts["ceiling"])
-    computed = space_homology(space, maxdeg=n + 1)
+    computed = _groups(sphere_model(1, n + 1), n, "exp", opts)
     expected = _sphere_groups(m, n)
     return [VerificationReport(
         "circle", {"n": n, "d": 1},
@@ -123,8 +131,7 @@ def claim_tuffley_s2(n: int, d: Optional[int], opts: dict) -> list[VerificationR
     if n < 2:
         raise ValueError("tuffley-s2 needs n >= 2")
     _check_nd(n, 2, opts["budget_nd"])
-    space = exp(sphere_model(2, 2 * n + 1), n, ceiling=opts["ceiling"])
-    computed = space_homology(space, maxdeg=2 * n + 1)
+    computed = _groups(sphere_model(2, 2 * n + 1), n, "exp", opts)
     expected = [HomologyGroup(0)] * (2 * n + 1)
     expected[0] = HomologyGroup(1)
     expected[2 * n] = HomologyGroup(1)
@@ -172,9 +179,8 @@ def claim_thm1(n: int, d: int, opts: dict) -> list[VerificationReport]:
     if d == 1:
         raise ValueError("for d=1 use the circle claim (exact homotopy type)")
     _check_nd(n, d, opts["budget_nd"])
-    space = exp(sphere_model(d, n * d + 1), n, ceiling=opts["ceiling"])
-    computed = [g.rank for g in
-                space_homology(space, maxdeg=n * d + 1, coeffs="Q")]
+    computed = [g.rank for g in _groups(sphere_model(d, n * d + 1), n, "exp",
+                                         opts, coeffs="Q")]
     expected = _thm1_expected(n, d)
     shape = (f"S^{n * d} v S^{(n - 1) * d}" if d % 2 == 0
              else f"S^{((n + 1) // 2) * (d + 1) - 1}")
@@ -193,8 +199,7 @@ def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
     action = CoefficientAction("trivial" if d % 2 == 0 else "sign")
     # homology of exp_n S^d in degrees nd-r for r < d needs trusted degrees
     # down to nd-d+1, so trunc nd+1 covers them all
-    space = exp(sphere_model(d, n * d + 1), n, ceiling=opts["ceiling"])
-    computed_all = space_homology(space, maxdeg=n * d + 1)
+    computed_all = _groups(sphere_model(d, n * d + 1), n, "exp", opts)
     reports = []
     for r in range(d):
         t0 = time.time()
@@ -240,10 +245,9 @@ def claim_thm2a_partial(n: int, d: int, opts: dict) -> list[VerificationReport]:
         raise ValueError("thm2a-partial needs d >= 2")
     _check_nd(n, d, opts["budget_nd"])
     deg = n * d - d
-    space = exp(sphere_model(d, deg + 1), n, ceiling=opts["ceiling"])
-    h = space_homology(space, maxdeg=deg + 1)[deg]
-    cn = conf_plus(sphere_model(d, deg + 1), n, "bar", ceiling=opts["ceiling"])
-    hc = space_homology(cn, reduced=True, maxdeg=deg + 1)[deg]
+    base = sphere_model(d, deg + 1)
+    h = _groups(base, n, "exp", opts)[deg]
+    hc = _groups(base, n, "conf-bar", opts, reduced=True)[deg]
     if d % 2 == 0:
         ok = (h.rank == hc.rank + 1 and
               h.torsion_order() == (n - 1) * hc.torsion_order())
@@ -283,11 +287,8 @@ def claim_lemma_quo(n: int, d: Optional[int], opts: dict,
         base = sphere_model(d, n * d + 1)
         dim = d
         tag = f"S^{d}"
-    maxdeg = n * dim + 1
-    a = conf_plus(base, n, "based", ceiling=opts["ceiling"])
-    b = conf_plus(base, n, "bar", ceiling=opts["ceiling"])
-    ha = space_homology(a, reduced=True, maxdeg=min(maxdeg, a.trunc))
-    hb = space_homology(b, reduced=True, maxdeg=min(maxdeg, b.trunc))
+    ha = _groups(base, n, "conf-based", opts, reduced=True)
+    hb = _groups(base, n, "conf-bar", opts, reduced=True)
     return [VerificationReport(
         "lemma-quo", {"n": n, "d": dim, "space": tag},
         f"the two quotient models of the compactified {n}-point configuration "
@@ -302,8 +303,7 @@ def claim_connectivity(n: int, d: int, opts: dict) -> list[VerificationReport]:
     _check_nd(n, d, opts["budget_nd"])
     bound = n + d - 3  # (m + n - 2)-connected with m = d - 1
     trunc = min(n * d + 1, max(bound + 2, 1))
-    space = exp(sphere_model(d, trunc), n, ceiling=opts["ceiling"])
-    groups = space_homology(space, reduced=True, maxdeg=trunc)
+    groups = _groups(sphere_model(d, trunc), n, "exp", opts, reduced=True)
     checked = {k: str(groups[k]) for k in range(0, bound + 1) if k < len(groups)}
     ok = all(groups[k].trivial for k in range(0, bound + 1) if k < len(groups))
     return [VerificationReport(
@@ -353,17 +353,15 @@ def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
         raise ValueError("e1-collapse needs n >= 1 and d >= 1")
     _check_nd(n, d, opts["budget_nd"])
     base = sphere_model(d, n * d + 1)
-    tw = tower(base, n, "bar", ceiling=opts["ceiling"])
-    f = filtered_from_tower(tw)
+    f = filtered_complex(base, n, "bar", ceiling=opts["ceiling"])
     p1 = e1_page(f)
     reports = []
     t0 = time.time()
     e1_expected = {}
     e1_computed = {}
     for p in range(1, n + 1):
-        cp = conf_plus(base, p, "bar", ceiling=opts["ceiling"])
-        betti = [g.rank for g in space_homology(
-            cp, reduced=True, maxdeg=min(n * d + 1, cp.trunc), coeffs="Q")]
+        betti = [g.rank for g in _groups(base, p, "conf-bar", opts,
+                                         reduced=True, coeffs="Q")]
         for m, r in enumerate(betti):
             if r:
                 e1_expected[f"({p},{m - p})"] = r
@@ -393,8 +391,8 @@ def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
         expected_inf, computed_inf,
         _verdict(expected_inf, computed_inf), time.time() - t0))
     totals = einfty_totals(f)
-    betti_top = [g.rank for g in space_homology(
-        tw.stage(n), reduced=True, maxdeg=n * d + 1, coeffs="Q")]
+    betti_top = [g.rank for g in _groups(base, n, "bar", opts,
+                                         reduced=True, coeffs="Q")]
     ok = totals[:len(betti_top)] == betti_top
     reports.append(VerificationReport(
         "e1-collapse", {"n": n, "d": d},
@@ -412,8 +410,7 @@ def claim_groupcoh_xcheck(n: int, d: Optional[int], opts: dict) -> list[Verifica
     if n not in (2, 3):
         raise ValueError("groupcoh-xcheck covers n in {2, 3}")
     _check_nd(n, d, opts["budget_nd"])
-    cn = conf_plus(sphere_model(3, 3 * n + 1), n, "bar", ceiling=opts["ceiling"])
-    h = space_homology(cn, reduced=True, maxdeg=3 * n + 1)
+    h = _groups(sphere_model(3, 3 * n + 1), n, "conf-bar", opts, reduced=True)
     reports = []
     for r in range(3):
         coh = group_cohomology(n, CoefficientAction("sign"), r)
@@ -453,10 +450,8 @@ def claim_generaltwo(n: int, d: Optional[int], opts: dict,
     rs = list(range(dim - 1))
     if dim % 2 == 1:
         rs.append(dim - 1)
-    full = exp(base, n, ceiling=opts["ceiling"])
-    h_exp = space_homology(full, maxdeg=n * dim + 1)
-    cn = conf_plus(base, n, "bar", ceiling=opts["ceiling"])
-    h_cn = space_homology(cn, reduced=True, maxdeg=n * dim + 1)
+    h_exp = _groups(base, n, "exp", opts)
+    h_cn = _groups(base, n, "conf-bar", opts, reduced=True)
     expected = {str(n * dim - r): str(h_cn[n * dim - r]) for r in rs}
     computed = {str(n * dim - r): str(h_exp[n * dim - r]) for r in rs}
     return [VerificationReport(

@@ -22,12 +22,7 @@ import click
 from . import cache as cache_mod
 from .claims import DEFAULT_BUDGET_ND, run_claim
 from .groupcoh import CoefficientAction, ResourceError, group_cohomology
-from .homology import (
-    ChainComplex,
-    homology,
-    homology_to_json,
-    normalized_complex,
-)
+from .homology import ChainComplex, homology, homology_to_json
 from .simplicial import (
     BasedSimplicialSet,
     SpaceFormatError,
@@ -36,18 +31,11 @@ from .simplicial import (
     sphere_model,
     torus_model,
 )
-from .spectral import advance, e1_page, einfty_totals, filtered_from_tower
-from .subsetspace import (
-    DEFAULT_LEVEL_CEILING,
-    BudgetError,
-    conf_plus,
-    exp,
-    exp_bar,
-    exp_based,
-    tower,
-)
+from .spectral import advance, e1_page, einfty_totals, filtered_complex
+from .subsetspace import DEFAULT_LEVEL_CEILING, BudgetError, keyed_complex
 
 CONSTRUCTIONS = ("expn", "based", "bar", "conf")
+CEILING_HELP = "non-degenerate cells allowed in any one degree"
 
 
 def _emit(data: dict, out: Optional[str]) -> None:
@@ -137,7 +125,7 @@ def main() -> None:
               envvar=cache_mod.ENV_VAR,
               help=f"boundary-matrix cache (or ${cache_mod.ENV_VAR})")
 @click.option("--ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
-              show_default=True, help="per-level simplex budget")
+              show_default=True, help=CEILING_HELP)
 def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
                  out, cache_dir, ceiling):
     """Homology of a subset-space construction over a base space."""
@@ -158,15 +146,10 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
         key = cache_mod.descriptor_key(descriptor)
         complex_ = _cached_complex(cache, key, base.trunc, reduced) if cache else None
         if complex_ is None:
-            if construction == "expn":
-                target = exp(base, n, ceiling=ceiling)
-            elif construction == "based":
-                target, _ = exp_based(base, n, ceiling=ceiling)
-            elif construction == "bar":
-                target = exp_bar(base, n, ceiling=ceiling)
-            else:
-                target = conf_plus(base, n, model, ceiling=ceiling)
-            complex_ = normalized_complex(target, reduced=reduced)
+            variant = {"expn": "exp", "conf": f"conf-{model}"}.get(
+                construction, construction)
+            complex_ = keyed_complex(base, n, variant, reduced=reduced,
+                                     ceiling=ceiling)
             if cache:
                 for k, m in enumerate(complex_.boundary):
                     cache.put(key, k, m)
@@ -195,7 +178,9 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
 @click.option("--budget-nd", type=int, default=DEFAULT_BUDGET_ND,
               show_default=True, help="refuse runs with n*d above this")
 @click.option("--ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
-              show_default=True)
+              show_default=True,
+              help=CEILING_HELP + " (the connecting claim's tower counts "
+                   "level-table simplices per level)")
 @click.option("--out", type=click.Path(), default=None, help="write JSON here")
 def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
     """Run one claim of the verification matrix.
@@ -259,7 +244,7 @@ def cmd_groupcoh(n, action, max_degree, ceiling, out):
               default="bar", show_default=True)
 @click.option("--trunc", type=int, default=None)
 @click.option("--ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
-              show_default=True)
+              show_default=True, help=CEILING_HELP)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_page(space, d, n, variant, trunc, ceiling, out):
     """Spectral-sequence pages of the points-count filtration."""
@@ -269,8 +254,7 @@ def cmd_page(space, d, n, variant, trunc, ceiling, out):
     default_trunc = n * dim_guess + 1 if dim_guess else None
     try:
         base, tag, dim = _resolve_space(space, d, trunc, default_trunc)
-        tw = tower(base, n, variant, ceiling=ceiling)
-        f = filtered_from_tower(tw)
+        f = filtered_complex(base, n, variant, ceiling=ceiling)
         pages = [e1_page(f)]
         while pages[-1].r <= f.n:
             pages.append(advance(pages[-1], f))

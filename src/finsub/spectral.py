@@ -17,10 +17,9 @@ point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .homology import relative_complex
-from .simplicial import SimplicialMap, point_model
+from .simplicial import BasedSimplicialSet
 from .snf import SparseIntMatrix, rank
-from .subsetspace import FiltrationTower
+from .subsetspace import DEFAULT_LEVEL_CEILING, keyed_complex
 
 
 @dataclass
@@ -234,35 +233,20 @@ def einfty_totals(f: FilteredComplex) -> list[int]:
     return [totals.get(m, 0) for m in range(f.top_degree + 1)]
 
 
-def filtered_from_tower(t: FiltrationTower) -> FilteredComplex:
-    """Filtration data of the top stage's reduced chain complex.
+def filtered_complex(x: BasedSimplicialSet, n: int, variant: str = "bar", *,
+                     ceiling: int = DEFAULT_LEVEL_CEILING) -> FilteredComplex:
+    """The points-count filtration of a subset-space variant's chains.
 
-    The basis element's level is the least stage whose (composed)
-    inclusion image contains it; for the quotient variants the chains
-    are taken relative to the basepoint, so the total homology is the
-    reduced homology of the top stage.
+    A basis key's level is its size.  For the quotient variants ("bar"
+    and "based") the chains are taken relative to the basepoint, so the
+    total homology is the reduced homology of the top stage.
     """
-    top = t.spaces[-1]
-    trunc = top.trunc
-    if t.variant in ("bar", "based"):
-        pt = point_model(trunc)
-        bp_map = SimplicialMap(pt, top, [[top.basepoint_at(k)]
-                                         for k in range(trunc + 1)])
-        complex_ = relative_complex(top, bp_map, check=False)
-    else:
-        from .homology import normalized_complex
-        complex_ = normalized_complex(top)
-    # mark each simplex of the top stage with the least stage containing it
-    marks = [[t.n] * top.level_size(k) for k in range(trunc + 1)]
-    for stage in range(t.n - 1, 0, -1):
-        incl = t.inclusion(stage, t.n)
-        for k in range(trunc + 1):
-            mk = marks[k]
-            for s in incl.maps[k]:
-                mk[s] = stage
-    filt = [[marks[k][cell] for cell in complex_.basis[k]]
-            for k in range(len(complex_.dims))]
-    f = FilteredComplex(complex_.dims, complex_.boundary, filt, t.n)
+    if variant not in ("exp", "based", "bar"):
+        raise ValueError(f"unknown filtration variant {variant!r}")
+    complex_ = keyed_complex(x, n, variant, relative=variant != "exp",
+                             ceiling=ceiling)
+    filt = [[len(key) for key in keys] for keys in complex_.basis]
+    f = FilteredComplex(complex_.dims, complex_.boundary, filt, n)
     bad = f.monotonicity_violations()
     if bad:
         raise AssertionError(f"filtration not respected by boundary: {bad[:3]}")

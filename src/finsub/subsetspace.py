@@ -27,6 +27,13 @@ configuration spaces.
 Subset keys are sorted index tuples; each level table lists its keys
 lexicographically (after the collapsed basepoint, if any), which makes
 all constructions deterministic.
+
+Homology needs only the non-degenerate simplices, and :func:`keyed_complex`
+builds their normalized chains without any level table.  With J(x) the
+bitmask of the degeneracies s_j whose image holds a base simplex x, a key
+S is degenerate exactly when the AND of J(x) over S is non-zero
+(Eilenberg-Zilber); face i of S is the set image {d_i x}, and the
+points-count filtration level of S is |S|.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
+from .homology import ChainComplex
 from .simplicial import (
     BasedSimplicialSet,
     SimplexRef,
@@ -42,11 +50,21 @@ from .simplicial import (
     SimplicialSet,
     underlying,
 )
+from .snf import SparseIntMatrix
 
 DEFAULT_LEVEL_CEILING = 5_000_000
 
 # basepoint rules of a key filter
 ANY, CONTAINS, AVOIDS = "any", "contains", "avoids"
+
+# variant -> its key filter for n points: (min size, max size, basepoint rule)
+_FILTERS = {
+    "exp": lambda n: (1, n, ANY),
+    "based": lambda n: (1, n, CONTAINS),
+    "bar": lambda n: (1, n, AVOIDS),
+    "conf-bar": lambda n: (n, n, AVOIDS),
+    "conf-based": lambda n: (n + 1, n + 1, CONTAINS),
+}
 
 Index = list[dict[tuple[int, ...], int]]  # per level: subset key -> simplex
 
@@ -163,7 +181,7 @@ def exp(x: BasedSimplicialSet, n: int, trunc=None, *,
     if n < 1:
         raise ValueError("subset spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
-    return _build(x, 1, n, ANY, trunc, ceiling, with_labels)[0]
+    return _build(x, *_FILTERS["exp"](n), trunc, ceiling, with_labels)[0]
 
 
 def exp_based(x: BasedSimplicialSet, n: int, trunc=None, *,
@@ -178,8 +196,9 @@ def exp_based(x: BasedSimplicialSet, n: int, trunc=None, *,
     if n < 1:
         raise ValueError("subset spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
-    based, based_index = _build(x, 1, n, CONTAINS, trunc, ceiling, with_labels)
-    full, full_index = _build(x, 1, n, ANY, trunc, ceiling, with_labels)
+    based, based_index = _build(x, *_FILTERS["based"](n), trunc, ceiling,
+                                with_labels)
+    full, full_index = _build(x, *_FILTERS["exp"](n), trunc, ceiling, with_labels)
     return based, _inclusion(based, based_index, full, full_index)
 
 
@@ -191,7 +210,7 @@ def exp_bar(x: BasedSimplicialSet, n: int, trunc=None, *,
     if n < 1:
         raise ValueError("subset spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
-    return _build(x, 1, n, AVOIDS, trunc, ceiling, with_labels)[0]
+    return _build(x, *_FILTERS["bar"](n), trunc, ceiling, with_labels)[0]
 
 
 def conf_plus(x: BasedSimplicialSet, n: int, model: str = "based", trunc=None, *,
@@ -207,11 +226,9 @@ def conf_plus(x: BasedSimplicialSet, n: int, model: str = "based", trunc=None, *
     if n < 1:
         raise ValueError("configuration spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
-    if model == "based":
-        return _build(x, n + 1, n + 1, CONTAINS, trunc, ceiling)[0]
-    if model == "bar":
-        return _build(x, n, n, AVOIDS, trunc, ceiling)[0]
-    raise ValueError(f"unknown conf_plus model {model!r}")
+    if model not in ("based", "bar"):
+        raise ValueError(f"unknown conf_plus model {model!r}")
+    return _build(x, *_FILTERS[f"conf-{model}"](n), trunc, ceiling)[0]
 
 
 @dataclass
@@ -248,9 +265,6 @@ class FiltrationTower:
         return m
 
 
-_TOWER_RULES = {"exp": ANY, "based": CONTAINS, "bar": AVOIDS}
-
-
 def tower(x: BasedSimplicialSet, n: int, variant: str = "bar", trunc=None, *,
           ceiling: int = DEFAULT_LEVEL_CEILING) -> FiltrationTower:
     """Filtration by number of points, in the requested variant.
@@ -262,11 +276,157 @@ def tower(x: BasedSimplicialSet, n: int, variant: str = "bar", trunc=None, *,
     """
     if n < 1:
         raise ValueError("towers need n >= 1")
-    if variant not in _TOWER_RULES:
+    if variant not in ("exp", "based", "bar"):
         raise ValueError(f"unknown tower variant {variant!r}")
     trunc = _resolve_trunc(x, trunc)
-    rule = _TOWER_RULES[variant]
-    stages = [_build(x, 1, k, rule, trunc, ceiling) for k in range(1, n + 1)]
+    stages = [_build(x, *_FILTERS[variant](k), trunc, ceiling)
+              for k in range(1, n + 1)]
     inclusions = [_inclusion(*lower, *upper)
                   for lower, upper in zip(stages, stages[1:])]
     return FiltrationTower(variant, [space for space, _ in stages], inclusions)
+
+
+# ----------------------------------------------------------------------
+# Keyed chains
+# ----------------------------------------------------------------------
+
+def _degeneracy_masks(xs: SimplicialSet, k: int) -> list[int]:
+    """J(x) for each level-k simplex x: bit j set when x is in im s_j."""
+    masks = [0] * xs.levels[k]
+    if k:
+        for j, smap in enumerate(xs.degeneracies[k - 1]):
+            bit = 1 << j
+            for t in smap:
+                masks[t] |= bit
+    return masks
+
+
+def _level_keys(masks: list[int], k: int, bp: int, lo: int, hi: int,
+                rule: str, top: int, ceiling: int,
+                collapsed: bool) -> list[tuple[int, ...]]:
+    """Sorted non-degenerate level-k keys with lo..hi elements passing
+    ``rule``, by a depth-first search carrying the AND of the masks;
+    ``collapsed`` puts the collapsed basepoint, the empty key, first.
+
+    An element over a non-degenerate base simplex of dimension m clears
+    exactly m mask bits, so a branch whose AND has more bits than ``top``
+    (the largest such m) times the slots left is dropped.  Under CONTAINS
+    the basepoint, whose mask is all ones, sits in the key from the start.
+    """
+    cands = [i for i in range(len(masks)) if rule == ANY or i != bp]
+    cmasks = [masks[i] for i in cands]
+    fixed = (bp,) if rule == CONTAINS else ()
+    found: list[tuple[int, ...]] = [()] if collapsed else []
+
+    def emit(rest):
+        found.append(tuple(sorted(fixed + rest)) if fixed else rest)
+        if len(found) > ceiling:
+            raise BudgetError(
+                f"subset chains pass {len(found)} non-degenerate cells in "
+                f"degree {k}, over the ceiling of {ceiling}")
+
+    def grow(start, rest, acc, left):
+        size = len(fixed) + len(rest) + 1  # of each key grown here
+        bound = (left - 1) * top
+        for pos in range(start, len(cands)):
+            a = acc & cmasks[pos]
+            if a.bit_count() > bound:
+                continue
+            nxt = rest + (cands[pos],)
+            if not a and size >= lo:
+                emit(nxt)
+            if left > 1:
+                grow(pos + 1, nxt, a, left - 1)
+
+    acc = (1 << k) - 1
+    if fixed:
+        acc &= masks[bp]
+        if not acc and lo <= 1:
+            emit(())
+    if hi > len(fixed):
+        grow(0, (), acc, hi - len(fixed))
+    found.sort()
+    return found
+
+
+def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
+                  reduced: bool = False, relative: bool = False,
+                  ceiling: int = DEFAULT_LEVEL_CEILING) -> ChainComplex:
+    """Normalized chains of a subset-space variant, straight from keys.
+
+    ``variant`` is one of "exp", "based", "bar" (the spaces of the same
+    names, for at most n points), "conf-bar" or "conf-based" (the two
+    ``conf_plus`` models); degrees run up to the truncation of x.  Dims,
+    boundaries and basis order equal ``normalized_complex`` of the
+    levelwise space, and ``basis`` holds the keys, the collapsed
+    basepoint being the empty key.  ``relative`` drops the basepoint
+    vertex, giving the chains relative to it.
+
+    Keys are counted per degree while they are enumerated, and a degree
+    with more than ``ceiling`` cells raises ``BudgetError`` before any
+    boundary is assembled.
+    """
+    if n < 1:
+        raise ValueError("subset spaces need n >= 1")
+    if variant not in _FILTERS:
+        raise ValueError(f"unknown subset-space variant {variant!r}")
+    if reduced and relative:
+        raise ValueError("a complex is either reduced or relative")
+    xs = underlying(x)
+    trunc = xs.trunc
+    lo, hi, rule = _FILTERS[variant](n)
+    collapse = rule == AVOIDS or lo > 1
+    bps = [x.basepoint_at(k) for k in range(trunc + 1)]
+    masks = [_degeneracy_masks(xs, k) for k in range(trunc + 1)]
+    tops = []  # top non-degenerate base dimension through each level
+    for k, mk in enumerate(masks):
+        tops.append(k if 0 in mk else tops[-1])
+    keys = [_level_keys(masks[k], k, bps[k], lo, hi, rule, tops[k], ceiling,
+                        collapse and k == 0)
+            for k in range(trunc + 1)]
+    bp_key = () if collapse else (bps[0],)  # the basepoint vertex
+    if relative:
+        keys[0].remove(bp_key)
+    index = [{s: i for i, s in enumerate(ks)} for ks in keys]
+
+    def outside(img, lev):
+        """Row of a face image missing from the index, or None to drop it."""
+        bp = bps[lev]
+        if len(img) < lo or (rule == AVOIDS and bp in img) or (
+                rule == CONTAINS and bp not in img):
+            if not collapse:
+                raise RuntimeError(f"face {img} at level {lev} left a filter "
+                                   f"closed under faces")
+            return index[0].get(()) if lev == 0 else None
+        acc = (1 << lev) - 1
+        for e in img:
+            acc &= masks[lev][e]
+        if acc or (relative and lev == 0 and img == bp_key):
+            return None
+        raise RuntimeError(f"non-degenerate face {img} at level {lev} "
+                           f"passes the filter but was not enumerated")
+
+    dims = [len(ks) for ks in keys]
+    boundary = [SparseIntMatrix(1 if reduced else 0, dims[0])]
+    if reduced:
+        for j in range(dims[0]):
+            boundary[0].set(0, j, 1)
+    for k in range(1, trunc + 1):
+        mat = SparseIntMatrix(dims[k - 1], dims[k])
+        fmaps = xs.faces[k]
+        below = index[k - 1]
+        for j, key in enumerate(keys[k]):
+            sign = 1
+            for fx in fmaps:
+                img = tuple(sorted({fx[e] for e in key}))
+                t = below.get(img)
+                if t is None:
+                    t = outside(img, k - 1)
+                if t is not None:
+                    mat.add(t, j, sign)
+                sign = -sign
+        boundary.append(mat)
+    c = ChainComplex(dims, boundary, reduced=reduced, basis=keys,
+                     meta={"kind": "keyed", "variant": variant})
+    c.assert_valid()
+    return c

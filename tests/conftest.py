@@ -2,14 +2,17 @@
 
 from itertools import combinations_with_replacement
 
+from finsub.homology import normalized_complex, relative_complex
 from finsub.simplicial import (
     BasedSimplicialSet,
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
+    point_model,
     quotient,
     underlying,
 )
+from finsub.spectral import FilteredComplex
 from finsub.subsetspace import exp_based
 
 
@@ -32,6 +35,32 @@ def bar_reference(x, n, with_labels=False):
     through ``quotient``, with the quotient map."""
     _, incl = exp_based(x, n, with_labels=with_labels)
     return quotient(incl.target, incl)
+
+
+def filtered_from_tower(t):
+    """The points-count filtration built the long way, from a levelwise
+    tower: a basis element's level is the least stage whose composed
+    inclusion image contains it; the quotient variants take chains
+    relative to the basepoint."""
+    top = t.spaces[-1]
+    trunc = top.trunc
+    if t.variant in ("bar", "based"):
+        pt = point_model(trunc)
+        bp_map = SimplicialMap(pt, top, [[top.basepoint_at(k)]
+                                         for k in range(trunc + 1)])
+        complex_ = relative_complex(top, bp_map, check=False)
+    else:
+        complex_ = normalized_complex(top)
+    marks = [[t.n] * top.level_size(k) for k in range(trunc + 1)]
+    for stage in range(t.n - 1, 0, -1):
+        incl = t.inclusion(stage, t.n)
+        for k in range(trunc + 1):
+            mk = marks[k]
+            for s in incl.maps[k]:
+                mk[s] = stage
+    filt = [[marks[k][cell] for cell in complex_.basis[k]]
+            for k in range(len(complex_.dims))]
+    return FilteredComplex(complex_.dims, complex_.boundary, filt, t.n)
 
 
 def make_random_subcomplex(space, rng, p=0.3):

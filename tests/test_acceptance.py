@@ -25,7 +25,7 @@ from finsub.homology import (
 )
 from finsub.simplicial import sphere_model, torus_model, validate
 from finsub.snf import SparseIntMatrix, invariant_factors
-from finsub.spectral import einfty_totals, filtered_from_tower, limit_page
+from finsub.spectral import einfty_totals, filtered_complex, limit_page
 from finsub.subsetspace import DEFAULT_LEVEL_CEILING, conf_plus, exp, tower
 
 OPTS = {"ceiling": DEFAULT_LEVEL_CEILING, "budget_nd": 8}
@@ -118,14 +118,12 @@ def test_criterion_6_connecting_multiplication():
 
 def test_criterion_7_spectral_collapse():
     for n in (2, 3):
-        tw = tower(sphere_model(2, 2 * n + 1), n, "bar")
-        f = filtered_from_tower(tw)
+        f = filtered_complex(sphere_model(2, 2 * n + 1), n, "bar")
         pinf = limit_page(f)
         assert pinf.entries() == [(n, n, 1)], pinf.entries()
         totals = einfty_totals(f)
         assert totals[2 * n] == 1 and sum(totals) == 1
-    tw = tower(sphere_model(3, 7), 2, "bar")
-    f = filtered_from_tower(tw)
+    f = filtered_complex(sphere_model(3, 7), 2, "bar")
     assert limit_page(f).entries() == []
     assert all(t == 0 for t in einfty_totals(f))
     _report(7, "limit page sits at total degree 2n for S^2 n=2,3 and "

@@ -261,3 +261,32 @@ def test_page_json_shape(runner):
     p1 = payload["pages"][0]
     assert p1["r"] == 1
     assert {"from", "rank"} == set(p1["differentials"][0].keys())
+
+
+def test_homology_ceiling_counts_nondegenerate_cells(runner):
+    # the subset space of <= 3 points on S^2 has 1, 0, 2, 7, 22, 30, 15, 0
+    # non-degenerate cells in degrees 0..7, far fewer than its level tables
+    args = ["homology", "--space", "sphere", "--d", "2", "--n", "3",
+            "--ceiling"]
+    assert runner.invoke(main, args + ["30"]).exit_code == 0
+    res = runner.invoke(main, args + ["29"])
+    assert res.exit_code == 2
+    assert "resource error" in res.output
+    assert "degree 5" in res.output
+
+
+def test_homology_lost_key_is_an_engine_fault(runner, monkeypatch):
+    from finsub import subsetspace
+    enumerate_level = subsetspace._level_keys
+
+    def lossy(masks, k, *rest):
+        keys = enumerate_level(masks, k, *rest)
+        return keys[:-1] if k == 3 else keys
+
+    monkeypatch.setattr(subsetspace, "_level_keys", lossy)
+    res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "2",
+                               "--n", "2"])
+    assert res.exit_code != 2
+    assert "Usage" not in res.output and "Error:" not in res.output
+    assert isinstance(res.exception, RuntimeError)
+    assert "not enumerated" in str(res.exception)

@@ -8,7 +8,7 @@ from finsub.spectral import (
     advance,
     e1_page,
     einfty_totals,
-    filtered_from_tower,
+    filtered_complex,
     limit_page,
 )
 from finsub.subsetspace import conf_plus, tower
@@ -17,7 +17,7 @@ from finsub.subsetspace import conf_plus, tower
 @pytest.fixture(scope="module")
 def s2_n3():
     tw = tower(sphere_model(2, 7), 3, "bar")
-    return tw, filtered_from_tower(tw)
+    return tw, filtered_complex(sphere_model(2, 7), 3, "bar")
 
 
 def test_filtration_monotone_exhaustively(s2_n3):
@@ -87,24 +87,21 @@ def test_euler_characteristic_page_invariant(s2_n3):
 
 
 def test_odd_sphere_even_points_vanishes():
-    tw = tower(sphere_model(3, 7), 2, "bar")
-    f = filtered_from_tower(tw)
+    f = filtered_complex(sphere_model(3, 7), 2, "bar")
     assert e1_page(f).entries() == [(1, 2, 1), (2, 2, 1)]
     assert limit_page(f).entries() == []
     assert all(t == 0 for t in einfty_totals(f))
 
 
 def test_circle_three_points():
-    tw = tower(sphere_model(1, 4), 3, "bar")
-    f = filtered_from_tower(tw)
+    f = filtered_complex(sphere_model(1, 4), 3, "bar")
     totals = einfty_totals(f)
     assert totals[3] == 1
     assert sum(totals) == 1
 
 
 def test_stable_pages_beyond_span():
-    tw = tower(sphere_model(1, 4), 2, "bar")
-    f = filtered_from_tower(tw)
+    f = filtered_complex(sphere_model(1, 4), 2, "bar")
     p = limit_page(f)
     nxt = advance(p, f)
     assert nxt.dims == p.dims
@@ -114,7 +111,7 @@ def test_based_variant_tower():
     # basepoint-containing chain over S^2, three stages: the top stage is
     # rationally a 4-sphere, and the limit page must say so
     tw = tower(sphere_model(2, 7), 3, "based")
-    f = filtered_from_tower(tw)
+    f = filtered_complex(sphere_model(2, 7), 3, "based")
     assert f.monotonicity_violations() == []
     totals = einfty_totals(f)
     betti = [g.rank for g in space_homology(tw.stage(3), reduced=True, coeffs="Q")]
@@ -124,15 +121,13 @@ def test_based_variant_tower():
 
 def test_based_variant_odd_sphere_even_points():
     # two basepointed points on S^3: rationally a 3-sphere
-    tw = tower(sphere_model(3, 7), 2, "based")
-    f = filtered_from_tower(tw)
+    f = filtered_complex(sphere_model(3, 7), 2, "based")
     totals = einfty_totals(f)
     assert totals[3] == 1 and sum(totals) == 1
 
 
 def test_exp_variant_tower_unreduced():
-    tw = tower(sphere_model(2, 5), 2, "exp")
-    f = filtered_from_tower(tw)
+    f = filtered_complex(sphere_model(2, 5), 2, "exp")
     totals = einfty_totals(f)
     # unreduced homology of the symmetric square of S^2
     assert totals == [1, 0, 1, 0, 1, 0]

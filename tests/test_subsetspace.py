@@ -1,11 +1,17 @@
 """Subset-space functors: tables, filtrations, configuration models."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from conftest import bar_reference, make_random_subcomplex, simplex_model
+from conftest import (
+    bar_reference,
+    filtered_from_tower,
+    make_random_subcomplex,
+    simplex_model,
+)
 from finsub.simplicial import (
     BasedSimplicialSet,
     SimplexRef,
@@ -21,9 +27,11 @@ from finsub.subsetspace import (
     exp,
     exp_bar,
     exp_based,
+    keyed_complex,
     tower,
 )
-from finsub.homology import space_homology
+from finsub.homology import normalized_complex, space_homology
+from finsub.spectral import filtered_complex
 
 
 def test_exp_rejects_n_zero():
@@ -233,3 +241,87 @@ def test_key_filters_match_quotients(name, n):
                 image = qmaps[k + 1].maps[lev][t]
                 assert induced.setdefault(qmaps[k].maps[lev][s], image) == image
             assert incl.maps[lev] == [induced[c] for c in range(len(induced))]
+
+
+# -- keyed chains against the normalized chains of the level tables ----------
+
+LEVELWISE = {
+    "exp": lambda x, n: exp(x, n),
+    "based": lambda x, n: exp_based(x, n)[0],
+    "bar": lambda x, n: exp_bar(x, n),
+    "conf-bar": lambda x, n: conf_plus(x, n, "bar"),
+    "conf-based": lambda x, n: conf_plus(x, n, "based"),
+}
+
+FILTERS = {"exp": lambda n: (1, n, "any"), "based": lambda n: (1, n, "contains"),
+           "bar": lambda n: (1, n, "avoids"), "conf-bar": lambda n: (n, n, "avoids"),
+           "conf-based": lambda n: (n + 1, n + 1, "contains")}
+
+
+def _table_keys(x, k, variant, n):
+    """Keys of the level-k table in table order: lexicographic, after the
+    collapsed basepoint of a filter that is not closed under faces."""
+    lo, hi, rule = FILTERS[variant](n)
+    bp = x.basepoint_at(k)
+    keys = sorted(s for j in range(lo, hi + 1)
+                  for s in combinations(range(x.level_size(k)), j)
+                  if rule == "any" or (bp in s) == (rule == "contains"))
+    return ([()] if rule == "avoids" or lo > 1 else []) + keys
+
+
+def _keyed_cases():
+    # spheres with n*d <= 9; where the level tables would be large the
+    # comparison runs on a lower truncation
+    for d in (1, 2, 3):
+        for n in range(1, 9 // d + 1):
+            trunc = n * d + 1 if n * d <= 6 else 6 - d
+            yield f"S^{d}", sphere_model(d, trunc), n
+    for n in (1, 2):
+        yield "T^2", torus_model(2 * n + 1), n
+    for name, x in _random_based_spaces(2).items():
+        for n in (1, 2, 3):
+            yield name, x, n
+
+
+@pytest.mark.parametrize("variant", sorted(LEVELWISE))
+def test_keyed_complex_matches_levelwise(variant):
+    for name, x, n in _keyed_cases():
+        space = LEVELWISE[variant](x, n)
+        for reduced in (False, True):
+            ref = normalized_complex(space, reduced=reduced)
+            got = keyed_complex(x, n, variant, reduced=reduced)
+            assert (got.dims, got.reduced) == (ref.dims, ref.reduced), (name, n)
+            assert got.boundary == ref.boundary, (name, n, reduced)
+        for k, cells in enumerate(ref.basis):
+            table = _table_keys(x, k, variant, n)
+            assert got.basis[k] == [table[s] for s in cells], (name, n, k)
+
+
+@pytest.mark.parametrize("variant", ["exp", "based", "bar"])
+def test_keyed_filtration_matches_tower(variant):
+    bases = [(sphere_model(2, 7), 3), (sphere_model(3, 7), 2),
+             (torus_model(5), 2)]
+    bases += [(x, 3) for x in _random_based_spaces(2).values()]
+    for x, n in bases:
+        ref = filtered_from_tower(tower(x, n, variant))
+        got = filtered_complex(x, n, variant)
+        assert (got.dims, got.filt, got.n) == (ref.dims, ref.filt, ref.n)
+        assert got.boundary == ref.boundary
+
+
+def test_keyed_ceiling_counts_nondegenerate_cells():
+    x = sphere_model(2, 7)
+    most = max(keyed_complex(x, 3).dims)
+    assert keyed_complex(x, 3, ceiling=most).dims == keyed_complex(x, 3).dims
+    with pytest.raises(BudgetError, match=f"{most} non-degenerate cells in degree"):
+        keyed_complex(x, 3, ceiling=most - 1)
+
+
+def test_keyed_complex_rejects_bad_arguments():
+    x = sphere_model(1, 3)
+    with pytest.raises(ValueError):
+        keyed_complex(x, 0)
+    with pytest.raises(ValueError):
+        keyed_complex(x, 2, "conf")
+    with pytest.raises(ValueError):
+        keyed_complex(x, 2, "bar", reduced=True, relative=True)
