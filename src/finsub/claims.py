@@ -16,15 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .groupcoh import CoefficientAction, group_cohomology
-from .homology import (
-    HomologyGroup,
-    connecting_free_index,
-    connecting_map,
-    homology,
-)
+from .homology import HomologyGroup, homology, zigzag_free_index, zigzag_map
 from .simplicial import BasedSimplicialSet, sphere_model, torus_model
 from .spectral import e1_page, einfty_totals, filtered_complex, limit_page
-from .subsetspace import BudgetError, keyed_complex, tower
+from .subsetspace import BudgetError, keyed_complex, keyed_connecting
 
 DEFAULT_BUDGET_ND = 8
 
@@ -323,20 +318,14 @@ def claim_connecting(n: int, d: Optional[int], opts: dict) -> list[VerificationR
         raise ValueError("connecting needs n >= 2")
     _check_nd(n, d, opts["budget_nd"])
     k = n * d - d + 1
-    tw = tower(sphere_model(d, k + 1), n, "bar", ceiling=opts["ceiling"])
-    if n == 2:
-        # the pair (bar_2, bar_1) with nothing below
-        desc = connecting_map(tw.stage(2), tw.inclusions[0], k)
-        computed = abs(desc.free_matrix[0][0]) if desc.free_matrix else 0
-        method = "full generator zigzag"
-    elif n == 3:
-        desc = connecting_map(tw.stage(3), tw.inclusions[1], k,
-                              rel=tw.inclusions[0])
+    src, tgt, block = keyed_connecting(sphere_model(d, k + 1), n, k,
+                                       ceiling=opts["ceiling"])
+    if n <= 3:
+        desc = zigzag_map(src, tgt, block, k)
         computed = abs(desc.free_matrix[0][0]) if desc.free_matrix else 0
         method = "full generator zigzag"
     else:
-        computed = connecting_free_index(tw.stage(n), tw.inclusions[n - 2], k,
-                                         rel=tw.inclusions[n - 3])
+        computed = zigzag_free_index(src, tgt, block, k)
         method = "rank-1 image-index fast path"
     return [VerificationReport(
         "connecting", {"n": n, "d": d},

@@ -32,7 +32,7 @@ from .simplicial import (
     torus_model,
 )
 from .spectral import advance, e1_page, einfty_totals, filtered_complex
-from .subsetspace import DEFAULT_LEVEL_CEILING, BudgetError, keyed_complex
+from .subsetspace import DEFAULT_CELL_CEILING, BudgetError, keyed_complex
 
 CONSTRUCTIONS = ("expn", "based", "bar", "conf")
 CEILING_HELP = "non-degenerate cells allowed in any one degree"
@@ -124,7 +124,7 @@ def main() -> None:
 @click.option("--cache-dir", type=click.Path(), default=None,
               envvar=cache_mod.ENV_VAR,
               help=f"boundary-matrix cache (or ${cache_mod.ENV_VAR})")
-@click.option("--ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
+@click.option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
               show_default=True, help=CEILING_HELP)
 def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
                  out, cache_dir, ceiling):
@@ -177,10 +177,8 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
               help="sphere or torus (claims that support it)")
 @click.option("--budget-nd", type=int, default=DEFAULT_BUDGET_ND,
               show_default=True, help="refuse runs with n*d above this")
-@click.option("--ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
-              show_default=True,
-              help=CEILING_HELP + " (the connecting claim's tower counts "
-                   "level-table simplices per level)")
+@click.option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
+              show_default=True, help=CEILING_HELP)
 @click.option("--out", type=click.Path(), default=None, help="write JSON here")
 def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
     """Run one claim of the verification matrix.
@@ -243,7 +241,7 @@ def cmd_groupcoh(n, action, max_degree, ceiling, out):
 @click.option("--variant", type=click.Choice(("exp", "based", "bar")),
               default="bar", show_default=True)
 @click.option("--trunc", type=int, default=None)
-@click.option("--ceiling", type=int, default=DEFAULT_LEVEL_CEILING,
+@click.option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
               show_default=True, help=CEILING_HELP)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_page(space, d, n, variant, trunc, ceiling, out):

@@ -533,23 +533,23 @@ def _connecting_complexes(x: SpaceLike, a: SimplicialMap, k: int,
     return src, tgt
 
 
-def connecting_map(x: SpaceLike, a: SimplicialMap, k: int,
-                   rel: Optional[SimplicialMap] = None) -> HomologyMapDescription:
-    """Connecting homomorphism H_k(x/a) -> H_{k-1}(a) (or, with ``rel``,
-    into H_{k-1}(a/rel)) by the chain-level zigzag: a relative cycle
-    lifts to itself, its full boundary lands on subspace cells.
+def zigzag_map(src: ChainComplex, tgt: ChainComplex, block: SparseIntMatrix,
+               k: int) -> HomologyMapDescription:
+    """Connecting homomorphism H_k(src) -> H_{k-1}(tgt) by the chain-level
+    zigzag: a relative cycle lifts to itself, and ``block`` writes the
+    faces of its cells that land on subspace cells in the degree k-1
+    basis of ``tgt``.
     """
-    src, tgt = _connecting_complexes(x, a, k, rel)
-    conn = _connecting_block(x, a, k, src, tgt)
     src_basis = homology_basis(src, k)
     tgt_basis = homology_basis(tgt, k - 1)
-    images = [conn.mul_col(g) for g in src_basis.free_gens]
+    images = [block.mul_col(g) for g in src_basis.free_gens]
     return _assemble_description(src_basis, tgt_basis, images)
 
 
-def connecting_free_index(x: SpaceLike, a: SimplicialMap, k: int,
-                          rel: Optional[SimplicialMap] = None) -> int:
-    """|d| on free parts when the target free part has rank 1.
+def zigzag_free_index(src: ChainComplex, tgt: ChainComplex,
+                      block: SparseIntMatrix, k: int) -> int:
+    """|d| on free parts of :func:`zigzag_map` when the target free part
+    has rank 1.
 
     The image subgroup of the target's free quotient is generated by the
     images of any lattice basis of the relative cycles, because torsion
@@ -557,20 +557,35 @@ def connecting_free_index(x: SpaceLike, a: SimplicialMap, k: int,
     coordinates.  This avoids presenting the (possibly huge) source
     homology group.
     """
-    src, tgt = _connecting_complexes(x, a, k, rel)
     tgt_basis = homology_basis(tgt, k - 1)
     if tgt_basis.group.rank != 1:
         raise ValueError("fast path needs a rank-1 target free part")
-    conn = _connecting_block(x, a, k, src, tgt)
     res = diagonalize(src.out_matrix(k), track_v=True)
     g = 0
     for j in range(res.rank, src.dims[k]):
         cycle = res.V.column(j)
-        free, _ = tgt_basis.coords(conn.mul_col(cycle))
+        free, _ = tgt_basis.coords(block.mul_col(cycle))
         g = gcd(g, free[0])
         if g == 1:
             break
     return g
+
+
+def connecting_map(x: SpaceLike, a: SimplicialMap, k: int,
+                   rel: Optional[SimplicialMap] = None) -> HomologyMapDescription:
+    """Connecting homomorphism H_k(x/a) -> H_{k-1}(a) (or, with ``rel``,
+    into H_{k-1}(a/rel)) of levelwise spaces, by :func:`zigzag_map`.
+    """
+    src, tgt = _connecting_complexes(x, a, k, rel)
+    return zigzag_map(src, tgt, _connecting_block(x, a, k, src, tgt), k)
+
+
+def connecting_free_index(x: SpaceLike, a: SimplicialMap, k: int,
+                          rel: Optional[SimplicialMap] = None) -> int:
+    """|d| on free parts of :func:`connecting_map` when the target free
+    part has rank 1, by :func:`zigzag_free_index`."""
+    src, tgt = _connecting_complexes(x, a, k, rel)
+    return zigzag_free_index(src, tgt, _connecting_block(x, a, k, src, tgt), k)
 
 
 # ----------------------------------------------------------------------

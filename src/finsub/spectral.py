@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from .simplicial import BasedSimplicialSet
 from .snf import SparseIntMatrix, rank
-from .subsetspace import DEFAULT_LEVEL_CEILING, keyed_complex
+from .subsetspace import DEFAULT_CELL_CEILING, keyed_complex
 
 
 @dataclass
@@ -234,7 +234,7 @@ def einfty_totals(f: FilteredComplex) -> list[int]:
 
 
 def filtered_complex(x: BasedSimplicialSet, n: int, variant: str = "bar", *,
-                     ceiling: int = DEFAULT_LEVEL_CEILING) -> FilteredComplex:
+                     ceiling: int = DEFAULT_CELL_CEILING) -> FilteredComplex:
     """The points-count filtration of a subset-space variant's chains.
 
     A basis key's level is its size.  For the quotient variants ("bar"

@@ -52,7 +52,11 @@ from .simplicial import (
 )
 from .snf import SparseIntMatrix
 
-DEFAULT_LEVEL_CEILING = 5_000_000
+DEFAULT_LEVEL_CEILING = 5_000_000  # level-table simplices per level
+# Non-degenerate cells per degree of the keyed chains.  The S^2 n=5 and
+# S^4 n=3 builds each took 1.6 KB of peak RSS per cell of their largest
+# degree, so one degree at this ceiling builds in about 0.8 GB.
+DEFAULT_CELL_CEILING = 500_000
 
 # basepoint rules of a key filter
 ANY, CONTAINS, AVOIDS = "any", "contains", "avoids"
@@ -301,6 +305,15 @@ def _degeneracy_masks(xs: SimplicialSet, k: int) -> list[int]:
     return masks
 
 
+def _shared_degeneracies(masks: list[int], key, k: int) -> int:
+    """The AND of J(x) over a level-k key: non-zero exactly when the key
+    is degenerate."""
+    acc = (1 << k) - 1
+    for e in key:
+        acc &= masks[e]
+    return acc
+
+
 def _level_keys(masks: list[int], k: int, bp: int, lo: int, hi: int,
                 rule: str, top: int, ceiling: int,
                 collapsed: bool) -> list[tuple[int, ...]]:
@@ -351,7 +364,7 @@ def _level_keys(masks: list[int], k: int, bp: int, lo: int, hi: int,
 
 def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
                   reduced: bool = False, relative: bool = False,
-                  ceiling: int = DEFAULT_LEVEL_CEILING) -> ChainComplex:
+                  ceiling: int = DEFAULT_CELL_CEILING) -> ChainComplex:
     """Normalized chains of a subset-space variant, straight from keys.
 
     ``variant`` is one of "exp", "based", "bar" (the spaces of the same
@@ -398,10 +411,8 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
                 raise RuntimeError(f"face {img} at level {lev} left a filter "
                                    f"closed under faces")
             return index[0].get(()) if lev == 0 else None
-        acc = (1 << lev) - 1
-        for e in img:
-            acc &= masks[lev][e]
-        if acc or (relative and lev == 0 and img == bp_key):
+        if _shared_degeneracies(masks[lev], img, lev) or (
+                relative and lev == 0 and img == bp_key):
             return None
         raise RuntimeError(f"non-degenerate face {img} at level {lev} "
                            f"passes the filter but was not enumerated")
@@ -430,3 +441,54 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
                      meta={"kind": "keyed", "variant": variant})
     c.assert_valid()
     return c
+
+
+def keyed_connecting(x: BasedSimplicialSet, n: int, k: int, *,
+                     ceiling: int = DEFAULT_CELL_CEILING
+                     ) -> tuple[ChainComplex, ChainComplex, SparseIntMatrix]:
+    """The chains of the connecting map of the bar tower, straight from keys.
+
+    Returns (source, target, block) for :func:`homology.zigzag_map`:
+    the source is bar_n / bar_(n-1), the keys of size n relative to the
+    basepoint; the target is bar_(n-1) / bar_(n-2), the keys of size n-1
+    relative to the basepoint, or the reduced chains of bar_1 when n=2.
+    Face i of a degree-k source key whose set image is a degree k-1
+    target key adds (-1)^i at that key's row; images holding the
+    basepoint go to the collapsed basepoint, which is a target cell only
+    in degree 0.  Dims, boundaries, basis order and block equal those of
+    the levelwise ``connecting_map`` of ``tower(x, n, "bar")`` in the
+    degrees it builds: source up to k+1, target up to k.
+    """
+    if n < 2:
+        raise ValueError("connecting maps need n >= 2")
+    if k < 1:
+        raise ValueError("connecting maps start in degree >= 1")
+    if x.trunc < k + 1:
+        raise ValueError(f"connecting map in degree {k} needs truncation "
+                         f">= {k + 1}, have {x.trunc}")
+    src = keyed_complex(x, n, "conf-bar", relative=True, ceiling=ceiling)
+    if n == 2:
+        tgt = keyed_complex(x, 1, "bar", reduced=True, ceiling=ceiling)
+    else:
+        tgt = keyed_complex(x, n - 1, "conf-bar", relative=True,
+                            ceiling=ceiling)
+    xs = underlying(x)
+    bp = x.basepoint_at(k - 1)
+    masks = _degeneracy_masks(xs, k - 1)
+    index = tgt.basis_index[k - 1]
+    block = SparseIntMatrix(tgt.dims[k - 1], src.dims[k])
+    for j, key in enumerate(src.basis[k]):
+        sign = 1
+        for fx in xs.faces[k]:
+            img = tuple(sorted({fx[e] for e in key}))
+            if bp in img:
+                img = ()
+            t = index.get(img)
+            if t is not None:
+                block.add(t, j, sign)
+            elif len(img) == n - 1 and not _shared_degeneracies(
+                    masks, img, k - 1):
+                raise RuntimeError(f"non-degenerate face {img} at level "
+                                   f"{k - 1} is missing from the target")
+            sign = -sign
+    return src, tgt, block

@@ -26,13 +26,13 @@ from finsub.homology import (
 from finsub.simplicial import sphere_model, torus_model, validate
 from finsub.snf import SparseIntMatrix, invariant_factors
 from finsub.spectral import einfty_totals, filtered_complex, limit_page
-from finsub.subsetspace import DEFAULT_LEVEL_CEILING, conf_plus, exp, tower
+from finsub.subsetspace import DEFAULT_CELL_CEILING, conf_plus, exp, tower
 
-OPTS = {"ceiling": DEFAULT_LEVEL_CEILING, "budget_nd": 8}
+OPTS = {"ceiling": DEFAULT_CELL_CEILING, "budget_nd": 8}
 
 
 def _claim(name, n, d=None, space="sphere"):
-    return run_claim(name, n, d, ceiling=DEFAULT_LEVEL_CEILING, space=space)
+    return run_claim(name, n, d, ceiling=DEFAULT_CELL_CEILING, space=space)
 
 
 def _report(num, text):

@@ -3,11 +3,11 @@
 import pytest
 
 from finsub.claims import run_claim
-from finsub.subsetspace import BudgetError, DEFAULT_LEVEL_CEILING
+from finsub.subsetspace import DEFAULT_CELL_CEILING, BudgetError
 
 
 def claim(name, n, d=None, space="sphere", budget_nd=8):
-    return run_claim(name, n, d, ceiling=DEFAULT_LEVEL_CEILING,
+    return run_claim(name, n, d, ceiling=DEFAULT_CELL_CEILING,
                      budget_nd=budget_nd, space=space)
 
 
@@ -74,6 +74,28 @@ def test_e1_collapse_small():
 
 def test_connecting_n2():
     assert all_match(claim("connecting", 2, 2))
+
+
+def test_connecting_n3():
+    assert all_match(claim("connecting", 3, 2))
+
+
+def test_connecting_n4():
+    reports = claim("connecting", 4, 2)
+    assert all_match(reports)
+    assert reports[0].computed == 3
+
+
+def test_connecting_builds_no_level_tables(monkeypatch):
+    from finsub import subsetspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a levelwise subset space was built")
+
+    for name in ("exp", "exp_based", "exp_bar", "conf_plus", "tower", "_build"):
+        monkeypatch.setattr(subsetspace, name, refuse)
+    for n in (2, 3, 4):
+        assert all_match(claim("connecting", n, 2))
 
 
 def test_lemma_quo_sphere_needs_d():

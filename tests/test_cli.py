@@ -275,6 +275,15 @@ def test_homology_ceiling_counts_nondegenerate_cells(runner):
     assert "degree 5" in res.output
 
 
+def test_verify_connecting_ceiling_counts_nondegenerate_cells(runner):
+    # the connecting claim's largest degree holds 330 source cells
+    args = ["verify", "connecting", "-n", "4", "-d", "2", "--ceiling"]
+    assert runner.invoke(main, args + ["330"]).exit_code == 0
+    res = runner.invoke(main, args + ["329"])
+    assert res.exit_code == 2
+    assert "resource error" in res.output
+
+
 def test_homology_lost_key_is_an_engine_fault(runner, monkeypatch):
     from finsub import subsetspace
     enumerate_level = subsetspace._level_keys

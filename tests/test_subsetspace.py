@@ -28,9 +28,20 @@ from finsub.subsetspace import (
     exp_bar,
     exp_based,
     keyed_complex,
+    keyed_connecting,
     tower,
 )
-from finsub.homology import normalized_complex, space_homology
+from finsub import subsetspace
+from finsub.homology import (
+    _connecting_block,
+    _connecting_complexes,
+    connecting_free_index,
+    connecting_map,
+    normalized_complex,
+    space_homology,
+    zigzag_free_index,
+    zigzag_map,
+)
 from finsub.spectral import filtered_complex
 
 
@@ -325,3 +336,75 @@ def test_keyed_complex_rejects_bad_arguments():
         keyed_complex(x, 2, "conf")
     with pytest.raises(ValueError):
         keyed_complex(x, 2, "bar", reduced=True, relative=True)
+
+
+# -- keyed connecting maps against the levelwise bar tower -------------------
+
+def _connecting_cases():
+    for n, k in ((2, 3), (3, 4), (3, 5), (4, 7)):
+        yield "S^2", sphere_model(2, k + 1), n, k
+    for n in (2, 3, 4):
+        yield "S^1", sphere_model(1, n + 1), n, n
+    yield "T^2", torus_model(4), 2, 3
+    # several vertices, so that degree 0 of the n=2 target is reached
+    for name, x in _random_based_spaces(2).items():
+        for n in (2, 3):
+            for k in (1, 2):
+                yield name, x, n, k
+
+
+def _same_chains(x, n, got, ref):
+    """Keyed chains equal levelwise ones of exp_bar(x, n) in the levelwise
+    degrees: dims, boundaries and basis keys in order."""
+    top = len(ref.dims)
+    assert (got.dims[:top], got.reduced) == (ref.dims, ref.reduced)
+    assert got.boundary[:top] == ref.boundary
+    for lev, cells in enumerate(ref.basis):
+        table = _table_keys(x, lev, "bar", n)
+        assert got.basis[lev] == [table[s] for s in cells]
+
+
+def test_keyed_connecting_matches_levelwise():
+    for name, x, n, k in _connecting_cases():
+        tw = tower(x, n, "bar")
+        top, sub = tw.stage(n), tw.inclusions[n - 2]
+        rel = tw.inclusions[n - 3] if n > 2 else None
+        ref_src, ref_tgt = _connecting_complexes(top, sub, k, rel)
+        ref_block = _connecting_block(top, sub, k, ref_src, ref_tgt)
+        src, tgt, block = keyed_connecting(x, n, k)
+        case = (name, n, k)
+        _same_chains(x, n, src, ref_src)
+        _same_chains(x, n - 1, tgt, ref_tgt)
+        assert block == ref_block, case
+        assert zigzag_map(src, tgt, block, k) == connecting_map(
+            top, sub, k, rel), case
+        try:
+            want = connecting_free_index(top, sub, k, rel)
+        except ValueError as exc:  # the target free part is not of rank 1
+            with pytest.raises(ValueError, match=str(exc)):
+                zigzag_free_index(src, tgt, block, k)
+        else:
+            assert zigzag_free_index(src, tgt, block, k) == want, case
+
+
+def test_keyed_connecting_missing_target_key_is_an_engine_fault(monkeypatch):
+    build = subsetspace.keyed_complex
+
+    def lossy(x, n, variant, **kwargs):
+        c = build(x, n, variant, **kwargs)
+        if n == 2:  # the target of the n=3 map loses its degree-4 keys
+            c.basis_index[4].clear()
+        return c
+
+    monkeypatch.setattr(subsetspace, "keyed_complex", lossy)
+    with pytest.raises(RuntimeError, match="missing from the target"):
+        keyed_connecting(sphere_model(2, 6), 3, 5)
+
+
+def test_keyed_connecting_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        keyed_connecting(sphere_model(2, 6), 1, 5)
+    with pytest.raises(ValueError):
+        keyed_connecting(sphere_model(2, 6), 2, 0)
+    with pytest.raises(ValueError, match="truncation"):
+        keyed_connecting(sphere_model(2, 5), 2, 5)
