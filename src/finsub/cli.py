@@ -21,7 +21,12 @@ import click
 
 from . import cache as cache_mod
 from .claims import DEFAULT_BUDGET_ND, run_claim
-from .groupcoh import CoefficientAction, ResourceError, group_cohomology
+from .groupcoh import (
+    DEFAULT_BASIS_CEILING,
+    CoefficientAction,
+    ResourceError,
+    bar_cochain_complex,
+)
 from .homology import ChainComplex, homology, homology_to_json
 from .simplicial import (
     BasedSimplicialSet,
@@ -219,16 +224,16 @@ def cmd_groupcoh(n, action, max_degree, ceiling, out):
         raise click.UsageError("-n must be >= 1")
     if max_degree < 0:
         raise click.UsageError("--max-degree must be >= 0")
-    from .groupcoh import DEFAULT_BASIS_CEILING
     if ceiling is None:
         ceiling = DEFAULT_BASIS_CEILING
     try:
-        groups = [group_cohomology(n, CoefficientAction(action), r,
-                                   ceiling=ceiling)
-                  for r in range(max_degree + 1)]
+        c = bar_cochain_complex(n, CoefficientAction(action), max_degree,
+                                ceiling=ceiling)
     except ResourceError as exc:
         click.echo(f"resource error: {exc}", err=True)
         sys.exit(2)
+    # degree max_degree + 1 lacks its outgoing coboundary
+    groups = homology(c)[:max_degree + 1]
     payload = homology_to_json(groups, group=f"S_{n}", action=action,
                                coeffs="Z", cohomology=True)
     _emit(payload, out)

@@ -95,38 +95,48 @@ def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
     """Normalized bar cochain complex of S_n through degree maxdeg.
 
     Degrees 0..maxdeg+1 are materialized so that cohomology at maxdeg
-    has both coboundaries; degree r has (n!-1)^r basis tuples.
+    has both coboundaries; degree r has (n!-1)^r basis tuples.  The
+    first degree over the ceiling is refused.
+
+    The non-identity elements are numbered 0..m-1 in enumeration order
+    and an r-tuple is indexed by its digits in base m, first slot most
+    significant, so faces are index arithmetic on an integer
+    multiplication table (-1 for the identity).
     """
     if maxdeg < 0:
         raise ValueError("maxdeg must be non-negative")
-    elements = symmetric_group(n)
-    nontriv = [g for g in elements if not g.is_identity()]
+    nontriv = [g for g in symmetric_group(n) if not g.is_identity()]
     m = len(nontriv)
     top = maxdeg + 1
-    if m ** top > ceiling:
-        raise ResourceError(
-            f"bar resolution for S_{n} at degree {top} needs {m ** top} "
-            f"basis tuples, over the ceiling of {ceiling}")
-    tuples: list[list[tuple[Permutation, ...]]] = [
-        [tuple(t) for t in product(nontriv, repeat=r)] for r in range(top + 1)]
-    index = [{t: i for i, t in enumerate(tab)} for tab in tuples]
-    dims = [len(tab) for tab in tuples]
-    scalars = {g: action.scalar(g) for g in nontriv}
-    prod_table = {(a, b): a * b for a in nontriv for b in nontriv}
+    for r in range(1, top + 1):
+        if m ** r > ceiling:
+            raise ResourceError(
+                f"bar resolution for S_{n} at degree {r} needs {m ** r} "
+                f"basis tuples, over the ceiling of {ceiling}")
+    ids = {g: i for i, g in enumerate(nontriv)}
+    mult = [[ids.get(a * b, -1) for b in nontriv] for a in nontriv]
+    scalars = [action.scalar(g) for g in nontriv]
+    dims = [m ** r for r in range(top + 1)]
     boundary: list[SparseIntMatrix] = [SparseIntMatrix(dims[0], 0)]
     for r in range(top):
         # delta_r : C^r -> C^{r+1}, assembled row by row over (r+1)-tuples
         mat = SparseIntMatrix(dims[r + 1], dims[r])
-        idx = index[r]
-        for row, t in enumerate(tuples[r + 1]):
-            mat.add(row, idx[t[1:]], scalars[t[0]])
+        columns = [mat.column(c) for c in range(dims[r])]
+        # merging slots i, i+1 keeps the digits above and below them
+        spans = [(m ** (r + 1 - i), m ** (r - 1 - i)) for i in range(r)]
+        for row, t in enumerate(product(range(m), repeat=r + 1)):
+            entries = {row % dims[r]: scalars[t[0]]}
             sign = -1
-            for i in range(r):
-                merged = prod_table[(t[i], t[i + 1])]
-                if not merged.is_identity():
-                    mat.add(row, idx[t[:i] + (merged,) + t[i + 2:]], sign)
+            for i, (above, below) in enumerate(spans):
+                merged = mult[t[i]][t[i + 1]]
+                if merged >= 0:
+                    col = ((row // above) * m + merged) * below + row % below
+                    entries[col] = entries.get(col, 0) + sign
                 sign = -sign
-            mat.add(row, idx[t[:r]], sign)
+            entries[row // m] = entries.get(row // m, 0) + sign
+            for col, v in entries.items():
+                if v:
+                    columns[col][row] = v
         boundary.append(mat)
     c = ChainComplex(dims, boundary, cochain=True,
                      meta={"kind": "bar", "group": f"S_{n}", "action": action.kind,

@@ -653,8 +653,9 @@ def les_check(x: SpaceLike, a: Optional[SimplicialMap],
     """Rank-exactness of H(A) -> H(X) -> H(X,A) -> H(A)[-1] over Q.
 
     Betti numbers and induced-map ranks are computed independently; the
-    report carries the integral groups as torsion bookkeeping.  Degrees
-    up to maxdeg-1 are checked.
+    report carries the integral groups as torsion bookkeeping, and with
+    ``with_torsion`` the Betti numbers are their ranks.  Degrees up to
+    maxdeg-1 are checked.
     """
     xs = underlying(x)
     if maxdeg is None:
@@ -667,12 +668,12 @@ def les_check(x: SpaceLike, a: Optional[SimplicialMap],
         ca = ChainComplex([0] * (maxdeg + 1),
                           [SparseIntMatrix(0, 0) for _ in range(maxdeg + 1)],
                           basis=[[] for _ in range(maxdeg + 1)])
-    betti_a = betti_numbers(ca)
-    betti_x = betti_numbers(cx)
-    betti_xa = betti_numbers(cxa)
-    groups_a = homology(ca) if with_torsion else None
-    groups_x = homology(cx) if with_torsion else None
-    groups_xa = homology(cxa) if with_torsion else None
+    if with_torsion:
+        groups_a, groups_x, groups_xa = (homology(c) for c in (ca, cx, cxa))
+        betti_a, betti_x, betti_xa = ([g.rank for g in groups]
+                                      for groups in (groups_a, groups_x, groups_xa))
+    else:
+        betti_a, betti_x, betti_xa = (betti_numbers(c) for c in (ca, cx, cxa))
 
     # chain maps: inclusion i, projection j, connecting block
     def imap(k: int) -> SparseIntMatrix:

@@ -10,9 +10,11 @@ no modular shortcuts.  The two entry points are
   tracks the column transform and its inverse, which is what kernel
   lattices and homology presentations need.
 
-The elimination prefers +-1 pivots chosen greedily from the sparsest
-rows (Markowitz-style fill control); matrices with no unit entries fall
-back to gcd pivot reduction, going dense below a small cutoff.
+Both run on one sparse elimination engine, with transform tracking
+switched on or off.  It prefers +-1 pivots in short columns among the
+sparsest rows; once no unit entry is left, it pivots on the entry of
+smallest absolute value and reduces by gcd remainders until the pivot
+divides its row and column.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
-# Active submatrices at most this size are eliminated densely once no
-# +-1 pivot is left.
-_DENSE_CUTOFF = 250_000
 # How many rows of the sparsest bucket to scan per pivot search.
 _BUCKET_SCAN = 64
 
@@ -194,8 +193,61 @@ class SparseIntMatrix:
 
 
 # ----------------------------------------------------------------------
-# Untracked elimination: invariant factors and rank.
+# Elimination: invariant factors, ranks, transforms and kernels.
 # ----------------------------------------------------------------------
+
+def divisor_chain(values: Iterable[int]) -> list[int]:
+    """Normalize a diagonal multiset into invariant factors d1 | d2 | ...
+
+    Valid because ``diag(a, b)`` is unimodularly equivalent to
+    ``diag(gcd(a,b), lcm(a,b))``.  Units divide everything, so only the
+    entries above 1 are compared.
+    """
+    vals = sorted(abs(v) for v in values if v)
+    ones = vals.count(1)
+    rest = vals[ones:]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rest)):
+            for j in range(i + 1, len(rest)):
+                a, b = rest[i], rest[j]
+                if b % a:
+                    g = gcd(a, b)
+                    rest[i], rest[j] = g, a * b // g
+                    changed = True
+        if changed:
+            rest.sort()
+    return vals[:ones] + rest
+
+
+@dataclass
+class SnfResult:
+    """Diagonalization ``U @ M @ V = D`` with optional transforms.
+
+    ``factors`` lists the nonzero diagonal entries (positions 0..rank-1).
+    When ``chain`` was requested they are the invariant factors.  The
+    columns of V beyond the rank form a basis of the kernel lattice.
+    """
+
+    rows: int
+    cols: int
+    factors: list[int]
+    U: Optional[SparseIntMatrix] = None
+    Uinv: Optional[SparseIntMatrix] = None
+    V: Optional[SparseIntMatrix] = None
+    Vinv: Optional[SparseIntMatrix] = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.factors)
+
+    def diagonal_matrix(self) -> SparseIntMatrix:
+        d = SparseIntMatrix(self.rows, self.cols)
+        for i, f in enumerate(self.factors):
+            d.set(i, i, f)
+        return d
+
 
 class _Buckets:
     """Live rows bucketed by nonzero count, insertion-ordered."""
@@ -219,17 +271,53 @@ class _Buckets:
         elif old is not None:
             del self.nnz_of[row]
 
-    def drop(self, row: int) -> None:
-        self.put(row, 0)
 
-    def sorted_sizes(self) -> list[int]:
-        return sorted(self.by_nnz)
+def _addmul(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src, for sparse vectors."""
+    for k, v in src.items():
+        nv = dst.get(k, 0) + q * v
+        if nv:
+            dst[k] = nv
+        else:
+            del dst[k]
 
 
-class _Elim:
-    """Row-major working copy with a column index, rows/cols removable."""
+def _combine(vecs: list[dict[int, int]], i: int, j: int,
+             p: int, q: int, r: int, s: int) -> None:
+    """(vecs[i], vecs[j]) <- (p*vecs[i] + q*vecs[j], r*vecs[i] + s*vecs[j])."""
+    vi, vj = vecs[i], vecs[j]
+    new_i: dict[int, int] = {}
+    new_j: dict[int, int] = {}
+    for k in list(vi) + [k for k in vj if k not in vi]:
+        x, y = vi.get(k, 0), vj.get(k, 0)
+        new_i[k], new_j[k] = p * x + q * y, r * x + s * y
+    vecs[i] = {k: v for k, v in new_i.items() if v}
+    vecs[j] = {k: v for k, v in new_j.items() if v}
 
-    def __init__(self, m: SparseIntMatrix):
+
+def _negate(vec: dict[int, int]) -> None:
+    for k in vec:
+        vec[k] = -vec[k]
+
+
+class _Elimination:
+    """Sparse unimodular elimination, with optional transform tracking.
+
+    The working copy is row-major with a column index.  Rows and columns
+    keep their indices for the whole run: a finished pivot ``(r, c)`` is
+    appended to ``pivots`` and its row and column leave the active
+    matrix, so no entry is ever moved to reach the diagonal.  The
+    diagonal order is the pivot order; :meth:`result` permutes the
+    transforms' rows and columns to match it.
+
+    Row operations update U (rows) and U^-1 (columns) when ``track_u``;
+    column operations update V (columns) and V^-1 (rows) when
+    ``track_v``.
+    """
+
+    def __init__(self, m: SparseIntMatrix, track_u: bool, track_v: bool):
+        self.nr = m.rows
+        self.nc = m.cols
         self.rows: list[dict[int, int]] = m.row_dicts()
         self.colrows: list[dict[int, None]] = [{} for _ in range(m.cols)]
         for r, row in enumerate(self.rows):
@@ -238,313 +326,10 @@ class _Elim:
         self.buckets = _Buckets()
         for r, row in enumerate(self.rows):
             self.buckets.put(r, len(row))
-
-    def live_shape(self) -> tuple[int, int]:
-        live_r = sum(1 for row in self.rows if row)
-        live_c = sum(1 for col in self.colrows if col)
-        return live_r, live_c
-
-    def pick_pivot(self) -> Optional[tuple[int, int, bool]]:
-        """Return ``(r, c, is_unit)`` or None when no entries remain.
-
-        Scans a bounded prefix of each sparsity bucket for a +-1 entry
-        whose column is short; falls back to a full scan for the entry of
-        smallest absolute value (still preferring units).
-        """
-        best_unit: Optional[tuple[tuple[int, int, int], int, int]] = None
-        for nnz in self.buckets.sorted_sizes():
-            scanned = 0
-            for r in self.buckets.by_nnz[nnz]:
-                row = self.rows[r]
-                for c, v in row.items():
-                    if v == 1 or v == -1:
-                        key = (len(self.colrows[c]), r, c)
-                        if best_unit is None or key < best_unit[0]:
-                            best_unit = (key, r, c)
-                scanned += 1
-                if scanned >= _BUCKET_SCAN:
-                    break
-            if best_unit is not None:
-                return best_unit[1], best_unit[2], True
-        # nothing found in the bucket prefixes: full deterministic scan
-        best: Optional[tuple[tuple[int, int, int], int, int]] = None
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                key = (abs(v), r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        if best is None:
-            return None
-        return best[1], best[2], abs(best[0][0]) == 1
-
-    def row_addmul(self, dst: int, src: int, q: int) -> None:
-        """row[dst] -= q * row[src]; bucket and column index maintained."""
-        if not q:
-            return
-        drow = self.rows[dst]
-        for c, v in self.rows[src].items():
-            nv = drow.get(c, 0) - q * v
-            if nv:
-                if c not in drow:
-                    self.colrows[c][dst] = None
-                drow[c] = nv
-            elif c in drow:
-                del drow[c]
-                del self.colrows[c][dst]
-        self.buckets.put(dst, len(drow))
-
-    def eliminate(self, r: int, c: int) -> None:
-        """Clear column ``c`` against pivot ``(r, c)`` (exact divisions
-        required), then delete the pivot row and column entirely."""
-        a = self.rows[r][c]
-        for r2 in [x for x in self.colrows[c] if x != r]:
-            b = self.rows[r2][c]
-            q = b // a
-            if q * a != b:
-                raise ArithmeticError("inexact elimination")
-            self.row_addmul(r2, r, q)
-        # pivot row is now the only one meeting column c; removing the row
-        # is the column-operation phase (it touches no other row).
-        for c2 in self.rows[r]:
-            del self.colrows[c2][r]
-        self.rows[r] = {}
-        self.buckets.drop(r)
-
-    def reduce_column_once(self, r: int, c: int) -> bool:
-        """One remainder step against pivot (r, c) in its column.
-
-        Returns True when some entry was only partially cleared, i.e. a
-        strictly smaller nonzero now exists in column c.
-        """
-        a = self.rows[r][c]
-        shrunk = False
-        for r2 in [x for x in self.colrows[c] if x != r]:
-            b = self.rows[r2].get(c)
-            if b is None:
-                continue
-            q = b // a
-            self.row_addmul(r2, r, q)
-            if self.rows[r2].get(c):
-                shrunk = True
-        return shrunk
-
-    def reduce_row_once(self, r: int, c: int) -> bool:
-        """One remainder step against pivot (r, c) in its row, by column
-        operations expressed through row storage."""
-        a = self.rows[r][c]
-        shrunk = False
-        for c2 in [x for x in self.rows[r] if x != c]:
-            b = self.rows[r][c2]
-            q = b // a
-            if not q:
-                continue
-            for r2 in list(self.colrows[c]):
-                v = self.rows[r2][c]
-                nv = self.rows[r2].get(c2, 0) - q * v
-                row2 = self.rows[r2]
-                if nv:
-                    if c2 not in row2:
-                        self.colrows[c2][r2] = None
-                    row2[c2] = nv
-                elif c2 in row2:
-                    del row2[c2]
-                    del self.colrows[c2][r2]
-                self.buckets.put(r2, len(row2))
-            if self.rows[r].get(c2):
-                shrunk = True
-        return shrunk
-
-    def extract_dense(self) -> list[list[int]]:
-        live_r = [r for r, row in enumerate(self.rows) if row]
-        live_c = sorted({c for row in self.rows for c in row})
-        cmap = {c: i for i, c in enumerate(live_c)}
-        dense = [[0] * len(live_c) for _ in live_r]
-        for i, r in enumerate(live_r):
-            for c, v in self.rows[r].items():
-                dense[i][cmap[c]] = v
-        return dense
-
-
-def _dense_diag(dense: list[list[int]]) -> list[int]:
-    """Diagonal entries of a dense integer matrix under unimodular row and
-    column operations (no divisibility chain)."""
-    m = [row[:] for row in dense]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    diag: list[int] = []
-    top = 0
-    while True:
-        # smallest nonzero in the active region
-        best = None
-        for i in range(top, nr):
-            row = m[i]
-            for j in range(top, nc):
-                v = row[j]
-                if v and (best is None or abs(v) < abs(best[0])):
-                    best = (v, i, j)
-                    if abs(v) == 1:
-                        break
-            if best and abs(best[0]) == 1:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            a = m[top][top]
-            done = True
-            for i in range(top + 1, nr):
-                b = m[i][top]
-                if b:
-                    q = b // a
-                    if q:
-                        m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(top + 1, nc):
-                b = m[top][j]
-                if b:
-                    q = b // a
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        done = False
-                        break
-            if done:
-                break
-        diag.append(abs(m[top][top]))
-        top += 1
-        if top >= nr or top >= nc:
-            for i in range(top, nr):
-                for j in range(top, nc):
-                    if m[i][j]:
-                        raise AssertionError("dense elimination left residue")
-            break
-    return diag
-
-
-def divisor_chain(values: Iterable[int]) -> list[int]:
-    """Normalize a diagonal multiset into invariant factors d1 | d2 | ...
-
-    Valid because ``diag(a, b)`` is unimodularly equivalent to
-    ``diag(gcd(a,b), lcm(a,b))``.
-    """
-    vals = sorted(abs(v) for v in values if v)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = vals[i], vals[j]
-                if b % a:
-                    g = gcd(a, b)
-                    vals[i], vals[j] = g, a * b // g
-                    changed = True
-        if changed:
-            vals.sort()
-    return vals
-
-
-def _diagonal(m: SparseIntMatrix) -> list[int]:
-    work = _Elim(m)
-    diag: list[int] = []
-    while True:
-        picked = work.pick_pivot()
-        if picked is None:
-            break
-        r, c, unit = picked
-        if unit:
-            work.eliminate(r, c)
-            diag.append(1)
-            continue
-        live_r, live_c = work.live_shape()
-        if live_r * live_c <= _DENSE_CUTOFF:
-            diag.extend(_dense_diag(work.extract_dense()))
-            break
-        if work.reduce_column_once(r, c):
-            continue
-        if work.reduce_row_once(r, c):
-            continue
-        a = abs(work.rows[r][c])
-        work.eliminate(r, c)
-        diag.append(a)
-    return diag
-
-
-def invariant_factors(m: SparseIntMatrix) -> list[int]:
-    """Invariant factors of ``m``: positive, each dividing the next."""
-    return divisor_chain(_diagonal(m))
-
-
-def rank(m: SparseIntMatrix) -> int:
-    """Rank over Q (equivalently over Z up to torsion)."""
-    return len(_diagonal(m))
-
-
-# ----------------------------------------------------------------------
-# Tracked elimination: transforms, kernels, homology presentations.
-# ----------------------------------------------------------------------
-
-@dataclass
-class SnfResult:
-    """Diagonalization ``U @ M @ V = D`` with optional transforms.
-
-    ``factors`` lists the nonzero diagonal entries (positions 0..rank-1).
-    When ``chain`` was requested they are the invariant factors.  Tracked
-    transforms are column-major for U^-1 and V, row-major for U and V^-1,
-    exposed here as SparseIntMatrix.
-    """
-
-    rows: int
-    cols: int
-    factors: list[int]
-    U: Optional[SparseIntMatrix] = None
-    Uinv: Optional[SparseIntMatrix] = None
-    V: Optional[SparseIntMatrix] = None
-    Vinv: Optional[SparseIntMatrix] = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
-
-    def diagonal_matrix(self) -> SparseIntMatrix:
-        d = SparseIntMatrix(self.rows, self.cols)
-        for i, f in enumerate(self.factors):
-            d.set(i, i, f)
-        return d
-
-
-class _Tracked:
-    """Unimodular elimination with transform tracking.
-
-    Row operations update U (rows) and U^-1 (columns); column operations
-    update V (columns) and V^-1 (rows).  Pivots are moved to the diagonal
-    by explicit swaps, so after step t the strict upper-left t x t region
-    is diagonal.
-    """
-
-    def __init__(self, m: SparseIntMatrix, track_u: bool, track_v: bool):
-        self.nr = m.rows
-        self.nc = m.cols
-        self.rows: list[dict[int, int]] = m.row_dicts()
-        self.colrows: list[dict[int, None]] = [{} for _ in range(self.nc)]
-        for r, row in enumerate(self.rows):
-            for c in row:
-                self.colrows[c][r] = None
+        # [row, column, value] of each finished pivot, value > 0
+        self.pivots: list[list[int]] = []
         self.track_u = track_u
         self.track_v = track_v
-        self.buckets = _Buckets()
-        for r, row in enumerate(self.rows):
-            self.buckets.put(r, len(row))
         if track_u:
             self.u_rows: list[dict[int, int]] = [{i: 1} for i in range(self.nr)]
             self.uinv_cols: list[dict[int, int]] = [{i: 1} for i in range(self.nr)]
@@ -552,260 +337,188 @@ class _Tracked:
             self.v_cols: list[dict[int, int]] = [{i: 1} for i in range(self.nc)]
             self.vinv_rows: list[dict[int, int]] = [{i: 1} for i in range(self.nc)]
 
-    # -- elementary operations ----------------------------------------
+    def run(self) -> "_Elimination":
+        while True:
+            picked = self.pick_pivot()
+            if picked is None:
+                return self
+            self.eliminate(*picked)
 
-    @staticmethod
-    def _vec_addmul(dst: dict[int, int], src: dict[int, int], q: int) -> None:
-        if not q:
-            return
-        for k, v in src.items():
-            nv = dst.get(k, 0) + q * v
-            if nv:
-                dst[k] = nv
-            else:
-                del dst[k]
-
-    def row_add(self, dst: int, src: int, q: int) -> None:
-        """row[dst] += q * row[src]."""
-        if not q:
-            return
-        drow = self.rows[dst]
-        for c, v in self.rows[src].items():
-            nv = drow.get(c, 0) + q * v
-            if nv:
-                if c not in drow:
-                    self.colrows[c][dst] = None
-                drow[c] = nv
-            elif c in drow:
-                del drow[c]
-                del self.colrows[c][dst]
-        self.buckets.put(dst, len(drow))
-        if self.track_u:
-            self._vec_addmul(self.u_rows[dst], self.u_rows[src], q)
-            self._vec_addmul(self.uinv_cols[src], self.uinv_cols[dst], -q)
-
-    def col_add(self, dst: int, src: int, q: int) -> None:
-        """col[dst] += q * col[src]."""
-        if not q:
-            return
-        for r in list(self.colrows[src]):
-            v = self.rows[r][src]
-            row = self.rows[r]
-            nv = row.get(dst, 0) + q * v
-            if nv:
-                if dst not in row:
-                    self.colrows[dst][r] = None
-                row[dst] = nv
-            elif dst in row:
-                del row[dst]
-                del self.colrows[dst][r]
-            self.buckets.put(r, len(row))
-        if self.track_v:
-            self._vec_addmul(self.v_cols[dst], self.v_cols[src], q)
-            self._vec_addmul(self.vinv_rows[src], self.vinv_rows[dst], -q)
-
-    def row_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        for c in self.rows[i]:
-            del self.colrows[c][i]
-        for c in self.rows[j]:
-            del self.colrows[c][j]
-        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
-        for c in self.rows[i]:
-            self.colrows[c][i] = None
-        for c in self.rows[j]:
-            self.colrows[c][j] = None
-        self.buckets.put(i, len(self.rows[i]))
-        self.buckets.put(j, len(self.rows[j]))
-        if self.track_u:
-            self.u_rows[i], self.u_rows[j] = self.u_rows[j], self.u_rows[i]
-            self.uinv_cols[i], self.uinv_cols[j] = self.uinv_cols[j], self.uinv_cols[i]
-
-    def col_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        rows_i = list(self.colrows[i])
-        rows_j = list(self.colrows[j])
-        vals_i = [self.rows[r].pop(i) for r in rows_i]
-        vals_j = [self.rows[r].pop(j) for r in rows_j]
-        self.colrows[i] = {}
-        self.colrows[j] = {}
-        for r, v in zip(rows_i, vals_i):
-            self.rows[r][j] = v
-            self.colrows[j][r] = None
-        for r, v in zip(rows_j, vals_j):
-            self.rows[r][i] = v
-            self.colrows[i][r] = None
-        if self.track_v:
-            self.v_cols[i], self.v_cols[j] = self.v_cols[j], self.v_cols[i]
-            self.vinv_rows[i], self.vinv_rows[j] = self.vinv_rows[j], self.vinv_rows[i]
-
-    def row_negate(self, i: int) -> None:
-        row = self.rows[i]
-        for c in row:
-            row[c] = -row[c]
-        if self.track_u:
-            for k in self.u_rows[i]:
-                self.u_rows[i][k] = -self.u_rows[i][k]
-            for k in self.uinv_cols[i]:
-                self.uinv_cols[i][k] = -self.uinv_cols[i][k]
-
-    # -- pivot search ---------------------------------------------------
-
-    def _find_pivot(self, top: int) -> Optional[tuple[int, int]]:
-        """Entry in the active region, preferring units in short columns.
-
-        Finished rows are dropped from the buckets after each step, so
-        bucketed rows only carry active-region entries.
-        """
-        best_unit: Optional[tuple[tuple[int, int, int], int, int]] = None
-        for nnz in self.buckets.sorted_sizes():
+    def pick_pivot(self) -> Optional[tuple[int, int]]:
+        """A +-1 entry in the shortest column among a bounded prefix of
+        each sparsity bucket; failing that, the entry of smallest absolute
+        value.  None when no entries remain."""
+        best_unit: Optional[tuple[int, int, int]] = None
+        for nnz in sorted(self.buckets.by_nnz):
             scanned = 0
             for r in self.buckets.by_nnz[nnz]:
-                row = self.rows[r]
-                for c, v in row.items():
+                for c, v in self.rows[r].items():
                     if v == 1 or v == -1:
-                        key = ((len(self.colrows[c]) - 1) * (len(row) - 1), r, c)
-                        if best_unit is None or key < best_unit[0]:
-                            best_unit = (key, r, c)
+                        key = (len(self.colrows[c]), r, c)
+                        if best_unit is None or key < best_unit:
+                            best_unit = key
                 scanned += 1
                 if scanned >= _BUCKET_SCAN:
                     break
             if best_unit is not None:
                 return best_unit[1], best_unit[2]
-        best_any = None
-        for r in range(top, self.nr):
-            row = self.rows[r]
+        best: Optional[tuple[int, int, int]] = None
+        for r, row in enumerate(self.rows):
             for c, v in row.items():
                 key = (abs(v), r, c)
-                if best_any is None or key < best_any[0]:
-                    best_any = (key, r, c)
-        if best_any is not None:
-            return best_any[1], best_any[2]
-        return None
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            return None
+        return best[1], best[2]
 
-    # -- main loop ------------------------------------------------------
+    def eliminate(self, r: int, c: int) -> None:
+        """Clear column ``c`` and row ``r`` around the pivot ``(r, c)``.
 
-    def diagonalize(self) -> int:
-        """Diagonalize; returns the rank. D[i][i] > 0 for i < rank."""
-        top = 0
+        Row remainders clear the column; once it is clear, column
+        remainders clear the row, and those column operations touch no
+        other entry, so they are only recorded in V.  A nonzero
+        remainder is a strictly smaller entry and becomes the pivot.  A
+        +-1 pivot leaves no remainder.
+        """
+        rows, colrows, put = self.rows, self.colrows, self.buckets.put
+        track_u, track_v = self.track_u, self.track_v
         while True:
-            found = self._find_pivot(top)
-            if found is None:
+            prow = rows[r]
+            # the pivot entry is left out of the row updates and its
+            # remainder written directly
+            a = prow.pop(c)
+            smaller = None
+            for r2 in [x for x in colrows[c] if x != r]:
+                drow = rows[r2]
+                b = drow[c]
+                q = b // a
+                if q:
+                    before = len(drow)
+                    for c2, v in prow.items():
+                        old = drow.get(c2)
+                        if old is None:
+                            drow[c2] = -q * v
+                            colrows[c2][r2] = None
+                        elif old != q * v:
+                            drow[c2] = old - q * v
+                        else:
+                            del drow[c2]
+                            del colrows[c2][r2]
+                    if b != q * a:
+                        drow[c] = b - q * a
+                    else:
+                        del drow[c]
+                        del colrows[c][r2]
+                    if len(drow) != before:
+                        put(r2, len(drow))
+                    if track_u:
+                        _addmul(self.u_rows[r2], self.u_rows[r], -q)
+                        _addmul(self.uinv_cols[r], self.uinv_cols[r2], q)
+                if c in drow:
+                    smaller = r2
+                    break
+            prow[c] = a
+            if smaller is not None:
+                r = smaller
+                continue
+            for c2 in [x for x in prow if x != c]:
+                b = prow[c2]
+                q = b // a
+                if track_v and q:
+                    _addmul(self.v_cols[c2], self.v_cols[c], -q)
+                    _addmul(self.vinv_rows[c], self.vinv_rows[c2], q)
+                if b - q * a:
+                    prow[c2] = b - q * a
+                    smaller = c2
+                    break
+                del prow[c2]
+                del colrows[c2][r]
+            if smaller is None:
                 break
-            r, c = found
-            self.row_swap(top, r)
-            self.col_swap(top, c)
-            while True:
-                if self.rows[top][top] < 0:
-                    self.row_negate(top)
-                a = self.rows[top][top]
-                # clear column `top` by row remainders
-                restart = False
-                for r2 in [x for x in self.colrows[top] if x != top]:
-                    b = self.rows[r2][top]
-                    self.row_add(r2, top, -(b // a))
-                    if self.rows[r2].get(top):
-                        # remainder is a strictly smaller pivot candidate
-                        self.row_swap(top, r2)
-                        restart = True
-                        break
-                if restart:
-                    continue
-                # clear row `top` by column remainders
-                for c2 in [x for x in self.rows[top] if x != top]:
-                    b = self.rows[top][c2]
-                    self.col_add(c2, top, -(b // a))
-                    if self.rows[top].get(c2):
-                        self.col_swap(top, c2)
-                        restart = True
-                        break
-                if restart:
-                    continue
-                break
-            self.buckets.drop(top)
-            top += 1
-        return top
+            put(r, len(prow))
+            c = smaller
+        if a < 0:
+            if track_u:
+                _negate(self.u_rows[r])
+                _negate(self.uinv_cols[r])
+            elif track_v:
+                _negate(self.v_cols[c])
+                _negate(self.vinv_rows[c])
+        self.pivots.append([r, c, abs(a)])
+        rows[r] = {}
+        colrows[c] = {}
+        self.buckets.put(r, 0)
 
-    def enforce_chain(self, rank_: int) -> None:
-        """Make D[0][0] | D[1][1] | ... by tracked 2x2 fixes."""
+    def enforce_chain(self) -> None:
+        """Reorder and fix the pivots so that each value divides the next."""
+        piv = self.pivots
         while True:
-            # sort the diagonal ascending (tracked swaps)
-            for i in range(rank_):
-                m = min(range(i, rank_), key=lambda t: self.rows[t][t])
-                if m != i:
-                    self.row_swap(i, m)
-                    self.col_swap(i, m)
+            piv.sort(key=lambda p: p[2])
             dirty = False
-            for i in range(rank_):
-                a = self.rows[i][i]
-                for j in range(i + 1, rank_):
-                    if self.rows[j][j] % a:
-                        self._fix_pair(i, j)
+            for i in range(len(piv)):
+                if piv[i][2] == 1:
+                    continue
+                for j in range(i + 1, len(piv)):
+                    if piv[j][2] % piv[i][2]:
+                        self._fix_pair(piv[i], piv[j])
                         dirty = True
-                        a = self.rows[i][i]
             if not dirty:
                 return
 
-    def _fix_pair(self, i: int, j: int) -> None:
-        """Replace diag(a, b) at positions i < j by diag(gcd, lcm)."""
-        self.col_add(i, j, 1)          # column i picks up b at row j
-        while True:
-            a = self.rows[i][i]
-            b = self.rows[j].get(i, 0)
-            if b:
-                q = b // a
-                self.row_add(j, i, -q)
-                if self.rows[j].get(i):
-                    self.row_swap(i, j)
-                    continue
-            # column i clean; clear the fill at (i, j)
-            b = self.rows[i].get(j, 0)
-            if b:
-                a = self.rows[i][i]
-                q = b // a
-                self.col_add(j, i, -q)
-                if self.rows[i].get(j):
-                    self.col_swap(i, j)
-                    continue
-            break
-        if self.rows[i][i] < 0:
-            self.row_negate(i)
-        if self.rows[j][j] < 0:
-            self.row_negate(j)
+    def _fix_pair(self, pi: list[int], pj: list[int]) -> None:
+        """Replace diag(a, b) on two pivots by diag(gcd, lcm):
 
-    # -- output ----------------------------------------------------------
+            [[x, y], [-b/g, a/g]] @ diag(a, b) @ [[1, -y*b/g], [1, x*a/g]]
+                = diag(g, a*b/g)   where x*a + y*b = g,
+
+        both factors of determinant 1.
+        """
+        (ri, ci, a), (rj, cj, b) = pi, pj
+        g, x, y = xgcd(a, b)
+        if self.track_u:
+            _combine(self.u_rows, ri, rj, x, y, -b // g, a // g)
+            _combine(self.uinv_cols, ri, rj, a // g, b // g, -y, x)
+        if self.track_v:
+            _combine(self.v_cols, ci, cj, 1, 1, -y * b // g, x * a // g)
+            _combine(self.vinv_rows, ci, cj, x * a // g, y * b // g, -1, 1)
+        pi[2], pj[2] = g, a * b // g
 
     def result(self) -> SnfResult:
-        rank_ = 0
-        factors = []
-        while True:
-            v = self.rows[rank_].get(rank_, 0) if rank_ < min(self.nr, self.nc) else 0
-            if not v:
-                break
-            factors.append(v)
-            rank_ += 1
-        res = SnfResult(self.nr, self.nc, factors)
+        res = SnfResult(self.nr, self.nc, [p[2] for p in self.pivots])
         if self.track_u:
+            done = {p[0] for p in self.pivots}
+            order = [p[0] for p in self.pivots] + \
+                [r for r in range(self.nr) if r not in done]
             u = SparseIntMatrix(self.nr, self.nr)
-            for r, row in enumerate(self.u_rows):
-                for c, v in row.items():
-                    u._cols[c][r] = v
+            for i, r in enumerate(order):
+                for c, v in self.u_rows[r].items():
+                    u._cols[c][i] = v
             uinv = SparseIntMatrix(self.nr, self.nr)
-            for c, col in enumerate(self.uinv_cols):
-                uinv._cols[c] = dict(col)
+            uinv._cols = [self.uinv_cols[r] for r in order]
             res.U, res.Uinv = u, uinv
         if self.track_v:
+            done = {p[1] for p in self.pivots}
+            order = [p[1] for p in self.pivots] + \
+                [c for c in range(self.nc) if c not in done]
             vmat = SparseIntMatrix(self.nc, self.nc)
-            for c, col in enumerate(self.v_cols):
-                vmat._cols[c] = dict(col)
+            vmat._cols = [self.v_cols[c] for c in order]
             vinv = SparseIntMatrix(self.nc, self.nc)
-            for r, row in enumerate(self.vinv_rows):
-                for c, v in row.items():
-                    vinv._cols[c][r] = v
+            for i, c in enumerate(order):
+                for k, v in self.vinv_rows[c].items():
+                    vinv._cols[k][i] = v
             res.V, res.Vinv = vmat, vinv
         return res
+
+
+def invariant_factors(m: SparseIntMatrix) -> list[int]:
+    """Invariant factors of ``m``: positive, each dividing the next."""
+    return divisor_chain(p[2] for p in _Elimination(m, False, False).run().pivots)
+
+
+def rank(m: SparseIntMatrix) -> int:
+    """Rank over Q (equivalently over Z up to torsion)."""
+    return len(_Elimination(m, False, False).run().pivots)
 
 
 def diagonalize(m: SparseIntMatrix, track_u: bool = False, track_v: bool = False,
@@ -816,11 +529,10 @@ def diagonalize(m: SparseIntMatrix, track_u: bool = False, track_v: bool = False
     transforms stay aligned with them, which is what generator extraction
     requires (a post-hoc numeric gcd/lcm fix would not be).
     """
-    t = _Tracked(m, track_u, track_v)
-    r = t.diagonalize()
+    work = _Elimination(m, track_u, track_v).run()
     if chain:
-        t.enforce_chain(r)
-    return t.result()
+        work.enforce_chain()
+    return work.result()
 
 
 def smith_normal_form(m: SparseIntMatrix, transforms: bool = False) -> SnfResult:

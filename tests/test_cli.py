@@ -238,10 +238,24 @@ def test_groupcoh_command(runner):
 
 
 def test_groupcoh_budget(runner):
+    # 23^2 = 529 fits, 23^3 = 12167 does not: degree 3 is named, not the
+    # degree 6 the one complex at --max-degree 5 would need
     res = runner.invoke(main, ["groupcoh", "-n", "4", "--max-degree", "5",
                                "--ceiling", "1000"])
     assert res.exit_code == 2
-    assert "resource error" in res.output
+    assert ("resource error: bar resolution for S_4 at degree 3 needs 12167 "
+            "basis tuples, over the ceiling of 1000") in res.output
+
+
+@pytest.mark.parametrize("action", ["trivial", "sign"])
+def test_groupcoh_degrees_match_group_cohomology(runner, action):
+    from finsub.groupcoh import group_cohomology
+    res = runner.invoke(main, ["groupcoh", "-n", "3", "--action", action,
+                               "--max-degree", "3"])
+    assert res.exit_code == 0, res.output
+    want = {r: group_cohomology(3, action, r) for r in range(4)}
+    assert groups_of(json.loads(res.output)) == \
+        {r: (g.rank, g.torsion) for r, g in want.items()}
 
 
 def test_page_command(runner):

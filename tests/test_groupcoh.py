@@ -1,5 +1,7 @@
 """Symmetric group cohomology via the normalized bar resolution."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from finsub.groupcoh import (
     group_cohomology,
     symmetric_group,
 )
+from finsub.snf import SparseIntMatrix
 
 
 def test_permutation_basics():
@@ -82,8 +85,48 @@ def test_positive_degrees_are_finite():
 
 
 def test_budget_guard():
-    with pytest.raises(ResourceError, match="ceiling"):
+    # the first degree over the ceiling is named: 23^3 > 10^4
+    with pytest.raises(ResourceError, match="at degree 3 needs 12167 basis "
+                       "tuples, over the ceiling of 10000"):
         bar_cochain_complex(4, CoefficientAction("trivial"), 4, ceiling=10_000)
+
+
+def bar_coboundaries_reference(n, action, maxdeg):
+    """The coboundaries assembled over Permutation tuples, as the bar
+    complex was built before it used integer element ids."""
+    nontriv = [g for g in symmetric_group(n) if not g.is_identity()]
+    top = maxdeg + 1
+    tuples = [[tuple(t) for t in product(nontriv, repeat=r)]
+              for r in range(top + 1)]
+    index = [{t: i for i, t in enumerate(tab)} for tab in tuples]
+    scalars = {g: action.scalar(g) for g in nontriv}
+    boundary = [SparseIntMatrix(len(tuples[0]), 0)]
+    for r in range(top):
+        mat = SparseIntMatrix(len(tuples[r + 1]), len(tuples[r]))
+        idx = index[r]
+        for row, t in enumerate(tuples[r + 1]):
+            mat.add(row, idx[t[1:]], scalars[t[0]])
+            sign = -1
+            for i in range(r):
+                merged = t[i] * t[i + 1]
+                if not merged.is_identity():
+                    mat.add(row, idx[t[:i] + (merged,) + t[i + 2:]], sign)
+                sign = -sign
+            mat.add(row, idx[t[:r]], sign)
+        boundary.append(mat)
+    return boundary
+
+
+@pytest.mark.parametrize("n,maxdeg", [(1, 3), (2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("action", ["trivial", "sign"])
+def test_bar_complex_matches_permutation_build(n, maxdeg, action):
+    act = CoefficientAction(action)
+    c = bar_cochain_complex(n, act, maxdeg)
+    want = bar_coboundaries_reference(n, act, maxdeg)
+    assert c.dims == [want[0].rows] + [m.rows for m in want[1:]]
+    for got, ref in zip(c.boundary, want, strict=True):
+        assert got.triplets() == ref.triplets()
+        assert got == ref
 
 
 def test_trivial_group():

@@ -368,6 +368,25 @@ def test_les_random_pairs():
         assert rep.ok, str(rep)
 
 
+def test_les_betti_from_integral_groups_match_rational():
+    # with_torsion reads the Betti numbers off the integral groups; they
+    # must equal the separately computed rational ones, node for node
+    rng = random.Random(7)
+    space = exp(sphere_model(1, 4), 3)
+    pairs = [(space, random_subcomplex(space, rng)[1]) for _ in range(3)]
+    based, incl = exp_based(sphere_model(2, 5), 2)
+    pairs += [(incl.target, incl), (sphere_model(2, 4), None)]
+    for x, a in pairs:
+        full = les_check(x, a)
+        rational = les_check(x, a, with_torsion=False)
+        assert [(n.degree, n.kind, n.betti, n.rank_in, n.rank_out)
+                for n in full.nodes] == \
+            [(n.degree, n.kind, n.betti, n.rank_in, n.rank_out)
+             for n in rational.nodes]
+        assert all(n.group.rank == n.betti for n in full.nodes)
+        assert all(n.group is None for n in rational.nodes)
+
+
 # -- euler characteristic ---------------------------------------------------------
 
 def test_euler_values():

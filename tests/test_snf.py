@@ -1,5 +1,7 @@
 """Smith normal form and sparse integer linear algebra, checked against
-independent dense oracles (gcd-of-minors and Bareiss determinants)."""
+independent dense oracles (gcd-of-minors and Bareiss determinants) and,
+differentially, against the two engines the current one replaced
+(``snf_reference``)."""
 
 import random
 from itertools import combinations
@@ -7,15 +9,20 @@ from math import gcd
 
 import pytest
 
+import snf_reference as reference
+from finsub.groupcoh import CoefficientAction, bar_cochain_complex
+from finsub.simplicial import sphere_model, torus_model
 from finsub.snf import (
     SparseIntMatrix,
     diagonalize,
+    divisor_chain,
     invariant_factors,
     kernel_basis,
     rank,
     smith_normal_form,
     xgcd,
 )
+from finsub.subsetspace import keyed_complex
 
 
 # -- independent oracles ----------------------------------------------------
@@ -203,7 +210,7 @@ def test_larger_sparse_identity_like():
 
 
 def test_no_unit_entries_matrix():
-    # forces the gcd/dense fallback path
+    # forces the gcd remainder path
     dense = [[4, 6], [10, 8]]
     assert invariant_factors(SparseIntMatrix.from_dense(dense)) == \
         minors_gcd_factors(dense)
@@ -258,5 +265,116 @@ try:
             assert b % a == 0
         assert factors == minors_gcd_factors(dense)
         assert len(factors) == rank(m)
+        res = smith_normal_form(m, transforms=True)
+        assert res.factors == factors
+        check_tracked(m, res, chain=True)
 except ImportError:  # pragma: no cover
     pass
+
+
+# -- differential: the engines this one replaced -----------------------------------
+
+def check_tracked(m, res, chain):
+    """Positive factors, divisible in turn when ``chain``; U, V inverted
+    by Uinv, Vinv; U @ M @ V = D when both are tracked, else the rows of
+    U @ M (columns of M @ V) beyond the rank vanish."""
+    assert all(f > 0 for f in res.factors)
+    if chain:
+        for a, b in zip(res.factors, res.factors[1:]):
+            assert b % a == 0
+    if res.U is not None:
+        assert res.U.mul(res.Uinv) == SparseIntMatrix.identity(m.rows)
+    if res.V is not None:
+        assert res.V.mul(res.Vinv) == SparseIntMatrix.identity(m.cols)
+    if res.U is not None and res.V is not None:
+        assert res.U.mul(m).mul(res.V) == res.diagonal_matrix()
+    elif res.V is not None:
+        mv = m.mul(res.V)
+        assert all(not mv.column(j) for j in range(res.rank, m.cols))
+    elif res.U is not None:
+        um = res.U.mul(m)
+        assert all(not row for row in um.row_dicts()[res.rank:])
+
+
+def random_sparse(rng, nr, nc, density, values):
+    return SparseIntMatrix.from_triplets(
+        nr, nc, [(r, c, rng.choice(values)) for r in range(nr) for c in range(nc)
+                 if rng.random() < density])
+
+
+def conjugated_torsion(rng, factors, nr, nc):
+    """diag(factors) padded to nr x nc, hidden by random unimodular
+    transforms on both sides."""
+    d = [[factors[i] if i == j and i < len(factors) else 0 for j in range(nc)]
+         for i in range(nr)]
+    m = _matmul(_matmul(_random_unimodular(rng, nr, 3 * nr), d),
+                _random_unimodular(rng, nc, 3 * nc))
+    return SparseIntMatrix.from_dense(m)
+
+
+def assert_matches_reference(m, tracked=True):
+    """Factors equal the reference's; unless ``tracked`` is off (for
+    large matrices), so do ranks and tracked factors, and every tracking
+    mode passes ``check_tracked``."""
+    want = reference.invariant_factors(m)
+    assert invariant_factors(m) == want
+    if not tracked:
+        return
+    assert rank(m) == reference.rank(m) == len(want)
+    assert smith_normal_form(m, transforms=True).factors == \
+        reference.diagonalize(m, True, True, chain=True).factors == want
+    for track_u, track_v, chain in [(False, True, False), (True, False, True),
+                                    (True, True, False)]:
+        res = diagonalize(m, track_u=track_u, track_v=track_v, chain=chain)
+        old = reference.diagonalize(m, track_u, track_v, chain)
+        assert res.rank == old.rank == len(want)
+        check_tracked(m, res, chain)
+        if chain:
+            assert res.factors == want
+
+
+def random_reference_cases():
+    rng = random.Random(6271)
+    for _ in range(40):  # sparse, with units
+        yield random_sparse(rng, rng.randint(1, 30), rng.randint(1, 30), 0.15,
+                            [-2, -1, -1, 1, 1, 3])
+    for _ in range(25):  # no unit entry at all
+        yield random_sparse(rng, rng.randint(1, 12), rng.randint(1, 12), 0.4,
+                            [-6, -4, -2, 2, 3, 4, 9])
+    for factors in ([2, 4, 8, 8], [3, 6, 6, 12, 0], [2, 2, 2, 2, 2, 6],
+                    [5, 10], [4, 4, 12, 24, 24]):  # heavy torsion
+        n = len(factors)
+        yield conjugated_torsion(rng, factors, n + rng.randint(0, 2),
+                                 n + rng.randint(0, 2))
+
+
+def test_divisor_chain_matches_reference():
+    rng = random.Random(808)
+    for _ in range(200):
+        values = [rng.choice([0, 1, 1, 1, -1, 2, -2, 3, 4, 6, 9, 10, 12, 25])
+                  for _ in range(rng.randint(0, 12))]
+        assert divisor_chain(values) == reference.divisor_chain(values)
+
+
+def test_engine_matches_reference_on_random_matrices():
+    for m in random_reference_cases():
+        assert_matches_reference(m)
+
+
+@pytest.mark.parametrize("n,action,top", [(4, "trivial", 3), (4, "sign", 3),
+                                          (5, "trivial", 2), (5, "sign", 2)])
+def test_engine_matches_reference_on_groupcoh_coboundaries(n, action, top):
+    # the complexes of ``finsub groupcoh -n 4 --max-degree 2`` and
+    # ``-n 5 --max-degree 1``; only the small ones get tracked checks
+    c = bar_cochain_complex(n, CoefficientAction(action), top - 1)
+    for m in c.boundary:
+        assert_matches_reference(m, tracked=m.rows * m.cols <= 20_000)
+
+
+@pytest.mark.parametrize("x,n", [
+    (sphere_model(2, 5), 2), (sphere_model(2, 7), 3), (sphere_model(2, 9), 4),
+    (sphere_model(3, 7), 2), (sphere_model(3, 10), 3), (torus_model(5), 2)])
+def test_engine_matches_reference_on_keyed_boundaries(x, n):
+    for variant in ("exp", "bar"):
+        for m in keyed_complex(x, n, variant).boundary:
+            assert_matches_reference(m, tracked=m.rows * m.cols <= 100_000)
