@@ -1,0 +1,56 @@
+"""Reach record: build and time the homology of one subset space of a sphere.
+
+    python scripts/reach.py D N [--variant exp]
+
+builds ``keyed_complex(sphere_model(D, N*D+1), N, variant)``, runs
+``homology`` on it and prints one JSON line: the cell count, the degree
+holding the most cells, the build and homology wall times, the peak
+resident set size of the process and the non-trivial groups of the
+trusted degrees (all but the truncation degree N*D+1).  Run it from a
+checkout; it puts the checkout's ``src`` on the import path itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from finsub.homology import homology  # noqa: E402
+from finsub.simplicial import sphere_model  # noqa: E402
+from finsub.subsetspace import keyed_complex  # noqa: E402
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("d", type=int, help="sphere dimension")
+    parser.add_argument("n", type=int, help="maximum number of points")
+    parser.add_argument("--variant", default="exp",
+                        help="subset-space variant of keyed_complex")
+    args = parser.parse_args()
+    t0 = time.perf_counter()
+    c = keyed_complex(sphere_model(args.d, args.n * args.d + 1), args.n,
+                      args.variant)
+    t1 = time.perf_counter()
+    groups = homology(c)[:-1]
+    t2 = time.perf_counter()
+    largest = max(range(len(c.dims)), key=lambda k: c.dims[k])
+    record = {
+        "d": args.d, "n": args.n, "variant": args.variant,
+        "cells": sum(c.dims),
+        "largest_degree": largest, "largest_degree_cells": c.dims[largest],
+        "build_s": round(t1 - t0, 2), "homology_s": round(t2 - t1, 2),
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "groups": {str(k): str(g) for k, g in enumerate(groups) if not g.trivial},
+    }
+    print(json.dumps(record))
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,14 @@ from math import gcd
 from typing import Optional
 
 from .simplicial import SimplicialMap, SpaceLike, underlying
-from .snf import SparseIntMatrix, diagonalize, invariant_factors, rank
+from .snf import (
+    SparseIntMatrix,
+    _Elimination,
+    diagonalize,
+    divisor_chain,
+    invariant_factors,
+    rank,
+)
 
 
 @dataclass(frozen=True)
@@ -251,12 +258,40 @@ def homology(c: ChainComplex, coeffs: str = "Z") -> list[HomologyGroup]:
     rank H_k = dim_k - rank(out_k) - rank(in_k); torsion comes from the
     invariant factors of the incoming differential.  Rational mode
     reports ranks only.
+
+    The differentials are eliminated in one pass, each after the one
+    whose target is its source: a chain complex from the top degree
+    down, a cochain complex from degree 0 up.  Let M be the previous
+    differential and (P, Q) the rows and columns of the +-1 pivots it
+    took before its first non-unit pick (Q avoids any columns left out
+    of M, so M[P, Q] is a block of the full differential).  Up to that
+    pick every row operation added a row of P to another row and every
+    column operation added a column of Q to another column, so the rows
+    P only received rows of P and the columns Q only columns of Q.
+    M[P, Q] thus reached a +-1 diagonal through row operations inside P
+    and column operations inside Q: it is unimodular.  For the next
+    differential N, d.d = 0 gives
+
+        N[:, P] = -N[:, P^c] . M[P^c, Q] . M[P, Q]^-1,
+
+    an integer combination of the other columns.  So N is eliminated
+    with the columns P left out: its image lattice, rank and invariant
+    factors stay the same.  This is the "clearing" of persistence
+    (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014); unit pivots are
+    what make it exact over Z, and pivots taken after a non-unit pick
+    are not cleared.
     """
     if coeffs not in ("Z", "Q"):
         raise ValueError("coeffs must be 'Z' or 'Q'")
-    factors = {k: invariant_factors(m) for k, m in enumerate(c.boundary)}
-    out: list[HomologyGroup] = []
     top = c.top_degree
+    factors: dict[int, list[int]] = {}
+    paired: set[int] = set()
+    for k in (range(top + 1) if c.cochain else range(top, -1, -1)):
+        work = _Elimination(c.boundary[k], False, False, skip_cols=paired).run()
+        factors[k] = divisor_chain(p[2] for p in work.pivots)
+        paired = {p[0] for p in work.pivots[:work.unit_prefix]}
+        del work  # free this working copy before the next one is built
+    out: list[HomologyGroup] = []
     for k in range(top + 1):
         if c.cochain:
             out_key = k + 1 if k + 1 <= top else None
@@ -267,6 +302,10 @@ def homology(c: ChainComplex, coeffs: str = "Z") -> list[HomologyGroup]:
         out_rank = len(factors[out_key]) if out_key is not None else 0
         in_factors = factors[in_key] if in_key is not None else []
         r = c.dims[k] - out_rank - len(in_factors)
+        if r < 0:
+            raise RuntimeError(
+                f"degree {k}: {c.dims[k]} cells but differential ranks "
+                f"{out_rank} out + {len(in_factors)} in")
         torsion = tuple(f for f in in_factors if f > 1) if coeffs == "Z" else ()
         out.append(HomologyGroup(r, torsion))
     return out

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 # How many rows of the sparsest bucket to scan per pivot search.
 _BUCKET_SCAN = 64
@@ -313,12 +313,23 @@ class _Elimination:
     Row operations update U (rows) and U^-1 (columns) when ``track_u``;
     column operations update V (columns) and V^-1 (rows) when
     ``track_v``.
+
+    Columns listed in ``skip_cols`` are read as zero, so a caller can
+    leave them out without copying ``m``.  ``unit_prefix`` counts the
+    pivots picked as +-1 before the first non-unit pick; the block of
+    ``m`` on their rows and columns is unimodular, which is what
+    ``homology.homology`` clears columns by.
     """
 
-    def __init__(self, m: SparseIntMatrix, track_u: bool, track_v: bool):
+    def __init__(self, m: SparseIntMatrix, track_u: bool, track_v: bool,
+                 skip_cols: Collection[int] = ()):
         self.nr = m.rows
         self.nc = m.cols
-        self.rows: list[dict[int, int]] = m.row_dicts()
+        self.rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
+        for c, col in enumerate(m._cols):
+            if c not in skip_cols:
+                for r, v in col.items():
+                    self.rows[r][c] = v
         self.colrows: list[dict[int, None]] = [{} for _ in range(m.cols)]
         for r, row in enumerate(self.rows):
             for c in row:
@@ -328,6 +339,7 @@ class _Elimination:
             self.buckets.put(r, len(row))
         # [row, column, value] of each finished pivot, value > 0
         self.pivots: list[list[int]] = []
+        self.unit_prefix = 0
         self.track_u = track_u
         self.track_v = track_v
         if track_u:
@@ -342,7 +354,10 @@ class _Elimination:
             picked = self.pick_pivot()
             if picked is None:
                 return self
-            self.eliminate(*picked)
+            r, c = picked
+            if self.unit_prefix == len(self.pivots) and self.rows[r][c] in (1, -1):
+                self.unit_prefix += 1
+            self.eliminate(r, c)
 
     def pick_pivot(self) -> Optional[tuple[int, int]]:
         """A +-1 entry in the shortest column among a bounded prefix of

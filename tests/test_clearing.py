@@ -1,0 +1,123 @@
+"""Differential tests for the clearing pass of ``homology``.
+
+``homology`` eliminates each differential with the columns left out that
+the previous differential's leading unit pivots pair with.  Every group
+it reports must equal the group read off eliminating each differential
+alone.
+"""
+
+import random
+
+import pytest
+
+from finsub.groupcoh import CoefficientAction, bar_cochain_complex
+from finsub.homology import ChainComplex, HomologyGroup, homology
+from finsub.simplicial import sphere_model, torus_model
+from finsub.snf import SparseIntMatrix, _Elimination, invariant_factors
+from finsub.subsetspace import keyed_complex
+
+
+def per_matrix_groups(c):
+    """Groups from the invariant factors of every differential alone."""
+    f = [invariant_factors(m) for m in c.boundary] + [[]]
+    groups = []
+    for k, dim in enumerate(c.dims):
+        out_f, in_f = (f[k + 1], f[k]) if c.cochain else (f[k], f[k + 1])
+        groups.append(HomologyGroup(dim - len(out_f) - len(in_f),
+                                    tuple(x for x in in_f if x > 1)))
+    return groups
+
+
+def assert_clearing_exact(c):
+    want = per_matrix_groups(c)
+    assert homology(c) == want
+    assert [g.rank for g in homology(c, "Q")] == [g.rank for g in want]
+
+
+def conjugated(c, seed, steps):
+    """``c`` under a seeded random unimodular basis change A_k in every
+    degree: each differential d becomes A^-1 . d . A.
+
+    A_k is a product of ``steps`` elementary operations; each one adds q
+    times basis vector i to basis vector j, which adds q times column i
+    to column j of the differential leaving degree k and subtracts q
+    times row j from row i of the one arriving there.
+    """
+    rng = random.Random(seed)
+    mats = [m.to_dense() for m in c.boundary]
+    top = c.top_degree
+    for k, dim in enumerate(c.dims):
+        if dim < 2:
+            continue
+        out_k, in_k = (k + 1, k) if c.cochain else (k, k + 1)
+        out = mats[out_k] if out_k <= top else []
+        inc = mats[in_k] if in_k <= top else [[] for _ in range(dim)]
+        for _ in range(steps * dim):
+            i, j = rng.sample(range(dim), 2)
+            q = rng.choice([-2, -1, 1, 2, 3])
+            for row in out:
+                row[j] += q * row[i]
+            inc[i] = [a - q * b for a, b in zip(inc[i], inc[j])]
+    boundary = [SparseIntMatrix.from_triplets(
+        m.rows, m.cols, [(r, col, v) for r, row in enumerate(dense)
+                         for col, v in enumerate(row) if v])
+        for m, dense in zip(c.boundary, mats)]
+    out = ChainComplex(c.dims, boundary, reduced=c.reduced, cochain=c.cochain)
+    out.assert_valid()
+    return out
+
+
+def units_after_non_unit_pick(c):
+    """Unit pivots the engine takes after a non-unit pick, over all
+    differentials: pivots whose rows clearing must not drop."""
+    total = 0
+    for m in c.boundary:
+        work = _Elimination(m, False, False).run()
+        total += sum(1 for p in work.pivots[work.unit_prefix:] if p[2] == 1)
+    return total
+
+
+@pytest.mark.parametrize("x,n", [
+    (sphere_model(2, 5), 2), (sphere_model(2, 7), 3), (sphere_model(2, 9), 4),
+    (sphere_model(3, 7), 2), (sphere_model(3, 10), 3), (torus_model(5), 2)])
+def test_clearing_matches_per_matrix_on_keyed_complexes(x, n):
+    for variant in ("exp", "bar"):
+        assert_clearing_exact(keyed_complex(x, n, variant))
+    assert_clearing_exact(keyed_complex(x, n, "bar", reduced=True))
+
+
+@pytest.mark.parametrize("n,maxdeg", [(1, 3), (2, 3), (3, 3), (4, 2)])
+@pytest.mark.parametrize("action", ["trivial", "sign"])
+def test_clearing_matches_per_matrix_on_bar_complexes(n, maxdeg, action):
+    assert_clearing_exact(bar_cochain_complex(n, CoefficientAction(action), maxdeg))
+
+
+def test_clearing_matches_per_matrix_on_conjugated_complexes():
+    cases = [bar_cochain_complex(3, CoefficientAction("trivial"), 2),
+             bar_cochain_complex(3, CoefficientAction("sign"), 2),
+             keyed_complex(sphere_model(2, 5), 2, "exp"),
+             keyed_complex(torus_model(5), 2, "bar", reduced=True)]
+    late_units = 0
+    for i, c in enumerate(cases):
+        for seed in range(3):
+            conj = conjugated(c, 100 * i + seed, 2)
+            assert_clearing_exact(conj)
+            late_units += units_after_non_unit_pick(conj)
+    # the cases reach the rule's edge: unit pivots after a non-unit pick
+    assert late_units > 0
+
+
+@pytest.mark.parametrize("d1,d2", [
+    # d_2 is picked at 2 and ends in a unit pivot on row 1 through gcd
+    # steps, but [3] is not unimodular
+    ([[3, -2]], [[2], [3]]),
+    # d_2 is picked at -2; row 0 is added to row 1 while that pivot is
+    # cleared, and the next pick is the unit left on row 1
+    ([[0, 5, -2]], [[3, -2], [-2, 2], [-5, 5]]),
+])
+def test_unit_pivots_after_a_non_unit_pick_are_not_cleared(d1, d2):
+    # H = 0 everywhere; dropping column 1 of d_1 would report torsion in H_0
+    d1, d2 = SparseIntMatrix.from_dense(d1), SparseIntMatrix.from_dense(d2)
+    c = ChainComplex([1, d2.rows, d2.cols], [SparseIntMatrix(0, 1), d1, d2])
+    c.assert_valid()
+    assert homology(c) == [HomologyGroup(0)] * 3 == per_matrix_groups(c)

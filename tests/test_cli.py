@@ -313,3 +313,22 @@ def test_homology_lost_key_is_an_engine_fault(runner, monkeypatch):
     assert "Usage" not in res.output and "Error:" not in res.output
     assert isinstance(res.exception, RuntimeError)
     assert "not enumerated" in str(res.exception)
+
+
+def test_homology_over_reported_rank_is_an_engine_fault(runner, monkeypatch):
+    from finsub import snf
+    run = snf._Elimination.run
+
+    def over_reporting(self):
+        run(self)
+        self.pivots.append([0, 0, 1])
+        return self
+
+    monkeypatch.setattr(snf._Elimination, "run", over_reporting)
+    res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "2",
+                               "--n", "2"])
+    assert res.exit_code != 2
+    assert "Usage" not in res.output and "Error:" not in res.output
+    assert isinstance(res.exception, RuntimeError)
+    assert str(res.exception) == \
+        "degree 0: 1 cells but differential ranks 1 out + 1 in"
