@@ -1,12 +1,15 @@
 """Reach record: build and time the homology of one subset space of a sphere.
 
-    python scripts/reach.py D N [--variant exp]
+    python scripts/reach.py D N [--variant exp] [--pages]
 
 builds ``keyed_complex(sphere_model(D, N*D+1), N, variant)``, runs
 ``homology`` on it and prints one JSON line: the cell count, the degree
 holding the most cells, the build and homology wall times, the peak
 resident set size of the process and the non-trivial groups of the
-trusted degrees (all but the truncation degree N*D+1).  Run it from a
+trusted degrees (all but the truncation degree N*D+1).  With
+``--pages`` the record also holds ``pages_s``: for each of the
+variants exp, based and bar, the wall time of ``filtered_complex`` and
+of every spectral-sequence page through E^infinity.  Run it from a
 checkout; it puts the checkout's ``src`` on the import path itself.
 """
 
@@ -23,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from finsub.homology import homology  # noqa: E402
 from finsub.simplicial import sphere_model  # noqa: E402
+from finsub.spectral import filtered_complex, limit_page  # noqa: E402
 from finsub.subsetspace import keyed_complex  # noqa: E402
 
 
@@ -32,13 +36,20 @@ def main() -> None:
     parser.add_argument("n", type=int, help="maximum number of points")
     parser.add_argument("--variant", default="exp",
                         help="subset-space variant of keyed_complex")
+    parser.add_argument("--pages", action="store_true",
+                        help="also time the filtration and its pages")
     args = parser.parse_args()
     t0 = time.perf_counter()
-    c = keyed_complex(sphere_model(args.d, args.n * args.d + 1), args.n,
-                      args.variant)
+    base = sphere_model(args.d, args.n * args.d + 1)
+    c = keyed_complex(base, args.n, args.variant)
     t1 = time.perf_counter()
     groups = homology(c)[:-1]
     t2 = time.perf_counter()
+    pages_s = {}
+    for variant in ("exp", "based", "bar") if args.pages else ():
+        start = time.perf_counter()
+        limit_page(filtered_complex(base, args.n, variant))
+        pages_s[variant] = round(time.perf_counter() - start, 2)
     largest = max(range(len(c.dims)), key=lambda k: c.dims[k])
     record = {
         "d": args.d, "n": args.n, "variant": args.variant,
@@ -49,6 +60,8 @@ def main() -> None:
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "groups": {str(k): str(g) for k, g in enumerate(groups) if not g.trivial},
     }
+    if args.pages:
+        record["pages_s"] = pages_s
     print(json.dumps(record))
 
 

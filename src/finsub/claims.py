@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .groupcoh import CoefficientAction, bar_cochain_complex
 from .homology import HomologyGroup, homology, zigzag_free_index, zigzag_map
 from .simplicial import BasedSimplicialSet, sphere_model, torus_model
-from .spectral import e1_page, einfty_totals, filtered_complex, limit_page
+from .spectral import e1_page, filtered_complex, limit_page
 from .subsetspace import BudgetError, keyed_complex, keyed_connecting
 
 DEFAULT_BUDGET_ND = 8
@@ -380,7 +380,8 @@ def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
         "rational equivalence of the quotient filtration's top stage",
         expected_inf, computed_inf,
         _verdict(expected_inf, computed_inf), time.time() - t0))
-    totals = einfty_totals(f)
+    pinf_totals = pinf.total_dims()
+    totals = [pinf_totals.get(m, 0) for m in range(f.top_degree + 1)]
     betti_top = [g.rank for g in _groups(base, n, "bar", opts,
                                          reduced=True, coeffs="Q")]
     ok = totals[:len(betti_top)] == betti_top

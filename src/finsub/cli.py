@@ -36,7 +36,7 @@ from .simplicial import (
     sphere_model,
     torus_model,
 )
-from .spectral import advance, e1_page, einfty_totals, filtered_complex
+from .spectral import advance, e1_page, filtered_complex
 from .subsetspace import DEFAULT_CELL_CEILING, BudgetError, keyed_complex
 
 CONSTRUCTIONS = ("expn", "based", "bar", "conf")
@@ -261,10 +261,11 @@ def cmd_page(space, d, n, variant, trunc, ceiling, out):
         pages = [e1_page(f)]
         while pages[-1].r <= f.n:
             pages.append(advance(pages[-1], f))
+        totals = pages[-1].total_dims()
         payload = {
             "space": tag, "d": dim, "n": n, "variant": variant,
             "pages": [p.to_json() for p in pages],
-            "einfty_totals": einfty_totals(f),
+            "einfty_totals": [totals.get(m, 0) for m in range(f.top_degree + 1)],
         }
         _emit(payload, out)
     except BudgetError as exc:

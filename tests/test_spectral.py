@@ -1,10 +1,22 @@
 """Spectral sequence of the points-count filtration, over Q."""
 
+import random
+
 import pytest
 
+from conftest import make_random_subcomplex, simplex_model
+from finsub import snf
 from finsub.homology import space_homology
-from finsub.simplicial import sphere_model, underlying
+from finsub.simplicial import (
+    BasedSimplicialSet,
+    SimplexRef,
+    sphere_model,
+    torus_model,
+    underlying,
+)
+from finsub.snf import SparseIntMatrix
 from finsub.spectral import (
+    FilteredComplex,
     advance,
     e1_page,
     einfty_totals,
@@ -12,6 +24,7 @@ from finsub.spectral import (
     limit_page,
 )
 from finsub.subsetspace import conf_plus, tower
+from spectral_reference import rho as reference_rho
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +144,103 @@ def test_exp_variant_tower_unreduced():
     totals = einfty_totals(f)
     # unreduced homology of the symmetric square of S^2
     assert totals == [1, 0, 1, 0, 1, 0]
+
+
+# -- pairing ranks against per-block elimination -----------------------------
+
+def _random_based_space(seed):
+    rng = random.Random(seed)
+    sub, _ = make_random_subcomplex(simplex_model(3, 3), rng)
+    return BasedSimplicialSet(sub, SimplexRef(0, rng.randrange(sub.levels[0])))
+
+
+PAIRING_BASES = {
+    **{f"S^1 n={n}": (sphere_model(1, n + 1), n) for n in (1, 2, 3, 4)},
+    **{f"S^2 n={n}": (sphere_model(2, 2 * n + 1), n) for n in (1, 2, 3, 4)},
+    **{f"S^3 n={n}": (sphere_model(3, 3 * n + 1), n) for n in (1, 2, 3)},
+    "T^2 n=2": (torus_model(5), 2),
+    "random0 n=2": (_random_based_space(11), 2),
+    "random0 n=3": (_random_based_space(11), 3),
+    "random1 n=3": (_random_based_space(12), 3),
+}
+
+
+def rho_keys(f):
+    # every key, including those rho clamps or answers 0 for
+    return [(m, c, s) for m in range(f.top_degree + 2)
+            for c in range(-1, f.n + 1) for s in range(-2, f.n + 1)]
+
+
+def assert_rho_matches_reference(f):
+    for key in rho_keys(f):
+        assert f.rho(*key) == reference_rho(f, *key), key
+
+
+def filtered_conjugate(f, seed, steps):
+    """``f`` under a seeded random unimodular change of basis in every
+    degree that keeps each level's span F_p: each step adds q times
+    basis vector i to basis vector j with level(i) <= level(j), which
+    adds q times column i to column j of the boundary leaving that
+    degree and subtracts q times row j from row i of the one arriving
+    there.  The result has entries other than +-1 and the same rank
+    function."""
+    rng = random.Random(seed)
+    mats = [m.to_dense() for m in f.boundary]
+    for k, dim in enumerate(f.dims):
+        if dim < 2:
+            continue
+        levels = f.filt[k]
+        out = mats[k]
+        inc = mats[k + 1] if k < f.top_degree else [[] for _ in range(dim)]
+        for _ in range(steps * dim):
+            i, j = rng.sample(range(dim), 2)
+            if levels[i] > levels[j]:
+                i, j = j, i
+            q = rng.choice([-2, -1, 1, 2, 3])
+            for row in out:
+                row[j] += q * row[i]
+            inc[i] = [a - q * b for a, b in zip(inc[i], inc[j])]
+    boundary = [SparseIntMatrix.from_triplets(
+        m.rows, m.cols, [(r, col, v) for r, row in enumerate(dense)
+                         for col, v in enumerate(row) if v])
+        for m, dense in zip(f.boundary, mats)]
+    out = FilteredComplex(f.dims, boundary, f.filt, f.n)
+    assert out.monotonicity_violations() == []
+    for k in range(1, f.top_degree):
+        assert boundary[k].mul(boundary[k + 1]).is_zero()
+    return out
+
+
+@pytest.mark.parametrize("variant", ["exp", "based", "bar"])
+@pytest.mark.parametrize("name", sorted(PAIRING_BASES))
+def test_rho_matches_reference(name, variant):
+    x, n = PAIRING_BASES[name]
+    assert_rho_matches_reference(filtered_complex(x, n, variant))
+
+
+@pytest.mark.parametrize("name,variant", [
+    (name, variant) for name in ("S^2 n=3", "S^3 n=2", "T^2 n=2", "random0 n=2")
+    for variant in ("exp", "bar")] + [
+    ("S^2 n=4", "based"), ("S^3 n=3", "based"), ("random0 n=3", "based")])
+def test_rho_matches_reference_on_filtered_conjugates(name, variant):
+    x, n = PAIRING_BASES[name]
+    f = filtered_complex(x, n, variant)
+    for seed in range(2):
+        conj = filtered_conjugate(f, seed, 2)
+        assert max(abs(v) for m in conj.boundary for _, _, v in m.entries()) > 1
+        assert_rho_matches_reference(conj)
+        assert [conj.rho(*key) for key in rho_keys(f)] == [
+            f.rho(*key) for key in rho_keys(f)]
+
+
+def test_pages_make_no_elimination_call(monkeypatch):
+    def refuse(self):
+        raise AssertionError("pages must come from the pairs, not from eliminations")
+
+    monkeypatch.setattr(snf._Elimination, "run", refuse)
+    f = filtered_complex(sphere_model(2, 9), 4, "bar")
+    pages = [e1_page(f)]
+    while pages[-1].r <= f.n:
+        pages.append(advance(pages[-1], f))
+    assert einfty_totals(f) == [0] * 8 + [1, 0]
+    assert pages[-1].entries() == [(4, 4, 1)]
