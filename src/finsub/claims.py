@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .groupcoh import CoefficientAction, bar_cochain_complex
 from .homology import HomologyGroup, homology, zigzag_free_index, zigzag_map
 from .simplicial import BasedSimplicialSet, sphere_model, torus_model
-from .spectral import e1_page, filtered_complex, limit_page
+from .spectral import advance, e1_page, filtered_complex
 from .subsetspace import BudgetError, keyed_complex, keyed_connecting
 
 DEFAULT_BUDGET_ND = 8
@@ -365,7 +365,9 @@ def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
         e1_expected, e1_computed,
         _verdict(e1_expected, e1_computed), time.time() - t0))
     t0 = time.time()
-    pinf = limit_page(f)
+    pinf = p1
+    while pinf.r <= f.n:
+        pinf = advance(pinf, f)
     if d % 2 == 0:
         expected_inf = {f"({n},{n * (d - 1)})": 1}
     elif n % 2 == 0:

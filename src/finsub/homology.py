@@ -19,7 +19,7 @@ from typing import Optional
 from .simplicial import SimplicialMap, SpaceLike, underlying
 from .snf import (
     SparseIntMatrix,
-    _Elimination,
+    _untracked_diagonal,
     diagonalize,
     divisor_chain,
     invariant_factors,
@@ -261,16 +261,18 @@ def homology(c: ChainComplex, coeffs: str = "Z") -> list[HomologyGroup]:
 
     The differentials are eliminated in one pass, each after the one
     whose target is its source: a chain complex from the top degree
-    down, a cochain complex from degree 0 up.  Let M be the previous
-    differential and (P, Q) the rows and columns of the +-1 pivots it
-    took before its first non-unit pick (Q avoids any columns left out
-    of M, so M[P, Q] is a block of the full differential).  Up to that
-    pick every row operation added a row of P to another row and every
-    column operation added a column of Q to another column, so the rows
-    P only received rows of P and the columns Q only columns of Q.
-    M[P, Q] thus reached a +-1 diagonal through row operations inside P
-    and column operations inside Q: it is unimodular.  For the next
-    differential N, d.d = 0 gives
+    down, a cochain complex from degree 0 up.  Each differential M is
+    first streamed into a fully reduced +-1 echelon (see
+    ``snf._unit_echelon``).  Let P be the rows it took as pivot rows
+    and Q their pivot columns (Q avoids any columns left out of M, so
+    M[P, Q] is a block of the full differential).  Every echelon row
+    started as a row of M[P, :] and only ever received integer
+    multiples of other echelon rows, so the echelon is A . M[P, :] for
+    a product A of elementary row operations inside P: A is
+    unimodular.  The echelon is a signed identity on Q, so
+    M[P, Q] = A^-1 . (signed identity) is unimodular too; no division
+    and no modulus is involved, only integer multiples of +-1 pivots.
+    For the next differential N, d.d = 0 gives
 
         N[:, P] = -N[:, P^c] . M[P^c, Q] . M[P, Q]^-1,
 
@@ -278,8 +280,8 @@ def homology(c: ChainComplex, coeffs: str = "Z") -> list[HomologyGroup]:
     with the columns P left out: its image lattice, rank and invariant
     factors stay the same.  This is the "clearing" of persistence
     (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014); unit pivots are
-    what make it exact over Z, and pivots taken after a non-unit pick
-    are not cleared.
+    what make it exact over Z, and rows of the residue are not
+    cleared, even where its elimination ends on a unit.
     """
     if coeffs not in ("Z", "Q"):
         raise ValueError("coeffs must be 'Z' or 'Q'")
@@ -287,10 +289,9 @@ def homology(c: ChainComplex, coeffs: str = "Z") -> list[HomologyGroup]:
     factors: dict[int, list[int]] = {}
     paired: set[int] = set()
     for k in (range(top + 1) if c.cochain else range(top, -1, -1)):
-        work = _Elimination(c.boundary[k], False, False, skip_cols=paired).run()
-        factors[k] = divisor_chain(p[2] for p in work.pivots)
-        paired = {p[0] for p in work.pivots[:work.unit_prefix]}
-        del work  # free this working copy before the next one is built
+        pivot_rows, diagonal = _untracked_diagonal(c.boundary[k], paired)
+        factors[k] = divisor_chain(diagonal)
+        paired = set(pivot_rows)
     out: list[HomologyGroup] = []
     for k in range(top + 1):
         if c.cochain:

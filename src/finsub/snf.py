@@ -15,6 +15,16 @@ switched on or off.  It prefers +-1 pivots in short columns among the
 sparsest rows; once no unit entry is left, it pivots on the entry of
 smallest absolute value and reduces by gcd remainders until the pivot
 divides its row and column.
+
+:func:`invariant_factors` and :func:`rank`, which need no transforms,
+first stream the rows, sparsest first, into a fully reduced +-1 echelon
+(Dumas-Saunders-Villard, "On efficient sparse integer matrix Smith
+normal form computations", 2001): a row is dropped as soon as it
+reduces to zero, where the engine would carry it to the end, and each
+pivot row adds a factor 1.  The rows left with no +-1, the residue, are
+streamed into a row echelon over Z by gcd steps, and the engine
+finishes on that echelon.  ``homology.homology`` runs the same path and
+clears columns by the unit echelon's pivot rows.
 """
 
 from __future__ import annotations
@@ -313,23 +323,15 @@ class _Elimination:
     Row operations update U (rows) and U^-1 (columns) when ``track_u``;
     column operations update V (columns) and V^-1 (rows) when
     ``track_v``.
-
-    Columns listed in ``skip_cols`` are read as zero, so a caller can
-    leave them out without copying ``m``.  ``unit_prefix`` counts the
-    pivots picked as +-1 before the first non-unit pick; the block of
-    ``m`` on their rows and columns is unimodular, which is what
-    ``homology.homology`` clears columns by.
     """
 
-    def __init__(self, m: SparseIntMatrix, track_u: bool, track_v: bool,
-                 skip_cols: Collection[int] = ()):
+    def __init__(self, m: SparseIntMatrix, track_u: bool, track_v: bool):
         self.nr = m.rows
         self.nc = m.cols
         self.rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
         for c, col in enumerate(m._cols):
-            if c not in skip_cols:
-                for r, v in col.items():
-                    self.rows[r][c] = v
+            for r, v in col.items():
+                self.rows[r][c] = v
         self.colrows: list[dict[int, None]] = [{} for _ in range(m.cols)]
         for r, row in enumerate(self.rows):
             for c in row:
@@ -339,7 +341,6 @@ class _Elimination:
             self.buckets.put(r, len(row))
         # [row, column, value] of each finished pivot, value > 0
         self.pivots: list[list[int]] = []
-        self.unit_prefix = 0
         self.track_u = track_u
         self.track_v = track_v
         if track_u:
@@ -354,10 +355,7 @@ class _Elimination:
             picked = self.pick_pivot()
             if picked is None:
                 return self
-            r, c = picked
-            if self.unit_prefix == len(self.pivots) and self.rows[r][c] in (1, -1):
-                self.unit_prefix += 1
-            self.eliminate(r, c)
+            self.eliminate(*picked)
 
     def pick_pivot(self) -> Optional[tuple[int, int]]:
         """A +-1 entry in the shortest column among a bounded prefix of
@@ -526,14 +524,149 @@ class _Elimination:
         return res
 
 
+def _reduce(x: dict[int, int], echelon: dict[int, dict[int, int]]) -> None:
+    """Clear every pivot column of ``echelon`` from the row ``x``, in one
+    pass: an echelon row is +-1 on its pivot column and 0 on the others,
+    so subtracting it touches no other pivot column."""
+    for c in [c for c in x if c in echelon]:
+        e = echelon[c]
+        f = x[c] * e[c]
+        for c2, v in e.items():
+            nv = x.get(c2, 0) - f * v
+            if nv:
+                x[c2] = nv
+            else:
+                del x[c2]
+
+
+def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
+                  ) -> tuple[list[int], list[dict[int, int]]]:
+    """Stream the rows of ``m`` into a fully reduced +-1 echelon.
+
+    Columns in ``skip_cols`` are read as zero.  Rows arrive sparsest
+    first.  Each is reduced by the echelon rows on its pivot columns and
+    dropped if it reaches zero.  Otherwise, if it holds a +-1, it becomes
+    the pivot row of the +-1 entry whose column the fewest echelon rows
+    hold, and that column is cleared from them; a row with no +-1 waits.
+
+    Returns the original indices of the pivot rows and the residue: the
+    waiting rows reduced again against the final echelon, zero rows
+    dropped.  Every step adds an integer multiple of one row to another,
+    so ``m`` is row-equivalent over Z to [E; R; 0] with the echelon E a
+    signed identity on its pivot columns and the residue R zero there.
+    Column operations inside E's pivot columns clear the rest of E,
+    leaving diag(+-I, R): ``m`` has a factor 1 per pivot row plus the
+    invariant factors of R, and its rank is the pivot count plus the
+    rank of R.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
+    for c, col in enumerate(m._cols):
+        if col and c not in skip_cols:
+            for r, v in col.items():
+                rows[r][c] = v
+    # pivot column -> echelon row
+    echelon: dict[int, dict[int, int]] = {}
+    # non-pivot column -> pivot columns of the echelon rows holding it
+    holders: dict[int, set[int]] = {}
+    pivot_rows: list[int] = []
+    waiting: list[dict[int, int]] = []
+    for r in sorted(range(m.rows), key=lambda r: len(rows[r])):
+        x = rows[r]
+        _reduce(x, echelon)
+        best = None
+        for c, v in x.items():
+            if v == 1 or v == -1:
+                key = (len(holders.get(c, ())), c)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            if x:
+                waiting.append(x)
+            continue
+        c = best[1]
+        s = x[c]
+        for pc in holders.pop(c, ()):
+            e = echelon[pc]
+            f = e[c] * s
+            for c2, v in x.items():
+                old = e.get(c2)
+                if old is None:
+                    e[c2] = -f * v
+                    holders.setdefault(c2, set()).add(pc)
+                elif old != f * v:
+                    e[c2] = old - f * v
+                else:
+                    del e[c2]
+                    if c2 != c:
+                        holders[c2].discard(pc)
+        echelon[c] = x
+        for c2 in x:
+            if c2 != c:
+                holders.setdefault(c2, set()).add(c)
+        pivot_rows.append(r)
+    residue = []
+    for x in waiting:
+        _reduce(x, echelon)
+        if x:
+            residue.append(x)
+    return pivot_rows, residue
+
+
+def _gcd_echelon(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """A row echelon over Z of ``rows``, streamed in their order.
+
+    Each echelon row pivots on its leading (lowest-index) column.  A
+    row's leading entry is cleared by the echelon row of that column: by
+    a multiple of it when its pivot divides the entry, else by the 2x2
+    combination of determinant 1 that puts their gcd on the echelon row.
+    The row is dropped when it reaches zero, so rows that depend on
+    earlier ones do not stay around to grow.  The echelon generates the
+    same row lattice as ``rows``.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for x in rows:
+        while x:
+            c = min(x)
+            e = echelon.get(c)
+            if e is None:
+                echelon[c] = x
+                break
+            p, a = e[c], x[c]
+            if a % p == 0:
+                _addmul(x, e, -(a // p))
+            else:
+                g, s, t = xgcd(p, a)
+                pair = [e, x]
+                _combine(pair, 0, 1, s, t, -a // g, p // g)
+                echelon[c], x = pair
+    return list(echelon.values())
+
+
+def _untracked_diagonal(m: SparseIntMatrix, skip_cols: Collection[int] = ()
+                        ) -> tuple[list[int], list[int]]:
+    """The pivot rows of the unit echelon of ``m``, and a diagonal
+    equivalent to ``m`` over Z: 1 per pivot row, then the pivots of
+    ``_Elimination`` on a row echelon of the residue."""
+    pivot_rows, residue = _unit_echelon(m, skip_cols)
+    diagonal = [1] * len(pivot_rows)
+    if residue:
+        basis = _gcd_echelon(residue)
+        b = SparseIntMatrix(len(basis), m.cols)
+        for r, row in enumerate(basis):
+            for c, v in row.items():
+                b._cols[c][r] = v
+        diagonal += [p[2] for p in _Elimination(b, False, False).run().pivots]
+    return pivot_rows, diagonal
+
+
 def invariant_factors(m: SparseIntMatrix) -> list[int]:
     """Invariant factors of ``m``: positive, each dividing the next."""
-    return divisor_chain(p[2] for p in _Elimination(m, False, False).run().pivots)
+    return divisor_chain(_untracked_diagonal(m)[1])
 
 
 def rank(m: SparseIntMatrix) -> int:
     """Rank over Q (equivalently over Z up to torsion)."""
-    return len(_Elimination(m, False, False).run().pivots)
+    return len(_untracked_diagonal(m)[1])
 
 
 def diagonalize(m: SparseIntMatrix, track_u: bool = False, track_v: bool = False,

@@ -1,5 +1,8 @@
-"""Shared test helpers: random subcomplexes and hand-built spaces."""
+"""Shared test helpers: random subcomplexes, hand-built spaces and a
+wall-time limit."""
 
+import signal
+from contextlib import contextmanager
 from itertools import combinations_with_replacement
 
 from finsub.homology import normalized_complex, relative_complex
@@ -103,3 +106,20 @@ def make_random_subcomplex(space, rng, p=0.3):
                            for j in range(k + 1)]
     sub = SimplicialSet(xs.trunc, levels, faces, degeneracies)
     return sub, SimplicialMap(sub, space, tables)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise ``TimeoutError`` inside the block once ``seconds`` of wall
+    time have passed, so a computation that stalls fails instead of
+    hanging the run.  Uses ``SIGALRM``: main thread, POSIX only."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

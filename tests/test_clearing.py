@@ -1,9 +1,9 @@
 """Differential tests for the clearing pass of ``homology``.
 
 ``homology`` eliminates each differential with the columns left out that
-the previous differential's leading unit pivots pair with.  Every group
-it reports must equal the group read off eliminating each differential
-alone.
+the pivot rows of the previous differential's unit echelon pair with.
+Every group it reports must equal the group read off eliminating each
+differential alone with ``_Elimination``.
 """
 
 import random
@@ -13,13 +13,15 @@ import pytest
 from finsub.groupcoh import CoefficientAction, bar_cochain_complex
 from finsub.homology import ChainComplex, HomologyGroup, homology
 from finsub.simplicial import sphere_model, torus_model
-from finsub.snf import SparseIntMatrix, _Elimination, invariant_factors
+from finsub.snf import SparseIntMatrix, _Elimination, _untracked_diagonal, divisor_chain
 from finsub.subsetspace import keyed_complex
 
 
 def per_matrix_groups(c):
-    """Groups from the invariant factors of every differential alone."""
-    f = [invariant_factors(m) for m in c.boundary] + [[]]
+    """Groups from the invariant factors of every differential alone,
+    eliminated by ``_Elimination`` with no echelon and no clearing."""
+    f = [divisor_chain(p[2] for p in _Elimination(m, False, False).run().pivots)
+         for m in c.boundary] + [[]]
     groups = []
     for k, dim in enumerate(c.dims):
         out_f, in_f = (f[k + 1], f[k]) if c.cochain else (f[k], f[k + 1])
@@ -67,13 +69,13 @@ def conjugated(c, seed, steps):
     return out
 
 
-def units_after_non_unit_pick(c):
-    """Unit pivots the engine takes after a non-unit pick, over all
+def residue_unit_pivots(c):
+    """Unit pivots taken on the residue of the unit echelon, over all
     differentials: pivots whose rows clearing must not drop."""
     total = 0
     for m in c.boundary:
-        work = _Elimination(m, False, False).run()
-        total += sum(1 for p in work.pivots[work.unit_prefix:] if p[2] == 1)
+        pivot_rows, diagonal = _untracked_diagonal(m)
+        total += diagonal[len(pivot_rows):].count(1)
     return total
 
 
@@ -102,17 +104,19 @@ def test_clearing_matches_per_matrix_on_conjugated_complexes():
         for seed in range(3):
             conj = conjugated(c, 100 * i + seed, 2)
             assert_clearing_exact(conj)
-            late_units += units_after_non_unit_pick(conj)
-    # the cases reach the rule's edge: unit pivots after a non-unit pick
+            late_units += residue_unit_pivots(conj)
+    # the cases reach the rule's edge: unit pivots outside the echelon
     assert late_units > 0
 
 
 @pytest.mark.parametrize("d1,d2", [
-    # d_2 is picked at 2 and ends in a unit pivot on row 1 through gcd
-    # steps, but [3] is not unimodular
+    # d_2 has no +-1 entry, so both rows form the residue; its
+    # elimination is picked at 2 and ends in a unit pivot on row 1
+    # through gcd steps, but [3] is not unimodular
     ([[3, -2]], [[2], [3]]),
-    # d_2 is picked at -2; row 0 is added to row 1 while that pivot is
-    # cleared, and the next pick is the unit left on row 1
+    # d_2 has no +-1 entry either; the residue is picked at -2, row 0 is
+    # added to row 1 while that pivot is cleared, and the next pick is
+    # the unit left on row 1
     ([[0, 5, -2]], [[3, -2], [-2, 2], [-5, 5]]),
 ])
 def test_unit_pivots_after_a_non_unit_pick_are_not_cleared(d1, d2):

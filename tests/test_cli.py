@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, JSON determinism, cache."""
 
+import importlib
 import json
 
 import pytest
@@ -316,15 +317,14 @@ def test_homology_lost_key_is_an_engine_fault(runner, monkeypatch):
 
 
 def test_homology_over_reported_rank_is_an_engine_fault(runner, monkeypatch):
-    from finsub import snf
-    run = snf._Elimination.run
+    homology_module = importlib.import_module("finsub.homology")
+    untracked = homology_module._untracked_diagonal
 
-    def over_reporting(self):
-        run(self)
-        self.pivots.append([0, 0, 1])
-        return self
+    def over_reporting(m, skip_cols=()):
+        pivot_rows, diagonal = untracked(m, skip_cols)
+        return pivot_rows, diagonal + [1]
 
-    monkeypatch.setattr(snf._Elimination, "run", over_reporting)
+    monkeypatch.setattr(homology_module, "_untracked_diagonal", over_reporting)
     res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "2",
                                "--n", "2"])
     assert res.exit_code != 2

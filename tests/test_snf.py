@@ -1,7 +1,8 @@
 """Smith normal form and sparse integer linear algebra, checked against
 independent dense oracles (gcd-of-minors and Bareiss determinants) and,
 differentially, against the two engines the current one replaced
-(``snf_reference``)."""
+(``snf_reference``) and against ``_Elimination`` with no unit echelon in
+front of it."""
 
 import random
 from itertools import combinations
@@ -14,6 +15,7 @@ from finsub.groupcoh import CoefficientAction, bar_cochain_complex
 from finsub.simplicial import sphere_model, torus_model
 from finsub.snf import (
     SparseIntMatrix,
+    _Elimination,
     diagonalize,
     divisor_chain,
     invariant_factors,
@@ -263,7 +265,7 @@ try:
         assert all(f > 0 for f in factors)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
-        assert factors == minors_gcd_factors(dense)
+        assert factors == minors_gcd_factors(dense) == elimination_alone(m)
         assert len(factors) == rank(m)
         res = smith_normal_form(m, transforms=True)
         assert res.factors == factors
@@ -312,15 +314,23 @@ def conjugated_torsion(rng, factors, nr, nc):
     return SparseIntMatrix.from_dense(m)
 
 
+def elimination_alone(m):
+    """Invariant factors from ``_Elimination`` on all of ``m``: the path
+    ``invariant_factors`` took before the unit echelon."""
+    return divisor_chain(p[2] for p in _Elimination(m, False, False).run().pivots)
+
+
 def assert_matches_reference(m, tracked=True):
-    """Factors equal the reference's; unless ``tracked`` is off (for
-    large matrices), so do ranks and tracked factors, and every tracking
-    mode passes ``check_tracked``."""
+    """Factors and rank equal the reference's and those of
+    ``_Elimination`` alone; unless ``tracked`` is off (for large
+    matrices), so do the reference's rank and tracked factors, and every
+    tracking mode passes ``check_tracked``."""
     want = reference.invariant_factors(m)
-    assert invariant_factors(m) == want
+    assert invariant_factors(m) == want == elimination_alone(m)
+    assert rank(m) == len(want)
     if not tracked:
         return
-    assert rank(m) == reference.rank(m) == len(want)
+    assert reference.rank(m) == len(want)
     assert smith_normal_form(m, transforms=True).factors == \
         reference.diagonalize(m, True, True, chain=True).factors == want
     for track_u, track_v, chain in [(False, True, False), (True, False, True),

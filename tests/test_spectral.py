@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import make_random_subcomplex, simplex_model
+import snf_reference
+from conftest import make_random_subcomplex, simplex_model, time_limit
 from finsub import snf
 from finsub.homology import space_homology
 from finsub.simplicial import (
@@ -161,6 +162,7 @@ PAIRING_BASES = {
     "T^2 n=2": (torus_model(5), 2),
     "random0 n=2": (_random_based_space(11), 2),
     "random0 n=3": (_random_based_space(11), 3),
+    "random1 n=2": (_random_based_space(12), 2),
     "random1 n=3": (_random_based_space(12), 3),
 }
 
@@ -221,7 +223,8 @@ def test_rho_matches_reference(name, variant):
 @pytest.mark.parametrize("name,variant", [
     (name, variant) for name in ("S^2 n=3", "S^3 n=2", "T^2 n=2", "random0 n=2")
     for variant in ("exp", "bar")] + [
-    ("S^2 n=4", "based"), ("S^3 n=3", "based"), ("random0 n=3", "based")])
+    ("S^2 n=4", "based"), ("S^3 n=3", "based"), ("random0 n=3", "based"),
+    ("random1 n=2", "bar")])
 def test_rho_matches_reference_on_filtered_conjugates(name, variant):
     x, n = PAIRING_BASES[name]
     f = filtered_complex(x, n, variant)
@@ -233,11 +236,29 @@ def test_rho_matches_reference_on_filtered_conjugates(name, variant):
             f.rho(*key) for key in rho_keys(f)]
 
 
+def test_untracked_smith_forms_of_conjugated_blocks_stay_fast():
+    # dense blocks with entries up to 12 bits: the degree-3 boundaries
+    # (71x48) of both random0 n=2 exp conjugates above, whose unit
+    # echelon leaves a dense residue with 24-bit entries, and the
+    # degree-2 boundary (30x39) of a random1 n=2 bar conjugate, on which
+    # ``_Elimination`` alone takes seconds through entry growth
+    exp = filtered_complex(*PAIRING_BASES["random0 n=2"], "exp")
+    bar = filtered_complex(*PAIRING_BASES["random1 n=2"], "bar")
+    blocks = [filtered_conjugate(exp, seed, 2).boundary[3] for seed in range(2)]
+    blocks.append(filtered_conjugate(bar, 0, 2).boundary[2])
+    assert [(m.rows, m.cols) for m in blocks] == [(71, 48), (71, 48), (30, 39)]
+    want = [snf_reference.invariant_factors(m) for m in blocks]
+    with time_limit(1.5):
+        got = [(snf.invariant_factors(m), snf.rank(m)) for m in blocks]
+    assert got == [(f, len(f)) for f in want]
+
+
 def test_pages_make_no_elimination_call(monkeypatch):
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("pages must come from the pairs, not from eliminations")
 
     monkeypatch.setattr(snf._Elimination, "run", refuse)
+    monkeypatch.setattr(snf, "_unit_echelon", refuse)
     f = filtered_complex(sphere_model(2, 9), 4, "bar")
     pages = [e1_page(f)]
     while pages[-1].r <= f.n:
