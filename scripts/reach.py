@@ -1,6 +1,6 @@
 """Reach record: build and time the homology of one subset space of a sphere.
 
-    python scripts/reach.py D N [--variant exp] [--pages]
+    python scripts/reach.py D N [--variant exp] [--pages] [--bases]
 
 builds ``keyed_complex(sphere_model(D, N*D+1), N, variant)``, runs
 ``homology`` on it and prints one JSON line: the cell count, the degree
@@ -9,8 +9,11 @@ resident set size of the process and the non-trivial groups of the
 trusted degrees (all but the truncation degree N*D+1).  With
 ``--pages`` the record also holds ``pages_s``: for each of the
 variants exp, based and bar, the wall time of ``filtered_complex`` and
-of every spectral-sequence page through E^infinity.  Run it from a
-checkout; it puts the checkout's ``src`` on the import path itself.
+of every spectral-sequence page through E^infinity.  With ``--bases``
+it runs ``homology_basis`` in each degree of the record's groups,
+checks that its group is the one ``homology`` reported, and adds
+``basis_s``: the wall time of each, by degree.  Run it from a checkout;
+it puts the checkout's ``src`` on the import path itself.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from finsub.homology import homology  # noqa: E402
+from finsub.homology import homology, homology_basis  # noqa: E402
 from finsub.simplicial import sphere_model  # noqa: E402
 from finsub.spectral import filtered_complex, limit_page  # noqa: E402
 from finsub.subsetspace import keyed_complex  # noqa: E402
@@ -38,6 +41,8 @@ def main() -> None:
                         help="subset-space variant of keyed_complex")
     parser.add_argument("--pages", action="store_true",
                         help="also time the filtration and its pages")
+    parser.add_argument("--bases", action="store_true",
+                        help="also time a generator basis of each group")
     args = parser.parse_args()
     t0 = time.perf_counter()
     base = sphere_model(args.d, args.n * args.d + 1)
@@ -50,6 +55,16 @@ def main() -> None:
         start = time.perf_counter()
         limit_page(filtered_complex(base, args.n, variant))
         pages_s[variant] = round(time.perf_counter() - start, 2)
+    basis_s = {}
+    for k, g in enumerate(groups) if args.bases else ():
+        if g.trivial:
+            continue
+        start = time.perf_counter()
+        basis = homology_basis(c, k)
+        basis_s[str(k)] = round(time.perf_counter() - start, 2)
+        if basis.group != g:
+            raise RuntimeError(f"degree {k}: homology_basis gives {basis.group}, "
+                               f"homology gives {g}")
     largest = max(range(len(c.dims)), key=lambda k: c.dims[k])
     record = {
         "d": args.d, "n": args.n, "variant": args.variant,
@@ -62,6 +77,8 @@ def main() -> None:
     }
     if args.pages:
         record["pages_s"] = pages_s
+    if args.bases:
+        record["basis_s"] = basis_s
     print(json.dumps(record))
 
 

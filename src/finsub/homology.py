@@ -23,6 +23,7 @@ from .snf import (
     diagonalize,
     divisor_chain,
     invariant_factors,
+    kernel_lattice,
     rank,
 )
 
@@ -367,19 +368,17 @@ class HomologyBasis:
 def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     """Generators of H_k with the chain-level data to express cycles.
 
-    Kernel lattice from the tracked column transform of the outgoing
-    differential; the incoming image is rewritten in kernel coordinates
-    and put in Smith form with a tracked row transform.
+    The kernel lattice of the outgoing differential, with coordinate
+    rows for it, is read off its unit echelon
+    (:func:`finsub.snf.kernel_lattice`), so only the echelon's residue
+    is eliminated with a tracked column transform.  The incoming image
+    is rewritten in kernel coordinates and put in Smith form with a
+    tracked row transform.
     """
     dk = c.out_matrix(k)
     dk1 = c.in_matrix(k)
-    res1 = diagonalize(dk, track_v=True)
-    r = res1.rank
-    nk = c.dims[k]
-    z = nk - r
-    kernel = [res1.V.column(j) for j in range(r, nk)]
-    vinv_rows = res1.Vinv.row_dicts()
-    vinv_bottom = vinv_rows[r:]
+    kernel, _, vinv_bottom = kernel_lattice(dk)
+    z = len(kernel)
     dk1_rows = dk1.row_dicts()
     b = SparseIntMatrix(z, dk1.cols)
     for i, w in enumerate(vinv_bottom):
@@ -600,10 +599,8 @@ def zigzag_free_index(src: ChainComplex, tgt: ChainComplex,
     tgt_basis = homology_basis(tgt, k - 1)
     if tgt_basis.group.rank != 1:
         raise ValueError("fast path needs a rank-1 target free part")
-    res = diagonalize(src.out_matrix(k), track_v=True)
     g = 0
-    for j in range(res.rank, src.dims[k]):
-        cycle = res.V.column(j)
+    for cycle in kernel_lattice(src.out_matrix(k))[0]:
         free, _ = tgt_basis.coords(block.mul_col(cycle))
         g = gcd(g, free[0])
         if g == 1:
@@ -675,8 +672,7 @@ def _induced_rank_q(fmat: SparseIntMatrix, src_out: SparseIntMatrix,
     rank [F.Z | B] - rank B, with Z a cycle basis of the source and B
     the target boundaries; exact integer arithmetic throughout.
     """
-    res = diagonalize(src_out, track_v=True)
-    z_cols = [res.V.column(j) for j in range(res.rank, src_out.cols)]
+    z_cols = kernel_lattice(src_out)[0]
     stacked = SparseIntMatrix(fmat.rows, len(z_cols) + tgt_in.cols)
     for j, zc in enumerate(z_cols):
         for r, v in fmat.mul_col(zc).items():

@@ -1,20 +1,21 @@
 """Sparse exact integer linear algebra.
 
 Everything here runs over arbitrary-precision integers: no floating point,
-no modular shortcuts.  The two entry points are
+no modular shortcuts.  The entry points are
 
 * :func:`smith_normal_form` -- invariant factors of an integer matrix,
   optionally with unimodular transforms ``U, V`` such that ``U @ M @ V``
   is the diagonal of the factors;
 * :func:`diagonalize` -- a diagonalization (no divisibility chain) that
-  tracks the column transform and its inverse, which is what kernel
-  lattices and homology presentations need.
+  tracks either transform and its inverse;
+* :func:`kernel_lattice` -- a basis of the integer kernel with
+  coordinate rows for it, which is what homology presentations need.
 
-Both run on one sparse elimination engine, with transform tracking
-switched on or off.  It prefers +-1 pivots in short columns among the
-sparsest rows; once no unit entry is left, it pivots on the entry of
-smallest absolute value and reduces by gcd remainders until the pivot
-divides its row and column.
+All of them run on one sparse elimination engine, with transform
+tracking switched on or off.  It prefers +-1 pivots in short columns
+among the sparsest rows; once no unit entry is left, it pivots on the
+entry of smallest absolute value and reduces by gcd remainders until
+the pivot divides its row and column.
 
 :func:`invariant_factors` and :func:`rank`, which need no transforms,
 first stream the rows, sparsest first, into a fully reduced +-1 echelon
@@ -24,7 +25,11 @@ reduces to zero, where the engine would carry it to the end, and each
 pivot row adds a factor 1.  The rows left with no +-1, the residue, are
 streamed into a row echelon over Z by gcd steps, and the engine
 finishes on that echelon.  ``homology.homology`` runs the same path and
-clears columns by the unit echelon's pivot rows.
+clears columns by the unit echelon's pivot rows.  :func:`kernel_lattice`
+reads a kernel basis straight off the same echelon and gives the engine
+only the residue, with the column transform tracked, while
+``smith_normal_form(transforms=True)`` and ``diagonalize`` track the
+transforms of the whole matrix they are given.
 """
 
 from __future__ import annotations
@@ -540,7 +545,8 @@ def _reduce(x: dict[int, int], echelon: dict[int, dict[int, int]]) -> None:
 
 
 def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
-                  ) -> tuple[list[int], list[dict[int, int]]]:
+                  ) -> tuple[list[int], dict[int, dict[int, int]],
+                             list[dict[int, int]]]:
     """Stream the rows of ``m`` into a fully reduced +-1 echelon.
 
     Columns in ``skip_cols`` are read as zero.  Rows arrive sparsest
@@ -549,8 +555,9 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
     the pivot row of the +-1 entry whose column the fewest echelon rows
     hold, and that column is cleared from them; a row with no +-1 waits.
 
-    Returns the original indices of the pivot rows and the residue: the
-    waiting rows reduced again against the final echelon, zero rows
+    Returns the original indices of the pivot rows, the echelon (pivot
+    column -> its row, in the order of the pivot rows) and the residue:
+    the waiting rows reduced again against the final echelon, zero rows
     dropped.  Every step adds an integer multiple of one row to another,
     so ``m`` is row-equivalent over Z to [E; R; 0] with the echelon E a
     signed identity on its pivot columns and the residue R zero there.
@@ -609,7 +616,7 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
         _reduce(x, echelon)
         if x:
             residue.append(x)
-    return pivot_rows, residue
+    return pivot_rows, echelon, residue
 
 
 def _gcd_echelon(rows: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -647,7 +654,7 @@ def _untracked_diagonal(m: SparseIntMatrix, skip_cols: Collection[int] = ()
     """The pivot rows of the unit echelon of ``m``, and a diagonal
     equivalent to ``m`` over Z: 1 per pivot row, then the pivots of
     ``_Elimination`` on a row echelon of the residue."""
-    pivot_rows, residue = _unit_echelon(m, skip_cols)
+    pivot_rows, _, residue = _unit_echelon(m, skip_cols)
     diagonal = [1] * len(pivot_rows)
     if residue:
         basis = _gcd_echelon(residue)
@@ -691,12 +698,56 @@ def smith_normal_form(m: SparseIntMatrix, transforms: bool = False) -> SnfResult
     return SnfResult(m.rows, m.cols, invariant_factors(m))
 
 
-def kernel_basis(m: SparseIntMatrix) -> list[dict[int, int]]:
-    """Basis of the integer kernel lattice, as sparse columns.
+def kernel_lattice(m: SparseIntMatrix
+                   ) -> tuple[list[dict[int, int]], int, list[dict[int, int]]]:
+    """A basis K of the integer kernel lattice of ``m``, the rank of
+    ``m``, and coordinate rows L with L.K = I; all sparse vectors.
 
-    The kernel of an integer matrix is saturated, so the columns of V
-    beyond the rank form a genuine lattice basis.
+    Read off the unit echelon of ``m`` (:func:`_unit_echelon`): ``m`` is
+    row-equivalent over Z to [E; R; 0], so ker m is the intersection of
+    ker E and ker R.  Let Q be E's pivot columns, s_q = +-1 the pivot
+    entry of its row E_q, and F the other columns.  E is a signed
+    identity on Q, so E.x = 0 iff
+
+        x_q = -s_q . sum_f E_q[f] . x_f    for every q in Q.
+
+    Projection onto F is therefore an isomorphism ker E -> Z^F, and its
+    inverse sends e_f to k_f = e_f - sum_q s_q . E_q[f] . e_q: the
+    columns K_E = (k_f) form a lattice basis of ker E, with no division.
+    R is zero on Q, so R.K_E = R[:, F] and ker m = K_E . ker R[:, F].
+    Only the residue R[:, F] is diagonalized with a tracked column
+    transform V'; its columns beyond the rank r' span ker R[:, F] (a
+    saturated lattice), so K = K_E . V'_ker.  A vector x of ker m is
+    K_E . proj_F(x), and V'^-1 . proj_F(x) is zero above r', so the rows
+    L = V'^-1_bottom . proj_F give x's coordinates in K.  The rank of
+    ``m`` is |Q| + r'.
     """
-    res = diagonalize(m, track_v=True)
-    assert res.V is not None
-    return [res.V.column(j) for j in range(res.rank, m.cols)]
+    _, echelon, residue = _unit_echelon(m)
+    free = [c for c in range(m.cols) if c not in echelon]
+    position = {f: i for i, f in enumerate(free)}
+    k_e: dict[int, dict[int, int]] = {f: {f: 1} for f in free}
+    while echelon:
+        q, e = echelon.popitem()
+        s = e.pop(q)
+        for f, v in e.items():
+            k_e[f][q] = -s * v
+    r = SparseIntMatrix(len(residue), len(free))
+    for i, x in enumerate(residue):
+        for f, v in x.items():
+            r._cols[position[f]][i] = v
+    res = diagonalize(r, track_v=True)
+    kernel = []
+    for j in range(res.rank, len(free)):
+        vec: dict[int, int] = {}
+        for i, w in res.V.column(j).items():
+            _addmul(vec, k_e[free[i]], w)
+        kernel.append(vec)
+    coords = [{free[i]: w for i, w in row.items()}
+              for row in res.Vinv.row_dicts()[res.rank:]]
+    return kernel, m.cols - len(free) + res.rank, coords
+
+
+def kernel_basis(m: SparseIntMatrix) -> list[dict[int, int]]:
+    """Basis of the integer kernel lattice, as sparse columns, read off
+    the unit echelon by :func:`kernel_lattice`."""
+    return kernel_lattice(m)[0]

@@ -1,11 +1,13 @@
-"""Shared test helpers: random subcomplexes, hand-built spaces and a
-wall-time limit."""
+"""Shared test helpers: random subcomplexes, hand-built spaces, a
+wall-time limit, seeded unimodular conjugates of chain complexes and an
+image-lattice membership oracle."""
 
+import random
 import signal
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
 
-from finsub.homology import normalized_complex, relative_complex
+from finsub.homology import ChainComplex, normalized_complex, relative_complex
 from finsub.simplicial import (
     BasedSimplicialSet,
     SimplexRef,
@@ -15,6 +17,7 @@ from finsub.simplicial import (
     quotient,
     underlying,
 )
+from finsub.snf import SparseIntMatrix, invariant_factors, rank
 from finsub.spectral import FilteredComplex
 from finsub.subsetspace import exp_based
 
@@ -123,3 +126,48 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def conjugated(c, seed, steps):
+    """``c`` under a seeded random unimodular basis change A_k in every
+    degree: each differential d becomes A^-1 . d . A.
+
+    A_k is a product of ``steps`` elementary operations; each one adds q
+    times basis vector i to basis vector j, which adds q times column i
+    to column j of the differential leaving degree k and subtracts q
+    times row j from row i of the one arriving there.
+    """
+    rng = random.Random(seed)
+    mats = [m.to_dense() for m in c.boundary]
+    top = c.top_degree
+    for k, dim in enumerate(c.dims):
+        if dim < 2:
+            continue
+        out_k, in_k = (k + 1, k) if c.cochain else (k, k + 1)
+        out = mats[out_k] if out_k <= top else []
+        inc = mats[in_k] if in_k <= top else [[] for _ in range(dim)]
+        for _ in range(steps * dim):
+            i, j = rng.sample(range(dim), 2)
+            q = rng.choice([-2, -1, 1, 2, 3])
+            for row in out:
+                row[j] += q * row[i]
+            inc[i] = [a - q * b for a, b in zip(inc[i], inc[j])]
+    boundary = [SparseIntMatrix.from_triplets(
+        m.rows, m.cols, [(r, col, v) for r, row in enumerate(dense)
+                         for col, v in enumerate(row) if v])
+        for m, dense in zip(c.boundary, mats)]
+    out = ChainComplex(c.dims, boundary, reduced=c.reduced, cochain=c.cochain)
+    out.assert_valid()
+    return out
+
+
+def in_image_lattice(b, v):
+    """Independent membership oracle: v is in the column lattice of b iff
+    appending it changes neither the rank nor the invariant factors."""
+    stacked = SparseIntMatrix(b.rows, b.cols + 1)
+    for r, c, val in b.entries():
+        stacked.set(r, c, val)
+    for r, val in v.items():
+        stacked.set(r, b.cols, val)
+    return rank(stacked) == rank(b) and \
+        invariant_factors(stacked) == invariant_factors(b)

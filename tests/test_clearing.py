@@ -6,10 +6,9 @@ Every group it reports must equal the group read off eliminating each
 differential alone with ``_Elimination``.
 """
 
-import random
-
 import pytest
 
+from conftest import conjugated
 from finsub.groupcoh import CoefficientAction, bar_cochain_complex
 from finsub.homology import ChainComplex, HomologyGroup, homology
 from finsub.simplicial import sphere_model, torus_model
@@ -34,39 +33,6 @@ def assert_clearing_exact(c):
     want = per_matrix_groups(c)
     assert homology(c) == want
     assert [g.rank for g in homology(c, "Q")] == [g.rank for g in want]
-
-
-def conjugated(c, seed, steps):
-    """``c`` under a seeded random unimodular basis change A_k in every
-    degree: each differential d becomes A^-1 . d . A.
-
-    A_k is a product of ``steps`` elementary operations; each one adds q
-    times basis vector i to basis vector j, which adds q times column i
-    to column j of the differential leaving degree k and subtracts q
-    times row j from row i of the one arriving there.
-    """
-    rng = random.Random(seed)
-    mats = [m.to_dense() for m in c.boundary]
-    top = c.top_degree
-    for k, dim in enumerate(c.dims):
-        if dim < 2:
-            continue
-        out_k, in_k = (k + 1, k) if c.cochain else (k, k + 1)
-        out = mats[out_k] if out_k <= top else []
-        inc = mats[in_k] if in_k <= top else [[] for _ in range(dim)]
-        for _ in range(steps * dim):
-            i, j = rng.sample(range(dim), 2)
-            q = rng.choice([-2, -1, 1, 2, 3])
-            for row in out:
-                row[j] += q * row[i]
-            inc[i] = [a - q * b for a, b in zip(inc[i], inc[j])]
-    boundary = [SparseIntMatrix.from_triplets(
-        m.rows, m.cols, [(r, col, v) for r, row in enumerate(dense)
-                         for col, v in enumerate(row) if v])
-        for m, dense in zip(c.boundary, mats)]
-    out = ChainComplex(c.dims, boundary, reduced=c.reduced, cochain=c.cochain)
-    out.assert_valid()
-    return out
 
 
 def residue_unit_pivots(c):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import bar_reference
+from conftest import bar_reference, in_image_lattice
 from finsub.homology import (
     HomologyGroup,
     connecting_free_index,
@@ -27,7 +27,6 @@ from finsub.simplicial import (
     torus_model,
     underlying,
 )
-from finsub.snf import SparseIntMatrix
 from finsub.subsetspace import conf_plus, exp, exp_bar, exp_based, tower
 
 
@@ -245,19 +244,6 @@ def test_homology_basis_rejects_non_cycle():
         hb.coords({0: 1})
 
 
-def _in_image_lattice(b, v):
-    """Independent membership oracle: v is in the column lattice of b iff
-    appending it changes neither the rank nor the invariant factors."""
-    from finsub.snf import invariant_factors, rank as _rank
-    stacked = SparseIntMatrix(b.rows, b.cols + 1)
-    for r, c, val in b.entries():
-        stacked.set(r, c, val)
-    for r, val in v.items():
-        stacked.set(r, b.cols, val)
-    return _rank(stacked) == _rank(b) and \
-        invariant_factors(stacked) == invariant_factors(b)
-
-
 def test_torsion_generator_orders_at_lattice_level():
     # H_6 of the 4-point space over S^2 is Z + Z/3: the torsion generator's
     # third multiple must be a boundary while the first and second are not,
@@ -269,12 +255,12 @@ def test_torsion_generator_orders_at_lattice_level():
     t = hb.torsion_gens[0]
     for mult in (1, 2):
         scaled = {k: mult * v for k, v in t.items()}
-        assert not _in_image_lattice(b7, scaled)
-    assert _in_image_lattice(b7, {k: 3 * v for k, v in t.items()})
+        assert not in_image_lattice(b7, scaled)
+    assert in_image_lattice(b7, {k: 3 * v for k, v in t.items()})
     g = hb.free_gens[0]
     for mult in (1, 5):
         scaled = {k: mult * v for k, v in g.items()}
-        assert not _in_image_lattice(b7, scaled)
+        assert not in_image_lattice(b7, scaled)
 
 
 # -- induced maps ----------------------------------------------------------------

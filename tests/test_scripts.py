@@ -31,3 +31,14 @@ def test_reach_record_times_pages_on_s2_two_points():
     assert sorted(record["pages_s"]) == ["bar", "based", "exp"]
     assert record["build_s"] >= 0 and record["homology_s"] >= 0
     assert all(t >= 0 for t in record["pages_s"].values())
+
+
+def test_reach_record_times_bases_on_s2_two_points():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "reach.py"), "2", "2",
+                           "--bases"],
+                          capture_output=True, text=True, check=True, timeout=120)
+    record = json.loads(done.stdout)
+    assert record["groups"] == {"0": "Z", "2": "Z", "4": "Z"}
+    assert sorted(record["basis_s"]) == ["0", "2", "4"]
+    assert all(t >= 0 for t in record["basis_s"].values())
+    assert "pages_s" not in record
