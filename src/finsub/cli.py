@@ -215,8 +215,8 @@ def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
 @click.option("--action", type=click.Choice(("trivial", "sign")),
               default="trivial", show_default=True)
 @click.option("--max-degree", type=int, default=2, show_default=True)
-@click.option("--ceiling", type=int, default=None,
-              help="bar-resolution basis budget (default 100000)")
+@click.option("--ceiling", type=int, default=DEFAULT_BASIS_CEILING,
+              show_default=True, help="bar-resolution basis budget")
 @click.option("--out", type=click.Path(), default=None)
 def cmd_groupcoh(n, action, max_degree, ceiling, out):
     """Cohomology of S_n with trivial or sign integral coefficients."""
@@ -224,8 +224,6 @@ def cmd_groupcoh(n, action, max_degree, ceiling, out):
         raise click.UsageError("-n must be >= 1")
     if max_degree < 0:
         raise click.UsageError("--max-degree must be >= 0")
-    if ceiling is None:
-        ceiling = DEFAULT_BASIS_CEILING
     try:
         c = bar_cochain_complex(n, CoefficientAction(action), max_degree,
                                 ceiling=ceiling)

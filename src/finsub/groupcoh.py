@@ -113,8 +113,11 @@ def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
             raise ResourceError(
                 f"bar resolution for S_{n} at degree {r} needs {m ** r} "
                 f"basis tuples, over the ceiling of {ceiling}")
-    ids = {g: i for i, g in enumerate(nontriv)}
-    mult = [[ids.get(a * b, -1) for b in nontriv] for a in nontriv]
+    images = [g.images for g in nontriv]
+    ids = {p: i for i, p in enumerate(images)}
+    # (a * b)(i) = a(b(i)), composed on the one-line tuples
+    mult = [[ids.get(tuple(map(a.__getitem__, b)), -1) for b in images]
+            for a in images]
     scalars = [action.scalar(g) for g in nontriv]
     dims = [m ** r for r in range(top + 1)]
     boundary: list[SparseIntMatrix] = [SparseIntMatrix(dims[0], 0)]

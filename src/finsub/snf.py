@@ -22,9 +22,13 @@ first stream the rows, sparsest first, into a fully reduced +-1 echelon
 (Dumas-Saunders-Villard, "On efficient sparse integer matrix Smith
 normal form computations", 2001): a row is dropped as soon as it
 reduces to zero, where the engine would carry it to the end, and each
-pivot row adds a factor 1.  The rows left with no +-1, the residue, are
-streamed into a row echelon over Z by gcd steps, and the engine
-finishes on that echelon.  ``homology.homology`` runs the same path and
+pivot row adds a factor 1.  A row left with no +-1 waits, unless a
+waiting row equal to it up to sign is held already, and every row is
+let go once it has been streamed, so besides the echelon and its
+column index it holds only the distinct waiting rows.  The waiting rows,
+reduced again by the final echelon, form the residue; it is streamed
+into a row echelon over Z by gcd steps, and the engine finishes on that
+echelon.  ``homology.homology`` runs the same path and
 clears columns by the unit echelon's pivot rows.  :func:`kernel_lattice`
 reads a kernel basis straight off the same echelon and gives the engine
 only the residue, with the column transform tracked, while
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import neg
 from typing import Collection, Iterable, Iterator, Optional
 
 # How many rows of the sparsest bucket to scan per pivot search.
@@ -553,7 +558,10 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
     first.  Each is reduced by the echelon rows on its pivot columns and
     dropped if it reaches zero.  Otherwise, if it holds a +-1, it becomes
     the pivot row of the +-1 entry whose column the fewest echelon rows
-    hold, and that column is cleared from them; a row with no +-1 waits.
+    hold, and that column is cleared from them; a row with no +-1 waits,
+    unless a waiting row equal to it up to sign is already held.  A row
+    is let go as soon as it has been streamed, so rows that reduce to
+    zero do not stay around at their grown size.
 
     Returns the original indices of the pivot rows, the echelon (pivot
     column -> its row, in the order of the pivot rows) and the residue:
@@ -565,8 +573,20 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
     leaving diag(+-I, R): ``m`` has a factor 1 per pivot row plus the
     invariant factors of R, and its rank is the pivot count plus the
     rank of R.
+
+    Dropping a repeated waiting row changes none of this.  Reducing a
+    row by the final echelon, x -> x - sum_q x_q . s_q . E_q, is
+    Z-linear and zero on every echelon row, so it depends only on the
+    class of x modulo the final echelon's row lattice.  The echelon's
+    lattice only grows, and a row at any stage differs from its input
+    row by echelon rows of that stage, so it lies in the input row's
+    class.  A row that arrives equal to +-w for a held waiting row w
+    therefore ends equal to +-w's final residue row: it adds nothing to
+    the row lattice of R.  Waiting rows never pick pivots, so the pivots
+    and the echelon stay the same, and the residue is the one without
+    the check with later repeats (up to sign) left out.
     """
-    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
+    rows: list[Optional[dict[int, int]]] = [{} for _ in range(m.rows)]
     for c, col in enumerate(m._cols):
         if col and c not in skip_cols:
             for r, v in col.items():
@@ -577,8 +597,11 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
     holders: dict[int, set[int]] = {}
     pivot_rows: list[int] = []
     waiting: list[dict[int, int]] = []
+    # hash of a waiting row with its sign fixed -> the waiting rows
+    held: dict[int, list[dict[int, int]]] = {}
     for r in sorted(range(m.rows), key=lambda r: len(rows[r])):
         x = rows[r]
+        rows[r] = None
         _reduce(x, echelon)
         best = None
         for c, v in x.items():
@@ -587,7 +610,7 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
                 if best is None or key < best:
                     best = key
         if best is None:
-            if x:
+            if x and _hold(x, held):
                 waiting.append(x)
             continue
         c = best[1]
@@ -611,12 +634,27 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
             if c2 != c:
                 holders.setdefault(c2, set()).add(c)
         pivot_rows.append(r)
+    del rows, held, holders
     residue = []
     for x in waiting:
         _reduce(x, echelon)
         if x:
             residue.append(x)
     return pivot_rows, echelon, residue
+
+
+def _hold(x: dict[int, int], held: dict[int, list[dict[int, int]]]) -> bool:
+    """Record the nonzero row ``x`` in ``held`` unless a row equal to it
+    up to sign is there already; True when it was recorded.  Rows are
+    bucketed by the hash of their entries with the sign that makes the
+    entry of the lowest column positive."""
+    items = x.items() if x[min(x)] > 0 else zip(x, map(neg, x.values()))
+    bucket = held.setdefault(hash(frozenset(items)), [])
+    for w in bucket:
+        if w == x or w == dict(zip(x, map(neg, x.values()))):
+            return False
+    bucket.append(x)
+    return True
 
 
 def _gcd_echelon(rows: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -720,7 +758,8 @@ def kernel_lattice(m: SparseIntMatrix
     saturated lattice), so K = K_E . V'_ker.  A vector x of ker m is
     K_E . proj_F(x), and V'^-1 . proj_F(x) is zero above r', so the rows
     L = V'^-1_bottom . proj_F give x's coordinates in K.  The rank of
-    ``m`` is |Q| + r'.
+    ``m`` is |Q| + r'.  The echelon rows are let go as K_E is read off
+    them, and the residue rows once R[:, F] is built.
     """
     _, echelon, residue = _unit_echelon(m)
     free = [c for c in range(m.cols) if c not in echelon]
@@ -735,6 +774,7 @@ def kernel_lattice(m: SparseIntMatrix
     for i, x in enumerate(residue):
         for f, v in x.items():
             r._cols[position[f]][i] = v
+    del residue
     res = diagonalize(r, track_v=True)
     kernel = []
     for j in range(res.rank, len(free)):

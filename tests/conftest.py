@@ -1,11 +1,13 @@
 """Shared test helpers: random subcomplexes, hand-built spaces, a
-wall-time limit, seeded unimodular conjugates of chain complexes and an
-image-lattice membership oracle."""
+wall-time limit, a traced-memory peak, seeded unimodular conjugates of
+chain complexes and an image-lattice membership oracle."""
 
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 from finsub.homology import ChainComplex, normalized_complex, relative_complex
 from finsub.simplicial import (
@@ -126,6 +128,27 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def peak_traced():
+    """Trace the Python allocations made inside the block.  The yielded
+    record's ``mb`` is None until the block exits, then the peak of
+    those allocations above what was allocated at its start, in MB
+    (``tracemalloc``: memory held by the C library or the interpreter
+    itself is not counted)."""
+    record = SimpleNamespace(mb=None)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        yield record
+    finally:
+        record.mb = (tracemalloc.get_traced_memory()[1] - start) / 2 ** 20
+        if not tracing:
+            tracemalloc.stop()
 
 
 def conjugated(c, seed, steps):

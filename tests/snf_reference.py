@@ -5,13 +5,17 @@ fallback for small residues) and ``_Tracked`` (unimodular transforms,
 Markowitz-style pivots, explicit row and column swaps) are kept here
 unchanged as references for the differential tests in ``test_snf.py``.
 ``divisor_chain`` is the old quadratic normalization, units included.
+``_unit_echelon`` is the +-1 echelon as it was before it dropped
+waiting rows equal up to sign to one already held and freed streamed
+rows; it keeps every waiting row, and ``test_unit_echelon.py`` compares
+the two.
 Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from finsub.snf import SnfResult, SparseIntMatrix
 
@@ -612,3 +616,92 @@ def diagonalize(m: SparseIntMatrix, track_u: bool = False, track_v: bool = False
         t.enforce_chain(r)
     return t.result()
 
+
+def _reduce(x: dict[int, int], echelon: dict[int, dict[int, int]]) -> None:
+    """Clear every pivot column of ``echelon`` from the row ``x``, in one
+    pass: an echelon row is +-1 on its pivot column and 0 on the others,
+    so subtracting it touches no other pivot column."""
+    for c in [c for c in x if c in echelon]:
+        e = echelon[c]
+        f = x[c] * e[c]
+        for c2, v in e.items():
+            nv = x.get(c2, 0) - f * v
+            if nv:
+                x[c2] = nv
+            else:
+                del x[c2]
+
+
+def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
+                  ) -> tuple[list[int], dict[int, dict[int, int]],
+                             list[dict[int, int]]]:
+    """Stream the rows of ``m`` into a fully reduced +-1 echelon.
+
+    Columns in ``skip_cols`` are read as zero.  Rows arrive sparsest
+    first.  Each is reduced by the echelon rows on its pivot columns and
+    dropped if it reaches zero.  Otherwise, if it holds a +-1, it becomes
+    the pivot row of the +-1 entry whose column the fewest echelon rows
+    hold, and that column is cleared from them; a row with no +-1 waits.
+
+    Returns the original indices of the pivot rows, the echelon (pivot
+    column -> its row, in the order of the pivot rows) and the residue:
+    the waiting rows reduced again against the final echelon, zero rows
+    dropped.  Every step adds an integer multiple of one row to another,
+    so ``m`` is row-equivalent over Z to [E; R; 0] with the echelon E a
+    signed identity on its pivot columns and the residue R zero there.
+    Column operations inside E's pivot columns clear the rest of E,
+    leaving diag(+-I, R): ``m`` has a factor 1 per pivot row plus the
+    invariant factors of R, and its rank is the pivot count plus the
+    rank of R.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
+    for c, col in enumerate(m._cols):
+        if col and c not in skip_cols:
+            for r, v in col.items():
+                rows[r][c] = v
+    # pivot column -> echelon row
+    echelon: dict[int, dict[int, int]] = {}
+    # non-pivot column -> pivot columns of the echelon rows holding it
+    holders: dict[int, set[int]] = {}
+    pivot_rows: list[int] = []
+    waiting: list[dict[int, int]] = []
+    for r in sorted(range(m.rows), key=lambda r: len(rows[r])):
+        x = rows[r]
+        _reduce(x, echelon)
+        best = None
+        for c, v in x.items():
+            if v == 1 or v == -1:
+                key = (len(holders.get(c, ())), c)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            if x:
+                waiting.append(x)
+            continue
+        c = best[1]
+        s = x[c]
+        for pc in holders.pop(c, ()):
+            e = echelon[pc]
+            f = e[c] * s
+            for c2, v in x.items():
+                old = e.get(c2)
+                if old is None:
+                    e[c2] = -f * v
+                    holders.setdefault(c2, set()).add(pc)
+                elif old != f * v:
+                    e[c2] = old - f * v
+                else:
+                    del e[c2]
+                    if c2 != c:
+                        holders[c2].discard(pc)
+        echelon[c] = x
+        for c2 in x:
+            if c2 != c:
+                holders.setdefault(c2, set()).add(c)
+        pivot_rows.append(r)
+    residue = []
+    for x in waiting:
+        _reduce(x, echelon)
+        if x:
+            residue.append(x)
+    return pivot_rows, echelon, residue

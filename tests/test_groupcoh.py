@@ -117,7 +117,7 @@ def bar_coboundaries_reference(n, action, maxdeg):
     return boundary
 
 
-@pytest.mark.parametrize("n,maxdeg", [(1, 3), (2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("n,maxdeg", [(1, 3), (2, 4), (3, 3), (4, 2), (5, 1)])
 @pytest.mark.parametrize("action", ["trivial", "sign"])
 def test_bar_complex_matches_permutation_build(n, maxdeg, action):
     act = CoefficientAction(action)
