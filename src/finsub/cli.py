@@ -36,7 +36,7 @@ from .simplicial import (
     sphere_model,
     torus_model,
 )
-from .spectral import advance, e1_page, filtered_complex
+from .spectral import filtered_complex, pages
 from .subsetspace import DEFAULT_CELL_CEILING, BudgetError, keyed_complex
 
 CONSTRUCTIONS = ("expn", "based", "bar", "conf")
@@ -136,6 +136,8 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
     """Homology of a subset-space construction over a base space."""
     if n < 1:
         raise click.UsageError("--n must be >= 1")
+    if max_degree is not None and max_degree < 0:
+        raise click.UsageError("--max-degree must be >= 0")
     dim_guess = d if space == "sphere" else 2
     default_trunc = n * dim_guess + 1 if dim_guess else None
     try:
@@ -256,13 +258,11 @@ def cmd_page(space, d, n, variant, trunc, ceiling, out):
     try:
         base, tag, dim = _resolve_space(space, d, trunc, default_trunc)
         f = filtered_complex(base, n, variant, ceiling=ceiling)
-        pages = [e1_page(f)]
-        while pages[-1].r <= f.n:
-            pages.append(advance(pages[-1], f))
-        totals = pages[-1].total_dims()
+        seq = pages(f)
+        totals = seq[-1].total_dims()
         payload = {
             "space": tag, "d": dim, "n": n, "variant": variant,
-            "pages": [p.to_json() for p in pages],
+            "pages": [p.to_json() for p in seq],
             "einfty_totals": [totals.get(m, 0) for m in range(f.top_degree + 1)],
         }
         _emit(payload, out)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .simplicial import SimplicialMap, SpaceLike, underlying
+from .simplicial import SimplicialMap, SimplicialSet, SpaceLike, underlying
 from .snf import (
     SparseIntMatrix,
     _untracked_diagonal,
@@ -67,10 +67,6 @@ class HomologyGroup:
 
     def to_json(self, degree: int) -> dict:
         return {"degree": degree, "rank": self.rank, "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HomologyGroup":
-        return cls(data["rank"], tuple(data["torsion"]))
 
 
 class ChainComplex:
@@ -174,13 +170,20 @@ def normalized_complex(space: SpaceLike, reduced: bool = False,
     if maxdeg > xs.trunc:
         raise ValueError(f"maxdeg {maxdeg} exceeds truncation {xs.trunc}")
     basis = [xs.nondegenerate(k) for k in range(maxdeg + 1)]
+    return _face_chains(xs, basis, reduced, "normalized")
+
+
+def _face_chains(xs: SimplicialSet, basis: list[list[int]], reduced: bool,
+                 kind: str) -> ChainComplex:
+    """Chains on the given cells of each level, boundary the alternating
+    face sum with faces outside the cells dropped."""
     index = [{s: i for i, s in enumerate(b)} for b in basis]
     dims = [len(b) for b in basis]
     boundary = [SparseIntMatrix(1 if reduced else 0, dims[0])]
     if reduced:
         for j in range(dims[0]):
             boundary[0].set(0, j, 1)
-    for k in range(1, maxdeg + 1):
+    for k in range(1, len(basis)):
         mat = SparseIntMatrix(dims[k - 1], dims[k])
         fmaps = xs.faces[k]
         idx = index[k - 1]
@@ -193,14 +196,13 @@ def normalized_complex(space: SpaceLike, reduced: bool = False,
                 sign = -sign
         boundary.append(mat)
     c = ChainComplex(dims, boundary, reduced=reduced, basis=basis,
-                     meta={"kind": "normalized", "maxdeg": maxdeg})
+                     meta={"kind": kind, "maxdeg": len(basis) - 1})
     c.assert_valid()
     return c
 
 
 def relative_complex(x: SpaceLike, a: Optional[SimplicialMap],
-                     maxdeg: Optional[int] = None,
-                     check: bool = True) -> ChainComplex:
+                     maxdeg: Optional[int] = None) -> ChainComplex:
     """Chains of x with the image of ``a`` (and degenerates) dropped.
 
     Computes the homology of the quotient x / im(a) in reduced form
@@ -217,36 +219,17 @@ def relative_complex(x: SpaceLike, a: Optional[SimplicialMap],
         maxdeg = min(xs.trunc, a.trunc)
     if maxdeg > a.trunc:
         raise ValueError("relative_complex: subspace map truncated below maxdeg")
-    if check:
-        if not a.is_injective():
-            raise ValueError("relative_complex: subspace map must be injective")
-        bad = a.violations()
-        if bad:
-            raise ValueError(
-                f"relative_complex: image not closed under structure maps "
-                f"({len(bad)} failures, first {bad[0]})")
+    if not a.is_injective():
+        raise ValueError("relative_complex: subspace map must be injective")
+    bad = a.violations()
+    if bad:
+        raise ValueError(
+            f"relative_complex: image not closed under structure maps "
+            f"({len(bad)} failures, first {bad[0]})")
     img = [set(a.maps[k]) for k in range(maxdeg + 1)]
     basis = [[s for s in xs.nondegenerate(k) if s not in img[k]]
              for k in range(maxdeg + 1)]
-    index = [{s: i for i, s in enumerate(b)} for b in basis]
-    dims = [len(b) for b in basis]
-    boundary = [SparseIntMatrix(0, dims[0])]
-    for k in range(1, maxdeg + 1):
-        mat = SparseIntMatrix(dims[k - 1], dims[k])
-        fmaps = xs.faces[k]
-        idx = index[k - 1]
-        for j, cell in enumerate(basis[k]):
-            sign = 1
-            for i in range(k + 1):
-                t = idx.get(fmaps[i][cell])
-                if t is not None:
-                    mat.add(t, j, sign)
-                sign = -sign
-        boundary.append(mat)
-    c = ChainComplex(dims, boundary, reduced=False, basis=basis,
-                     meta={"kind": "relative", "maxdeg": maxdeg})
-    c.assert_valid()
-    return c
+    return _face_chains(xs, basis, False, "relative")
 
 
 # ----------------------------------------------------------------------

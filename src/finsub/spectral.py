@@ -296,12 +296,17 @@ def advance(page: Page, f: FilteredComplex) -> Page:
     return nxt
 
 
+def pages(f: FilteredComplex) -> list[Page]:
+    """E^1 through E^(n+1), the first page no differential leaves."""
+    out = [e1_page(f)]
+    while out[-1].r <= f.n:
+        out.append(advance(out[-1], f))
+    return out
+
+
 def limit_page(f: FilteredComplex) -> Page:
-    """E^infinity: advance until no differential can move (r > n)."""
-    page = e1_page(f)
-    while page.r <= f.n:
-        page = advance(page, f)
-    return page
+    """E^infinity: the last of :func:`pages`."""
+    return pages(f)[-1]
 
 
 def einfty_totals(f: FilteredComplex) -> list[int]:

@@ -443,21 +443,50 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
     return c
 
 
+def _submatrix(m: SparseIntMatrix, rows: list[int], cols: list[int]
+               ) -> SparseIntMatrix:
+    """The entries of ``m`` on the given rows and columns, in their order."""
+    pos = {r: i for i, r in enumerate(rows)}
+    out = SparseIntMatrix(len(rows), len(cols))
+    for j, c in enumerate(cols):
+        for r, v in m.column(c).items():
+            if r in pos:
+                out.set(pos[r], j, v)
+    return out
+
+
+def _graded_piece(c: ChainComplex, sizes: range, reduced: bool
+                  ) -> tuple[ChainComplex, list[list[int]]]:
+    """The keys of ``c`` with a size in ``sizes``, each degree's boundary
+    restricted to them, and their positions in ``c``; ``reduced`` keeps
+    the augmentation row."""
+    picks = [[i for i, key in enumerate(keys) if len(key) in sizes]
+             for keys in c.basis]
+    boundary = [_submatrix(c.boundary[0], [0] if reduced else [], picks[0])]
+    boundary += [_submatrix(c.boundary[m], picks[m - 1], picks[m])
+                 for m in range(1, len(picks))]
+    piece = ChainComplex([len(p) for p in picks], boundary, reduced=reduced,
+                         basis=[[keys[i] for i in p]
+                                for keys, p in zip(c.basis, picks)])
+    return piece, picks
+
+
 def keyed_connecting(x: BasedSimplicialSet, n: int, k: int, *,
                      ceiling: int = DEFAULT_CELL_CEILING
                      ) -> tuple[ChainComplex, ChainComplex, SparseIntMatrix]:
     """The chains of the connecting map of the bar tower, straight from keys.
 
-    Returns (source, target, block) for :func:`homology.zigzag_map`:
-    the source is bar_n / bar_(n-1), the keys of size n relative to the
-    basepoint; the target is bar_(n-1) / bar_(n-2), the keys of size n-1
-    relative to the basepoint, or the reduced chains of bar_1 when n=2.
-    Face i of a degree-k source key whose set image is a degree k-1
-    target key adds (-1)^i at that key's row; images holding the
-    basepoint go to the collapsed basepoint, which is a target cell only
-    in degree 0.  Dims, boundaries, basis order and block equal those of
-    the levelwise ``connecting_map`` of ``tower(x, n, "bar")`` in the
-    degrees it builds: source up to k+1, target up to k.
+    Returns (source, target, block) for :func:`homology.zigzag_map`, split
+    by key size off one build of the reduced chains of bar_n: the source
+    is bar_n / bar_(n-1), the keys of size n relative to the basepoint;
+    the target is bar_(n-1) / bar_(n-2), the keys of size n-1 relative to
+    the basepoint, or bar_1 (keys of size at most 1, reduced) when n=2;
+    the block is the degree-k boundary on source columns and target rows.
+    Faces never grow keys, so each piece is a subquotient of the checked
+    complex bar_n.  Dims, boundaries, basis order and block equal those
+    of the levelwise ``connecting_map`` of ``tower(x, n, "bar")`` in the
+    degrees it builds: source up to k+1, target up to k.  ``ceiling``
+    bounds the cells of bar_n per degree.
     """
     if n < 2:
         raise ValueError("connecting maps need n >= 2")
@@ -466,29 +495,8 @@ def keyed_connecting(x: BasedSimplicialSet, n: int, k: int, *,
     if x.trunc < k + 1:
         raise ValueError(f"connecting map in degree {k} needs truncation "
                          f">= {k + 1}, have {x.trunc}")
-    src = keyed_complex(x, n, "conf-bar", relative=True, ceiling=ceiling)
-    if n == 2:
-        tgt = keyed_complex(x, 1, "bar", reduced=True, ceiling=ceiling)
-    else:
-        tgt = keyed_complex(x, n - 1, "conf-bar", relative=True,
-                            ceiling=ceiling)
-    xs = underlying(x)
-    bp = x.basepoint_at(k - 1)
-    masks = _degeneracy_masks(xs, k - 1)
-    index = tgt.basis_index[k - 1]
-    block = SparseIntMatrix(tgt.dims[k - 1], src.dims[k])
-    for j, key in enumerate(src.basis[k]):
-        sign = 1
-        for fx in xs.faces[k]:
-            img = tuple(sorted({fx[e] for e in key}))
-            if bp in img:
-                img = ()
-            t = index.get(img)
-            if t is not None:
-                block.add(t, j, sign)
-            elif len(img) == n - 1 and not _shared_degeneracies(
-                    masks, img, k - 1):
-                raise RuntimeError(f"non-degenerate face {img} at level "
-                                   f"{k - 1} is missing from the target")
-            sign = -sign
-    return src, tgt, block
+    bar = keyed_complex(x, n, "bar", reduced=True, ceiling=ceiling)
+    src, cols = _graded_piece(bar, range(n, n + 1), False)
+    tgt, rows = _graded_piece(bar, range(2) if n == 2 else range(n - 1, n),
+                              n == 2)
+    return src, tgt, _submatrix(bar.boundary[k], rows[k - 1], cols[k])

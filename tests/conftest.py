@@ -56,7 +56,7 @@ def filtered_from_tower(t):
         pt = point_model(trunc)
         bp_map = SimplicialMap(pt, top, [[top.basepoint_at(k)]
                                          for k in range(trunc + 1)])
-        complex_ = relative_complex(top, bp_map, check=False)
+        complex_ = relative_complex(top, bp_map)
     else:
         complex_ = normalized_complex(top)
     marks = [[t.n] * top.level_size(k) for k in range(trunc + 1)]

@@ -72,6 +72,22 @@ def test_e1_collapse_small():
     assert all_match(claim("e1-collapse", 2, 3))
 
 
+def test_e1_collapse_builds_bar_chains_once(monkeypatch):
+    from finsub import claims, spectral, subsetspace
+    variants = []
+    build = subsetspace.keyed_complex
+
+    def counting(x, n, variant="exp", **kwargs):
+        variants.append(variant)
+        return build(x, n, variant, **kwargs)
+
+    for module in (claims, spectral):
+        monkeypatch.setattr(module, "keyed_complex", counting)
+    assert all_match(claim("e1-collapse", 3, 2))
+    assert variants.count("bar") == 1
+    assert variants.count("conf-bar") == 3
+
+
 def test_connecting_n2():
     assert all_match(claim("connecting", 2, 2))
 
@@ -125,3 +141,10 @@ def test_reports_carry_statements_and_provenance():
         as_json = rep.to_json()
         assert "wall_time_s" not in as_json
         assert as_json["claim"] == "circle"
+
+
+def test_thm2_reports_share_the_claim_time():
+    reports = claim("thm2", 3, 2)
+    assert len(reports) == 2
+    assert reports[0].wall_time > 0
+    assert reports[0].wall_time == reports[1].wall_time

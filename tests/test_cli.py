@@ -88,6 +88,16 @@ def test_homology_usage_errors(runner):
                                 "--n", "0"]).exit_code == 2
 
 
+def test_homology_rejects_negative_max_degree(runner):
+    args = ["homology", "--space", "sphere", "--d", "2", "--n", "2"]
+    res = runner.invoke(main, args + ["--max-degree", "-3"])
+    assert res.exit_code == 2
+    assert "--max-degree must be >= 0" in res.output
+    res = runner.invoke(main, args + ["--max-degree", "0"])
+    assert res.exit_code == 0, res.output
+    assert groups_of(json.loads(res.output)) == {0: (1, ())}
+
+
 def test_homology_rejects_unbased_file(runner, tmp_path):
     import json as _json
     from finsub.simplicial import space_to_json, product, sphere_model as sm
@@ -291,10 +301,11 @@ def test_homology_ceiling_counts_nondegenerate_cells(runner):
 
 
 def test_verify_connecting_ceiling_counts_nondegenerate_cells(runner):
-    # the connecting claim's largest degree holds 330 source cells
+    # the connecting claim builds bar_4 once; its largest degree holds
+    # 345 cells, 330 of the source and 15 of the target
     args = ["verify", "connecting", "-n", "4", "-d", "2", "--ceiling"]
-    assert runner.invoke(main, args + ["330"]).exit_code == 0
-    res = runner.invoke(main, args + ["329"])
+    assert runner.invoke(main, args + ["345"]).exit_code == 0
+    res = runner.invoke(main, args + ["344"])
     assert res.exit_code == 2
     assert "resource error" in res.output
 

@@ -23,6 +23,7 @@ from finsub.spectral import (
     einfty_totals,
     filtered_complex,
     limit_page,
+    pages,
 )
 from finsub.subsetspace import conf_plus, tower
 from spectral_reference import rho as reference_rho
@@ -98,6 +99,17 @@ def test_euler_characteristic_page_invariant(s2_n3):
         p = advance(p, f)
         assert p.euler_characteristic() == chi
     assert chi == f.euler_characteristic()
+
+
+def test_pages_run_from_e1_to_the_limit(s2_n3):
+    _, f = s2_n3
+    seq = pages(f)
+    assert [p.r for p in seq] == list(range(1, f.n + 2))
+    assert seq[0] == e1_page(f)
+    for page, nxt in zip(seq, seq[1:]):
+        assert nxt == advance(page, f)
+    assert seq[-1] == limit_page(f)
+    assert seq[-1].is_stable()
 
 
 def test_odd_sphere_even_points_vanishes():

@@ -320,6 +320,25 @@ def test_keyed_filtration_matches_tower(variant):
         assert got.boundary == ref.boundary
 
 
+def _covers(k, d, m):
+    """Covers of {1..k} by at most m distinct d-subsets, by
+    inclusion-exclusion over the points left uncovered."""
+    return sum((-1) ** j * comb(k, j)
+               * sum(comb(comb(k - j, d), i) for i in range(1, m + 1))
+               for j in range(k + 1))
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4),
+                                  (3, 2), (3, 3), (4, 2)])
+def test_keyed_sphere_cells_match_closed_form(d, n):
+    # a non-degenerate level-k key of the sphere model is a cover of
+    # {1..k} by at most n base d-simplices, plus the basepoint for at
+    # most n-1 of them
+    dims = keyed_complex(sphere_model(d, n * d + 1), n, "exp").dims
+    assert dims[1:] == [_covers(k, d, n) + _covers(k, d, n - 1)
+                        for k in range(1, len(dims))]
+
+
 def test_keyed_ceiling_counts_nondegenerate_cells():
     x = sphere_model(2, 7)
     most = max(keyed_complex(x, 3).dims)
@@ -388,17 +407,32 @@ def test_keyed_connecting_matches_levelwise():
 
 
 def test_keyed_connecting_missing_target_key_is_an_engine_fault(monkeypatch):
+    enumerate_level = subsetspace._level_keys
+
+    def lossy(masks, k, *rest):
+        keys = enumerate_level(masks, k, *rest)
+        if k == 4:  # the target of the n=3 map loses a degree-4 key
+            keys.remove(max(key for key in keys if len(key) == 2))
+        return keys
+
+    monkeypatch.setattr(subsetspace, "_level_keys", lossy)
+    with pytest.raises(RuntimeError, match="not enumerated"):
+        keyed_connecting(sphere_model(2, 6), 3, 5)
+
+
+def test_keyed_connecting_builds_bar_chains_once(monkeypatch):
+    calls = []
     build = subsetspace.keyed_complex
 
-    def lossy(x, n, variant, **kwargs):
-        c = build(x, n, variant, **kwargs)
-        if n == 2:  # the target of the n=3 map loses its degree-4 keys
-            c.basis_index[4].clear()
-        return c
+    def counting(*args, **kwargs):
+        calls.append(args[2:])
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(subsetspace, "keyed_complex", lossy)
-    with pytest.raises(RuntimeError, match="missing from the target"):
-        keyed_connecting(sphere_model(2, 6), 3, 5)
+    monkeypatch.setattr(subsetspace, "keyed_complex", counting)
+    for n, k in ((2, 3), (3, 5)):
+        calls.clear()
+        keyed_connecting(sphere_model(2, k + 1), n, k)
+        assert calls == [("bar",)], (n, k)
 
 
 def test_keyed_connecting_rejects_bad_arguments():
