@@ -9,7 +9,6 @@ so concurrent runs never see partial files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -29,6 +28,8 @@ def default_cache_dir() -> Optional[str]:
 
 
 def descriptor_key(descriptor: dict) -> str:
+    import hashlib  # maps libcrypto; jobs without a cache never load it
+
     blob = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

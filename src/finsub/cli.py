@@ -19,6 +19,7 @@ from typing import Optional
 
 import click
 
+from . import __version__
 from . import cache as cache_mod
 from .claims import DEFAULT_BUDGET_ND, run_claim
 from .groupcoh import (
@@ -105,7 +106,7 @@ def _cached_complex(cache: cache_mod.BoundaryCache, key: str, top: int,
 
 
 @click.group()
-@click.version_option(package_name="finsub", prog_name="finsub")
+@click.version_option(version=__version__, prog_name="finsub")
 def main() -> None:
     """Exact homology of finite subset spaces of spheres and friends."""
 
@@ -138,20 +139,27 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
         raise click.UsageError("--n must be >= 1")
     if max_degree is not None and max_degree < 0:
         raise click.UsageError("--max-degree must be >= 0")
+    if ceiling < 0:
+        raise click.UsageError("--ceiling must be >= 0")
     dim_guess = d if space == "sphere" else 2
     default_trunc = n * dim_guess + 1 if dim_guess else None
     try:
         base, tag, dim = _resolve_space(space, d, trunc, default_trunc)
+        if base.trunc < 1:  # degree trunc is never trusted
+            raise click.UsageError(
+                f"truncation level {base.trunc} leaves no trusted degree; "
+                "--trunc must be >= 1")
         reduced = construction in ("bar", "conf")
-        descriptor = {
-            "base": space_hash(base), "construction": construction, "n": n,
-            "model": model if construction == "conf" else None,
-            "trunc": base.trunc, "reduced": reduced,
-            "format": cache_mod.FORMAT,
-        }
-        cache = cache_mod.BoundaryCache(cache_dir) if cache_dir else None
-        key = cache_mod.descriptor_key(descriptor)
-        complex_ = _cached_complex(cache, key, base.trunc, reduced) if cache else None
+        cache = key = complex_ = None
+        if cache_dir:  # only a cache hashes, so other jobs never load hashlib
+            cache = cache_mod.BoundaryCache(cache_dir)
+            key = cache_mod.descriptor_key({
+                "base": space_hash(base), "construction": construction, "n": n,
+                "model": model if construction == "conf" else None,
+                "trunc": base.trunc, "reduced": reduced,
+                "format": cache_mod.FORMAT,
+            })
+            complex_ = _cached_complex(cache, key, base.trunc, reduced)
         if complex_ is None:
             variant = {"expn": "exp", "conf": f"conf-{model}"}.get(
                 construction, construction)
@@ -193,6 +201,10 @@ def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
     Exit 0 when every check matches (adjudicated reports never fail),
     exit 1 on any mismatch.
     """
+    if budget_nd < 0:
+        raise click.UsageError("--budget-nd must be >= 0")
+    if ceiling < 0:
+        raise click.UsageError("--ceiling must be >= 0")
     try:
         reports = run_claim(claim, n, d, ceiling=ceiling, budget_nd=budget_nd,
                             space=space)
@@ -226,6 +238,8 @@ def cmd_groupcoh(n, action, max_degree, ceiling, out):
         raise click.UsageError("-n must be >= 1")
     if max_degree < 0:
         raise click.UsageError("--max-degree must be >= 0")
+    if ceiling < 0:
+        raise click.UsageError("--ceiling must be >= 0")
     try:
         c = bar_cochain_complex(n, CoefficientAction(action), max_degree,
                                 ceiling=ceiling)
@@ -253,6 +267,8 @@ def cmd_page(space, d, n, variant, trunc, ceiling, out):
     """Spectral-sequence pages of the points-count filtration."""
     if n < 1:
         raise click.UsageError("--n must be >= 1")
+    if ceiling < 0:
+        raise click.UsageError("--ceiling must be >= 0")
     dim_guess = d if space == "sphere" else 2
     default_trunc = n * dim_guess + 1 if dim_guess else None
     try:

@@ -13,7 +13,6 @@ collapsed), :func:`torus_model`, :func:`point_model`, plus generic
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -630,6 +629,8 @@ def load_space(path: str) -> SpaceLike:
 
 def space_hash(space: SpaceLike) -> str:
     """Content hash of the structural tables (labels excluded)."""
+    import hashlib  # maps libcrypto; only the boundary cache needs it
+
     xs = underlying(space)
     payload = {
         "trunc": xs.trunc,

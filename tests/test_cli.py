@@ -2,6 +2,10 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +22,13 @@ def runner():
 def groups_of(payload):
     return {g["degree"]: (g["rank"], tuple(g["torsion"]))
             for g in payload["groups"]}
+
+
+def test_version_needs_no_installed_metadata(runner):
+    import finsub
+    res = runner.invoke(main, ["--version"])
+    assert res.exit_code == 0, res.output
+    assert res.output == f"finsub, version {finsub.__version__}\n"
 
 
 def test_homology_circle_three(runner):
@@ -98,6 +109,31 @@ def test_homology_rejects_negative_max_degree(runner):
     assert groups_of(json.loads(res.output)) == {0: (1, ())}
 
 
+@pytest.mark.parametrize("space", [["--space", "sphere", "--d", "2", "--n", "2"],
+                                   ["--space", "torus", "--n", "1"]])
+def test_homology_rejects_trunc_without_trusted_degree(runner, space):
+    res = runner.invoke(main, ["homology", *space, "--trunc", "0"])
+    assert res.exit_code == 2
+    assert "--trunc must be >= 1" in res.output
+    res = runner.invoke(main, ["homology", *space, "--trunc", "1"])
+    assert res.exit_code == 0, res.output
+    assert groups_of(json.loads(res.output)) == {0: (1, ())}
+
+
+@pytest.mark.parametrize("args, option", [
+    (["homology", "--space", "sphere", "--d", "2", "--n", "2"], "--ceiling"),
+    (["page", "--space", "sphere", "--d", "2", "--n", "2"], "--ceiling"),
+    (["verify", "lemma-quo", "-n", "1", "-d", "2"], "--ceiling"),
+    (["verify", "lemma-quo", "-n", "1", "-d", "2"], "--budget-nd"),
+    (["groupcoh", "-n", "3", "--max-degree", "1"], "--ceiling"),
+])
+def test_negative_budget_is_a_usage_error(runner, args, option):
+    res = runner.invoke(main, args + [option, "-1"])
+    assert res.exit_code == 2
+    assert f"{option} must be >= 0" in res.output
+    assert "resource error" not in res.output
+
+
 def test_homology_rejects_unbased_file(runner, tmp_path):
     import json as _json
     from finsub.simplicial import space_to_json, product, sphere_model as sm
@@ -172,6 +208,39 @@ def test_homology_tampered_cache_entry_is_recomputed(runner, tmp_path):
     assert again.exit_code == 0, again.output
     assert again.output == first.output
     assert paths[k].read_text() == original  # recomputed and overwritten
+
+
+def test_homology_cache_keys_are_pinned(runner, tmp_path):
+    # entries written by earlier releases must still hit
+    key = "b9ee58d589750d8ff9894565666b4d96c9013ebf633cdbb7c9a2a37a6742ebb7"
+    res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "2",
+                               "--n", "2", "--cache-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        [f"{key}-d{k}.json" for k in range(6)]
+
+
+def _loads_hashlib(*jobs):
+    """Whether a fresh interpreter that runs ``jobs`` through the CLI ends
+    up with ``_hashlib`` (and so OpenSSL's libcrypto) loaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "FINSUB_CACHE_DIR"}
+    env["PYTHONPATH"] = str(src)
+    script = ("import sys\nfrom finsub.cli import main\n"
+              "for job in sys.argv[1:]:\n"
+              "    main(job.split(), standalone_mode=False)\n"
+              "sys.stderr.write(str('_hashlib' in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", script, *jobs], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    return done.stderr.splitlines()[-1] == "True"
+
+
+def test_jobs_without_a_cache_never_load_hashlib(tmp_path):
+    jobs = ["groupcoh -n 3 --max-degree 1",
+            "homology --space sphere --d 2 --n 2"]
+    assert not _loads_hashlib(*jobs)
+    assert _loads_hashlib(*jobs, f"{jobs[1]} --cache-dir {tmp_path}")
 
 
 def test_cache_needs_dir(runner, monkeypatch):

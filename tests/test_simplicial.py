@@ -223,6 +223,12 @@ def test_labels_excluded_from_equality():
     assert space_hash(a) == space_hash(b)
 
 
+def test_space_hash_is_pinned():
+    # boundary-cache keys embed this digest; a change orphans every entry
+    assert space_hash(sphere_model(2, 5)) == (
+        "868be89cb2378feedefa4e236bced6d3b3341316867f36b598fae32046e4b5cf")
+
+
 def test_simplexref_fields():
     ref = SimplexRef(2, 5)
     assert (ref.level, ref.index) == (2, 5)
