@@ -14,6 +14,7 @@ only appears in the human-readable log lines.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from typing import Optional
 
@@ -44,6 +45,27 @@ CONSTRUCTIONS = ("expn", "based", "bar", "conf")
 CEILING_HELP = "non-degenerate cells allowed in any one degree"
 
 
+def _writable_out(ctx: click.Context, param: click.Parameter,
+                  out: Optional[str]) -> Optional[str]:
+    """Refuse an --out path that cannot be written, before any work."""
+    if out is None:
+        return out
+    folder = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        problem = "is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"has no directory {folder!r}"
+    elif not os.access(out if os.path.exists(out) else folder, os.W_OK):
+        problem = "is not writable"
+    else:
+        return out
+    raise click.BadParameter(f"{out!r} {problem}", ctx, param)
+
+
+OUT_OPTION = click.option("--out", type=click.Path(), default=None,
+                          callback=_writable_out, help="write JSON here")
+
+
 def _emit(data: dict, out: Optional[str]) -> None:
     text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if out:
@@ -55,16 +77,17 @@ def _emit(data: dict, out: Optional[str]) -> None:
 
 def _resolve_space(space: str, d: Optional[int], trunc: Optional[int],
                    default_trunc: int) -> tuple[BasedSimplicialSet, str, Optional[int]]:
-    """Returns (based space, tag, dimension-if-known)."""
+    """Returns (based space, tag, dimension-if-known), refusing a space
+    whose truncation leaves no trusted degree."""
     if space == "sphere":
         if d is None:
             raise click.UsageError("--space sphere needs --d")
         t = trunc if trunc is not None else default_trunc
-        return sphere_model(d, t), "sphere", d
-    if space == "torus":
+        base, tag, dim = sphere_model(d, t), "sphere", d
+    elif space == "torus":
         t = trunc if trunc is not None else default_trunc
-        return torus_model(t), "torus", 2
-    if space.startswith("file:"):
+        base, tag, dim = torus_model(t), "torus", 2
+    elif space.startswith("file:"):
         path = space[5:]
         try:
             loaded = load_space(path)
@@ -83,9 +106,15 @@ def _resolve_space(space: str, d: Optional[int], trunc: Optional[int],
                  for k in range(trunc + 1)],
                 xs.labels[:trunc + 1] if xs.labels else None)
             loaded = BasedSimplicialSet(cut, SimplexRef(0, loaded.basepoint.index))
-        return loaded, f"file:{path}", None
-    raise click.UsageError(
-        f"unknown space {space!r}: use sphere, torus or file:PATH")
+        base, tag, dim = loaded, f"file:{path}", None
+    else:
+        raise click.UsageError(
+            f"unknown space {space!r}: use sphere, torus or file:PATH")
+    if base.trunc < 1:  # degree trunc is never trusted
+        raise click.UsageError(
+            f"truncation level {base.trunc} leaves no trusted degree; "
+            "--trunc must be >= 1")
+    return base, tag, dim
 
 
 def _cached_complex(cache: cache_mod.BoundaryCache, key: str, top: int,
@@ -126,7 +155,7 @@ def main() -> None:
               help="report homology through this degree (default: trusted range)")
 @click.option("--trunc", type=int, default=None,
               help="truncation level of the base space (default n*d+1)")
-@click.option("--out", type=click.Path(), default=None, help="write JSON here")
+@OUT_OPTION
 @click.option("--cache-dir", type=click.Path(), default=None,
               envvar=cache_mod.ENV_VAR,
               help=f"boundary-matrix cache (or ${cache_mod.ENV_VAR})")
@@ -145,10 +174,6 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
     default_trunc = n * dim_guess + 1 if dim_guess else None
     try:
         base, tag, dim = _resolve_space(space, d, trunc, default_trunc)
-        if base.trunc < 1:  # degree trunc is never trusted
-            raise click.UsageError(
-                f"truncation level {base.trunc} leaves no trusted degree; "
-                "--trunc must be >= 1")
         reduced = construction in ("bar", "conf")
         cache = key = complex_ = None
         if cache_dir:  # only a cache hashes, so other jobs never load hashlib
@@ -168,12 +193,12 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
             if cache:
                 for k, m in enumerate(complex_.boundary):
                     cache.put(key, k, m)
-        groups = homology(complex_, coeffs)
-        trusted = len(groups) - 2  # top degree of the trusted range
+        trusted = complex_.top_degree - 1  # degree trunc is never trusted
         upto = trusted if max_degree is None else min(max_degree, trusted)
         payload = homology_to_json(
-            groups[:upto + 1], space=tag, construction=construction, n=n,
-            d=dim, reduced=reduced, coeffs=coeffs)
+            homology(complex_, coeffs, through=upto), space=tag,
+            construction=construction, n=n, d=dim, reduced=reduced,
+            coeffs=coeffs)
         if construction == "conf":
             payload["model"] = model
         _emit(payload, out)
@@ -194,7 +219,7 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
               show_default=True, help="refuse runs with n*d above this")
 @click.option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
               show_default=True, help=CEILING_HELP)
-@click.option("--out", type=click.Path(), default=None, help="write JSON here")
+@OUT_OPTION
 def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
     """Run one claim of the verification matrix.
 
@@ -231,7 +256,7 @@ def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
 @click.option("--max-degree", type=int, default=2, show_default=True)
 @click.option("--ceiling", type=int, default=DEFAULT_BASIS_CEILING,
               show_default=True, help="bar-resolution basis budget")
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def cmd_groupcoh(n, action, max_degree, ceiling, out):
     """Cohomology of S_n with trivial or sign integral coefficients."""
     if n < 1:
@@ -247,9 +272,8 @@ def cmd_groupcoh(n, action, max_degree, ceiling, out):
         click.echo(f"resource error: {exc}", err=True)
         sys.exit(2)
     # degree max_degree + 1 lacks its outgoing coboundary
-    groups = homology(c)[:max_degree + 1]
-    payload = homology_to_json(groups, group=f"S_{n}", action=action,
-                               coeffs="Z", cohomology=True)
+    payload = homology_to_json(homology(c, through=max_degree), group=f"S_{n}",
+                               action=action, coeffs="Z", cohomology=True)
     _emit(payload, out)
 
 
@@ -262,7 +286,7 @@ def cmd_groupcoh(n, action, max_degree, ceiling, out):
 @click.option("--trunc", type=int, default=None)
 @click.option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
               show_default=True, help=CEILING_HELP)
-@click.option("--out", type=click.Path(), default=None)
+@OUT_OPTION
 def cmd_page(space, d, n, variant, trunc, ceiling, out):
     """Spectral-sequence pages of the points-count filtration."""
     if n < 1:

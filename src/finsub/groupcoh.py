@@ -156,4 +156,4 @@ def group_cohomology(n: int, action: CoefficientAction | str, r: int,
     if r < 0:
         raise ValueError("degree must be non-negative")
     c = bar_cochain_complex(n, action, r, ceiling=ceiling)
-    return homology(c)[r]
+    return homology(c, through=r)[r]

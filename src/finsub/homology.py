@@ -20,6 +20,7 @@ from .simplicial import SimplicialMap, SimplicialSet, SpaceLike, underlying
 from .snf import (
     SparseIntMatrix,
     _untracked_diagonal,
+    _untracked_rank,
     diagonalize,
     divisor_chain,
     invariant_factors,
@@ -236,8 +237,10 @@ def relative_complex(x: SpaceLike, a: Optional[SimplicialMap],
 # Homology groups
 # ----------------------------------------------------------------------
 
-def homology(c: ChainComplex, coeffs: str = "Z") -> list[HomologyGroup]:
-    """Homology (or cohomology, for cochain complexes) in all degrees.
+def homology(c: ChainComplex, coeffs: str = "Z",
+             through: Optional[int] = None) -> list[HomologyGroup]:
+    """Homology (or cohomology, for cochain complexes) in degrees
+    0..``through`` (default: all).
 
     rank H_k = dim_k - rank(out_k) - rank(in_k); torsion comes from the
     invariant factors of the incoming differential.  Rational mode
@@ -266,33 +269,62 @@ def homology(c: ChainComplex, coeffs: str = "Z") -> list[HomologyGroup]:
     (Chen-Kerber 2011; Bauer-Kerber-Reininghaus 2014); unit pivots are
     what make it exact over Z, and rows of the residue are not
     cleared, even where its elimination ends on a unit.
+
+    A differential gets its invariant factors only when ``coeffs`` is
+    "Z" and the degree that takes torsion from it -- k for boundary[k]
+    of a cochain complex, k-1 for a chain complex -- is at most
+    ``through``.  Every other one is eliminated for its rank alone,
+    through the same echelon with the same clearing, and its stream
+    stops once the rank is fixed (``snf._untracked_rank``):
+
+    * the rows streamed so far are a subset of the rows of M, so their
+      rank is a lower bound for rank M;
+    * clearing leaves rank M unchanged, as above;
+    * the differential N eliminated just before M ends where M starts,
+      and M . N = 0 puts the image of N inside the kernel of M, so
+      rank M <= M.cols - rank N; once the streamed rows reach that
+      bound, rank M is fixed;
+    * the echelon at the stop is still A . M[P, :] for its pivot rows
+      P and a unimodular A, so M[P, Q] is unimodular as above, and
+      clearing the next differential by P stays exact.
+
+    The ranks of every degree are checked against its cell count, the
+    unreported ones too.
     """
     if coeffs not in ("Z", "Q"):
         raise ValueError("coeffs must be 'Z' or 'Q'")
     top = c.top_degree
-    factors: dict[int, list[int]] = {}
+    if through is None:
+        through = top
+    elif not 0 <= through <= top:
+        raise ValueError(f"through must be in 0..{top}, got {through}")
+    ranks: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
     paired: set[int] = set()
+    last_rank = 0
     for k in (range(top + 1) if c.cochain else range(top, -1, -1)):
-        pivot_rows, diagonal = _untracked_diagonal(c.boundary[k], paired)
-        factors[k] = divisor_chain(diagonal)
+        m = c.boundary[k]
+        if coeffs == "Z" and (k if c.cochain else k - 1) <= through:
+            pivot_rows, diagonal = _untracked_diagonal(m, paired)
+            factors = divisor_chain(diagonal)
+            ranks[k] = len(factors)
+            torsion[k] = tuple(f for f in factors if f > 1)
+        else:
+            pivot_rows, ranks[k] = _untracked_rank(m, paired, m.cols - last_rank)
         paired = set(pivot_rows)
+        last_rank = ranks[k]
     out: list[HomologyGroup] = []
     for k in range(top + 1):
-        if c.cochain:
-            out_key = k + 1 if k + 1 <= top else None
-            in_key = k
-        else:
-            out_key = k
-            in_key = k + 1 if k + 1 <= top else None
-        out_rank = len(factors[out_key]) if out_key is not None else 0
-        in_factors = factors[in_key] if in_key is not None else []
-        r = c.dims[k] - out_rank - len(in_factors)
+        out_key, in_key = (k + 1, k) if c.cochain else (k, k + 1)
+        out_rank = ranks.get(out_key, 0)
+        in_rank = ranks.get(in_key, 0)
+        r = c.dims[k] - out_rank - in_rank
         if r < 0:
             raise RuntimeError(
                 f"degree {k}: {c.dims[k]} cells but differential ranks "
-                f"{out_rank} out + {len(in_factors)} in")
-        torsion = tuple(f for f in in_factors if f > 1) if coeffs == "Z" else ()
-        out.append(HomologyGroup(r, torsion))
+                f"{out_rank} out + {in_rank} in")
+        if k <= through:
+            out.append(HomologyGroup(r, torsion.get(in_key, ())))
     return out
 
 
@@ -308,8 +340,7 @@ def space_homology(space: SpaceLike, reduced: bool = False,
     Only degrees <= maxdeg - 1 are returned (the trusted range).
     """
     c = normalized_complex(space, reduced=reduced, maxdeg=maxdeg)
-    groups = homology(c, coeffs)
-    return groups[:-1] if len(groups) > 1 else groups
+    return homology(c, coeffs, through=max(c.top_degree - 1, 0))
 
 
 # ----------------------------------------------------------------------

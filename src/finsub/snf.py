@@ -28,12 +28,14 @@ let go once it has been streamed, so besides the echelon and its
 column index it holds only the distinct waiting rows.  The waiting rows,
 reduced again by the final echelon, form the residue; it is streamed
 into a row echelon over Z by gcd steps, and the engine finishes on that
-echelon.  ``homology.homology`` runs the same path and
-clears columns by the unit echelon's pivot rows.  :func:`kernel_lattice`
-reads a kernel basis straight off the same echelon and gives the engine
-only the residue, with the column transform tracked, while
-``smith_normal_form(transforms=True)`` and ``diagonalize`` track the
-transforms of the whole matrix they are given.
+echelon.  :func:`rank` stops at that row echelon: its rows count the
+residue's rank.  ``homology.homology`` runs the same path and clears
+columns by the unit echelon's pivot rows; a differential it needs only
+the rank of stops streaming once the rank is fixed.
+:func:`kernel_lattice` reads a kernel basis straight off the same
+echelon and gives the engine only the residue, with the column
+transform tracked, while ``smith_normal_form(transforms=True)`` and
+``diagonalize`` track the transforms of the whole matrix they are given.
 """
 
 from __future__ import annotations
@@ -549,7 +551,8 @@ def _reduce(x: dict[int, int], echelon: dict[int, dict[int, int]]) -> None:
                 del x[c2]
 
 
-def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
+def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = (),
+                  bound: Optional[int] = None
                   ) -> tuple[list[int], dict[int, dict[int, int]],
                              list[dict[int, int]]]:
     """Stream the rows of ``m`` into a fully reduced +-1 echelon.
@@ -585,6 +588,18 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
     the row lattice of R.  Waiting rows never pick pivots, so the pivots
     and the echelon stay the same, and the residue is the one without
     the check with later repeats (up to sign) left out.
+
+    Given a ``bound`` that the rank of ``m`` cannot exceed, the stream
+    stops as soon as the rows streamed so far reach it.  Those rows are
+    row-equivalent to [E; W] for the waiting rows W, so their rank is
+    |E| plus the rank of W reduced by E, which ``_gcd_echelon`` counts;
+    they are a subset of the rows of ``m``, so once that sum reaches
+    ``bound`` the rank of ``m`` is ``bound``.  The check runs only once
+    |E| + |W| reaches ``bound``, and again only after E has grown or W
+    has doubled since the last one.  On a stop, the residue is that gcd
+    echelon: it spans the same lattice as W reduced by E and is zero on
+    E's pivot columns, so the streamed rows are row-equivalent to
+    [E; residue; 0] and everything above holds for them.
     """
     rows: list[Optional[dict[int, int]]] = [{} for _ in range(m.rows)]
     for c, col in enumerate(m._cols):
@@ -599,7 +614,16 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
     waiting: list[dict[int, int]] = []
     # hash of a waiting row with its sign fixed -> the waiting rows
     held: dict[int, list[dict[int, int]]] = {}
+    # echelon and waiting sizes at the last rank check
+    checked = (-1, 0)
     for r in sorted(range(m.rows), key=lambda r: len(rows[r])):
+        if bound is not None and len(echelon) + len(waiting) >= bound and (
+                len(echelon) > checked[0] or len(waiting) >= 2 * checked[1]):
+            checked = (len(echelon), len(waiting))
+            basis = _gcd_echelon(_reduced_copies(waiting, echelon))
+            if len(echelon) + len(basis) >= bound:
+                waiting = basis
+                break
         x = rows[r]
         rows[r] = None
         _reduce(x, echelon)
@@ -641,6 +665,19 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
         if x:
             residue.append(x)
     return pivot_rows, echelon, residue
+
+
+def _reduced_copies(rows: list[dict[int, int]],
+                    echelon: dict[int, dict[int, int]]) -> list[dict[int, int]]:
+    """Copies of ``rows`` reduced by ``echelon``, zero rows dropped; the
+    rows themselves stay as they are, for ``_hold`` to compare with."""
+    out = []
+    for w in rows:
+        x = dict(w)
+        _reduce(x, echelon)
+        if x:
+            out.append(x)
+    return out
 
 
 def _hold(x: dict[int, int], held: dict[int, list[dict[int, int]]]) -> bool:
@@ -704,6 +741,17 @@ def _untracked_diagonal(m: SparseIntMatrix, skip_cols: Collection[int] = ()
     return pivot_rows, diagonal
 
 
+def _untracked_rank(m: SparseIntMatrix, skip_cols: Collection[int] = (),
+                    bound: Optional[int] = None) -> tuple[list[int], int]:
+    """The pivot rows of the unit echelon of ``m`` and the rank of ``m``:
+    the pivot count plus the rank of a gcd row echelon of the residue,
+    with no ``_Elimination`` run.  A ``bound`` on the rank lets the
+    stream stop early (see ``_unit_echelon``); the pivot rows are then
+    those taken by the stop."""
+    pivot_rows, _, residue = _unit_echelon(m, skip_cols, bound)
+    return pivot_rows, len(pivot_rows) + len(_gcd_echelon(residue))
+
+
 def invariant_factors(m: SparseIntMatrix) -> list[int]:
     """Invariant factors of ``m``: positive, each dividing the next."""
     return divisor_chain(_untracked_diagonal(m)[1])
@@ -711,7 +759,7 @@ def invariant_factors(m: SparseIntMatrix) -> list[int]:
 
 def rank(m: SparseIntMatrix) -> int:
     """Rank over Q (equivalently over Z up to torsion)."""
-    return len(_untracked_diagonal(m)[1])
+    return _untracked_rank(m)[1]
 
 
 def diagonalize(m: SparseIntMatrix, track_u: bool = False, track_v: bool = False,

@@ -3,7 +3,9 @@
 ``homology`` eliminates each differential with the columns left out that
 the pivot rows of the previous differential's unit echelon pair with.
 Every group it reports must equal the group read off eliminating each
-differential alone with ``_Elimination``.
+differential alone with ``_Elimination``, also when ``through`` leaves
+the differentials that give torsion only to later degrees to a rank-only
+stream that stops at the d.d bound.
 """
 
 import pytest
@@ -12,7 +14,14 @@ from conftest import conjugated
 from finsub.groupcoh import CoefficientAction, bar_cochain_complex
 from finsub.homology import ChainComplex, HomologyGroup, homology
 from finsub.simplicial import sphere_model, torus_model
-from finsub.snf import SparseIntMatrix, _Elimination, _untracked_diagonal, divisor_chain
+import finsub.snf as snf
+from finsub.snf import (
+    SparseIntMatrix,
+    _Elimination,
+    _untracked_diagonal,
+    _untracked_rank,
+    divisor_chain,
+)
 from finsub.subsetspace import keyed_complex
 
 
@@ -33,6 +42,15 @@ def assert_clearing_exact(c):
     want = per_matrix_groups(c)
     assert homology(c) == want
     assert [g.rank for g in homology(c, "Q")] == [g.rank for g in want]
+    # through=0 on a trivial-action bar complex leaves delta^0 = 0 to the
+    # rank-only stream, whose bound 1 it never reaches (H^0 = Z)
+    for k in range(c.top_degree + 1):
+        assert homology(c, through=k) == want[:k + 1]
+        assert homology(c, "Q", through=k) == \
+            [HomologyGroup(g.rank) for g in want[:k + 1]]
+    for k in (-1, c.top_degree + 1):
+        with pytest.raises(ValueError, match="through"):
+            homology(c, through=k)
 
 
 def residue_unit_pivots(c):
@@ -91,3 +109,43 @@ def test_unit_pivots_after_a_non_unit_pick_are_not_cleared(d1, d2):
     c = ChainComplex([1, d2.rows, d2.cols], [SparseIntMatrix(0, 1), d1, d2])
     c.assert_valid()
     assert homology(c) == [HomologyGroup(0)] * 3 == per_matrix_groups(c)
+
+
+@pytest.mark.parametrize("c", [
+    bar_cochain_complex(3, CoefficientAction("sign"), 2),
+    bar_cochain_complex(4, CoefficientAction("trivial"), 1),
+    keyed_complex(sphere_model(2, 7), 3, "exp"),
+    conjugated(keyed_complex(torus_model(5), 2, "bar", reduced=True), 7, 2)])
+def test_rank_only_stream_takes_a_prefix_of_the_pivot_rows(c):
+    # with the clearing homology() does, stopped at the d.d bound or not
+    paired, last_rank = set(), 0
+    top = c.top_degree
+    for k in (range(top + 1) if c.cochain else range(top, -1, -1)):
+        m = c.boundary[k]
+        pivot_rows, diagonal = _untracked_diagonal(m, paired)
+        stopped_rows, r = _untracked_rank(m, paired, m.cols - last_rank)
+        assert r == len(diagonal) == _untracked_rank(m, paired)[1]
+        assert stopped_rows == pivot_rows[:len(stopped_rows)]
+        paired, last_rank = set(stopped_rows), r
+
+
+def test_rank_only_stream_stops_early_on_the_top_bar_coboundary(monkeypatch):
+    c = bar_cochain_complex(4, CoefficientAction("trivial"), 2)
+    top = c.boundary[3]
+    assert (top.rows, top.cols) == (12167, 529)
+    streamed = []
+    reduce, unit_echelon = snf._reduce, snf._unit_echelon
+
+    def unit_echelon_of(m, *args):
+        streamed.append(m)
+        return unit_echelon(m, *args)
+
+    def counting(x, echelon):
+        calls[streamed[-1] is top] += 1
+        reduce(x, echelon)
+
+    calls = [0, 0]
+    monkeypatch.setattr(snf, "_unit_echelon", unit_echelon_of)
+    monkeypatch.setattr(snf, "_reduce", counting)
+    assert [str(g) for g in homology(c, through=2)] == ["Z", "0", "Z/2"]
+    assert 0 < calls[True] < 4000

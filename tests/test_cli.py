@@ -120,6 +120,42 @@ def test_homology_rejects_trunc_without_trusted_degree(runner, space):
     assert groups_of(json.loads(res.output)) == {0: (1, ())}
 
 
+@pytest.mark.parametrize("space", [["--space", "sphere", "--d", "2", "--n", "2"],
+                                   ["--space", "torus", "--n", "2"]])
+def test_page_rejects_trunc_without_trusted_degree(runner, space):
+    res = runner.invoke(main, ["page", *space, "--trunc", "0"])
+    assert res.exit_code == 2
+    errors = [line for line in res.output.splitlines() if line.startswith("Error")]
+    assert len(errors) == 1 and "--trunc must be >= 1" in errors[0]
+    res = runner.invoke(main, ["page", *space, "--trunc", "1"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["pages"]
+
+
+@pytest.mark.parametrize("args", [
+    ["homology", "--space", "sphere", "--d", "2", "--n", "2"],
+    ["verify", "thm2", "-n", "2", "-d", "2"],
+    ["groupcoh", "-n", "3", "--max-degree", "1"],
+    ["page", "--space", "sphere", "--d", "2", "--n", "2"],
+])
+@pytest.mark.parametrize("where", ["no such folder", "a folder"])
+def test_unwritable_out_is_refused_before_any_work(runner, monkeypatch, tmp_path,
+                                                   args, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the job ran before --out was checked")
+
+    cli_module = importlib.import_module("finsub.cli")
+    for name in ("keyed_complex", "run_claim", "bar_cochain_complex",
+                 "filtered_complex"):
+        monkeypatch.setattr(cli_module, name, no_work)
+    out = tmp_path / "missing" / "x.json" if where == "no such folder" else tmp_path
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error")]
+    assert len(errors) == 1 and "'--out'" in errors[0]
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("args, option", [
     (["homology", "--space", "sphere", "--d", "2", "--n", "2"], "--ceiling"),
     (["page", "--space", "sphere", "--d", "2", "--n", "2"], "--ceiling"),

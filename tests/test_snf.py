@@ -16,6 +16,7 @@ from finsub.simplicial import sphere_model, torus_model
 from finsub.snf import (
     SparseIntMatrix,
     _Elimination,
+    _untracked_rank,
     diagonalize,
     divisor_chain,
     invariant_factors,
@@ -328,6 +329,8 @@ def assert_matches_reference(m, tracked=True):
     want = reference.invariant_factors(m)
     assert invariant_factors(m) == want == elimination_alone(m)
     assert rank(m) == len(want)
+    for bound in (len(want), m.cols):  # stopped as soon as it is reached
+        assert _untracked_rank(m, (), bound)[1] == len(want)
     if not tracked:
         return
     assert reference.rank(m) == len(want)
