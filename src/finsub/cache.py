@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Optional
 
 from .snf import SparseIntMatrix
@@ -34,10 +33,10 @@ def descriptor_key(descriptor: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@dataclass
 class CacheStats:
-    entries: int
-    bytes: int
+    def __init__(self, entries: int, bytes: int):
+        self.entries = entries
+        self.bytes = bytes
 
     def to_json(self) -> dict:
         return {"entries": self.entries, "bytes": self.bytes}

@@ -12,7 +12,6 @@ and never fails the run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .groupcoh import CoefficientAction, bar_cochain_complex
@@ -34,17 +33,24 @@ MISMATCH = "mismatch"
 ADJUDICATED = "adjudicated"
 
 
-@dataclass
+class ParameterError(ValueError):
+    """A claim or command parameter outside the range it accepts."""
+
+
 class VerificationReport:
-    claim: str
-    params: dict
-    statement: str
-    provenance: str
-    expected: object
-    computed: object
-    verdict: str
-    wall_time: float = 0.0
-    detail: Optional[str] = None
+    def __init__(self, claim: str, params: dict, statement: str,
+                 provenance: str, expected: object, computed: object,
+                 verdict: str, wall_time: float = 0.0,
+                 detail: Optional[str] = None):
+        self.claim = claim
+        self.params = params
+        self.statement = statement
+        self.provenance = provenance
+        self.expected = expected
+        self.computed = computed
+        self.verdict = verdict
+        self.wall_time = wall_time
+        self.detail = detail
 
     def to_json(self, include_timing: bool = False) -> dict:
         out = {
@@ -111,9 +117,9 @@ def _verdict(expected, computed) -> str:
 
 def claim_circle(n: int, d: Optional[int], opts: dict) -> list[VerificationReport]:
     if d not in (None, 1):
-        raise ValueError("the circle claim is about d=1")
+        raise ParameterError("the circle claim is about d=1")
     if n < 2:
-        raise ValueError("circle claim needs n >= 2")
+        raise ParameterError("circle claim needs n >= 2")
     m = n if n % 2 else n - 1
     computed = _groups(sphere_model(1, n + 1), n, "exp", opts)
     expected = _sphere_groups(m, n)
@@ -127,9 +133,9 @@ def claim_circle(n: int, d: Optional[int], opts: dict) -> list[VerificationRepor
 
 def claim_tuffley_s2(n: int, d: Optional[int], opts: dict) -> list[VerificationReport]:
     if d not in (None, 2):
-        raise ValueError("the tuffley-s2 claim is about d=2")
+        raise ParameterError("the tuffley-s2 claim is about d=2")
     if n < 2:
-        raise ValueError("tuffley-s2 needs n >= 2")
+        raise ParameterError("tuffley-s2 needs n >= 2")
     _check_nd(n, 2, opts["budget_nd"])
     computed = _groups(sphere_model(2, 2 * n + 1), n, "exp", opts)
     expected = [HomologyGroup(0)] * (2 * n + 1)
@@ -175,9 +181,9 @@ def _thm1_expected(n: int, d: int) -> list[int]:
 
 def claim_thm1(n: int, d: int, opts: dict) -> list[VerificationReport]:
     if n < 2 or d < 1:
-        raise ValueError("thm1 needs n >= 2 and d >= 1")
+        raise ParameterError("thm1 needs n >= 2 and d >= 1")
     if d == 1:
-        raise ValueError("for d=1 use the circle claim (exact homotopy type)")
+        raise ParameterError("for d=1 use the circle claim (exact homotopy type)")
     _check_nd(n, d, opts["budget_nd"])
     computed = [g.rank for g in _groups(sphere_model(d, n * d + 1), n, "exp",
                                          opts, coeffs="Q")]
@@ -194,7 +200,7 @@ def claim_thm1(n: int, d: int, opts: dict) -> list[VerificationReport]:
 
 def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
     if n < 2 or d < 2:
-        raise ValueError("thm2 needs n >= 2 and d >= 2")
+        raise ParameterError("thm2 needs n >= 2 and d >= 2")
     _check_nd(n, d, opts["budget_nd"])
     action = CoefficientAction("trivial" if d % 2 == 0 else "sign")
     # homology of exp_n S^d in degrees nd-r for r < d needs trusted degrees
@@ -239,9 +245,9 @@ def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
 
 def claim_thm2a_partial(n: int, d: int, opts: dict) -> list[VerificationReport]:
     if n < 3:
-        raise ValueError("thm2a-partial needs n >= 3")
+        raise ParameterError("thm2a-partial needs n >= 3")
     if d < 2:
-        raise ValueError("thm2a-partial needs d >= 2")
+        raise ParameterError("thm2a-partial needs d >= 2")
     _check_nd(n, d, opts["budget_nd"])
     deg = n * d - d
     base = sphere_model(d, deg + 1)
@@ -274,14 +280,14 @@ def claim_thm2a_partial(n: int, d: int, opts: dict) -> list[VerificationReport]:
 def claim_lemma_quo(n: int, d: Optional[int], opts: dict,
                     space: str = "sphere") -> list[VerificationReport]:
     if n < 1:
-        raise ValueError("lemma-quo needs n >= 1")
+        raise ParameterError("lemma-quo needs n >= 1")
     if space == "torus":
         base: BasedSimplicialSet = torus_model(2 * n + 1)
         dim = 2
         tag = "torus"
     else:
         if d is None:
-            raise ValueError("lemma-quo on spheres needs d")
+            raise ParameterError("lemma-quo on spheres needs d")
         _check_nd(n, d, opts["budget_nd"])
         base = sphere_model(d, n * d + 1)
         dim = d
@@ -298,7 +304,7 @@ def claim_lemma_quo(n: int, d: Optional[int], opts: dict,
 
 def claim_connectivity(n: int, d: int, opts: dict) -> list[VerificationReport]:
     if n < 1 or d < 1:
-        raise ValueError("connectivity needs n >= 1 and d >= 1")
+        raise ParameterError("connectivity needs n >= 1 and d >= 1")
     _check_nd(n, d, opts["budget_nd"])
     bound = n + d - 3  # (m + n - 2)-connected with m = d - 1
     trunc = min(n * d + 1, max(bound + 2, 1))
@@ -317,9 +323,9 @@ def claim_connectivity(n: int, d: int, opts: dict) -> list[VerificationReport]:
 def claim_connecting(n: int, d: Optional[int], opts: dict) -> list[VerificationReport]:
     d = 2 if d is None else d
     if d % 2:
-        raise ValueError("the connecting claim concerns even d")
+        raise ParameterError("the connecting claim concerns even d")
     if n < 2:
-        raise ValueError("connecting needs n >= 2")
+        raise ParameterError("connecting needs n >= 2")
     _check_nd(n, d, opts["budget_nd"])
     k = n * d - d + 1
     src, tgt, block = keyed_connecting(sphere_model(d, k + 1), n, k,
@@ -343,7 +349,7 @@ def claim_connecting(n: int, d: Optional[int], opts: dict) -> list[VerificationR
 
 def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
     if n < 1 or d < 1:
-        raise ValueError("e1-collapse needs n >= 1 and d >= 1")
+        raise ParameterError("e1-collapse needs n >= 1 and d >= 1")
     _check_nd(n, d, opts["budget_nd"])
     base = sphere_model(d, n * d + 1)
     f = filtered_complex(base, n, "bar", ceiling=opts["ceiling"])
@@ -400,9 +406,9 @@ def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
 def claim_groupcoh_xcheck(n: int, d: Optional[int], opts: dict) -> list[VerificationReport]:
     d = 3 if d is None else d
     if d != 3:
-        raise ValueError("groupcoh-xcheck compares at d=3")
+        raise ParameterError("groupcoh-xcheck compares at d=3")
     if n not in (2, 3):
-        raise ValueError("groupcoh-xcheck covers n in {2, 3}")
+        raise ParameterError("groupcoh-xcheck covers n in {2, 3}")
     _check_nd(n, d, opts["budget_nd"])
     h = _groups(sphere_model(3, 3 * n + 1), n, "conf-bar", opts, reduced=True)
     cohomology = homology(bar_cochain_complex(n, CoefficientAction("sign"), 2),
@@ -431,14 +437,14 @@ def claim_groupcoh_xcheck(n: int, d: Optional[int], opts: dict) -> list[Verifica
 def claim_generaltwo(n: int, d: Optional[int], opts: dict,
                      space: str = "torus") -> list[VerificationReport]:
     if n < 1:
-        raise ValueError("generaltwo needs n >= 1")
+        raise ParameterError("generaltwo needs n >= 1")
     if space == "torus":
         dim = 2
         base = torus_model(2 * n + 1)
         tag = "torus"
     else:
         if d is None:
-            raise ValueError("generaltwo on spheres needs d")
+            raise ParameterError("generaltwo on spheres needs d")
         _check_nd(n, d, opts["budget_nd"])
         dim = d
         base = sphere_model(d, n * d + 1)
@@ -478,13 +484,15 @@ def run_claim(claim: str, n: Optional[int], d: Optional[int], *,
               ceiling: int, budget_nd: int = DEFAULT_BUDGET_ND,
               space: str = "sphere") -> list[VerificationReport]:
     if claim not in CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}; choose from "
+        raise ParameterError(f"unknown claim {claim!r}; choose from "
                          f"{', '.join(sorted(CLAIMS))}")
     if n is None:
-        raise ValueError(f"claim {claim!r} needs -n")
+        raise ParameterError(f"claim {claim!r} needs -n")
     if d is None and claim in ("thm1", "thm2", "thm2a-partial", "connectivity",
                                "e1-collapse"):
-        raise ValueError(f"claim {claim!r} needs -d")
+        raise ParameterError(f"claim {claim!r} needs -d")
+    if d is not None and d < 1:
+        raise ParameterError("-d must be >= 1")
     opts = {"ceiling": ceiling, "budget_nd": budget_nd}
     t0 = time.time()
     fn = CLAIMS[claim]

@@ -5,24 +5,27 @@ Subcommands: ``homology`` (build a space and compute its homology),
 (symmetric group cohomology), ``page`` (spectral-sequence pages of a
 filtration), ``cache`` (boundary-matrix cache management).
 
-Exit codes: 0 on success / all-match, 1 on any mismatch or resource
-failure during computation, 2 on usage errors.  JSON outputs are
-byte-identical across runs for identical inputs; timing information
-only appears in the human-readable log lines.
+Exit codes: 0 on success / all-match, 1 on any mismatch, 2 on usage
+errors and resource refusals.  A usage error prints a ``Usage:`` line and
+an ``Error:`` line to stderr.  Only bad arguments, an unreadable space
+file and a :class:`~finsub.claims.ParameterError` count as one; any
+other exception, a ``ValueError`` included, is an engine fault and
+propagates.  JSON outputs are byte-identical across runs for identical
+inputs; timing information only appears in the human-readable log
+lines.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 from typing import Optional
 
-import click
-
 from . import __version__
 from . import cache as cache_mod
-from .claims import DEFAULT_BUDGET_ND, run_claim
+from .claims import DEFAULT_BUDGET_ND, ParameterError, run_claim
 from .groupcoh import (
     DEFAULT_BASIS_CEILING,
     CoefficientAction,
@@ -32,6 +35,8 @@ from .groupcoh import (
 from .homology import ChainComplex, homology, homology_to_json
 from .simplicial import (
     BasedSimplicialSet,
+    SimplexRef,
+    SimplicialSet,
     SpaceFormatError,
     load_space,
     space_hash,
@@ -45,11 +50,19 @@ CONSTRUCTIONS = ("expn", "based", "bar", "conf")
 CEILING_HELP = "non-degenerate cells allowed in any one degree"
 
 
-def _writable_out(ctx: click.Context, param: click.Parameter,
-                  out: Optional[str]) -> Optional[str]:
-    """Refuse an --out path that cannot be written, before any work."""
-    if out is None:
-        return out
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors read ``Usage: ...``, ``Error: ...``
+    on stderr and exit 2."""
+
+    def error(self, message: str):
+        sys.stderr.write(f"Usage: {self.usage % {'prog': self.prog}}\n"
+                         f"Try '{self.prog} --help' for help.\n\n"
+                         f"Error: {message}\n")
+        sys.exit(2)
+
+
+def _writable_out(out: str) -> None:
+    """Refuse an --out path that cannot be written."""
     folder = os.path.dirname(os.path.abspath(out))
     if os.path.isdir(out):
         problem = "is a directory"
@@ -58,12 +71,8 @@ def _writable_out(ctx: click.Context, param: click.Parameter,
     elif not os.access(out if os.path.exists(out) else folder, os.W_OK):
         problem = "is not writable"
     else:
-        return out
-    raise click.BadParameter(f"{out!r} {problem}", ctx, param)
-
-
-OUT_OPTION = click.option("--out", type=click.Path(), default=None,
-                          callback=_writable_out, help="write JSON here")
+        return
+    raise ParameterError(f"Invalid value for '--out': {out!r} {problem}")
 
 
 def _emit(data: dict, out: Optional[str]) -> None:
@@ -75,46 +84,50 @@ def _emit(data: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_space(space: str, d: Optional[int], trunc: Optional[int],
-                   default_trunc: int) -> tuple[BasedSimplicialSet, str, Optional[int]]:
+def _no_trusted_degree(trunc: int) -> ParameterError:
+    return ParameterError(f"truncation level {trunc} leaves no trusted "
+                          "degree; --trunc must be >= 1")
+
+
+def _resolve_space(space: str, d: Optional[int], n: int, trunc: Optional[int]
+                   ) -> tuple[BasedSimplicialSet, str, Optional[int]]:
     """Returns (based space, tag, dimension-if-known), refusing a space
-    whose truncation leaves no trusted degree."""
+    whose truncation leaves no trusted degree.  Sphere and torus models
+    are truncated at n*dim+1 unless ``trunc`` is given."""
+    if trunc is not None and trunc < 1:  # degree trunc is never trusted
+        raise _no_trusted_degree(trunc)
     if space == "sphere":
         if d is None:
-            raise click.UsageError("--space sphere needs --d")
-        t = trunc if trunc is not None else default_trunc
-        base, tag, dim = sphere_model(d, t), "sphere", d
-    elif space == "torus":
-        t = trunc if trunc is not None else default_trunc
-        base, tag, dim = torus_model(t), "torus", 2
-    elif space.startswith("file:"):
-        path = space[5:]
-        try:
-            loaded = load_space(path)
-        except (OSError, SpaceFormatError) as exc:
-            raise click.UsageError(f"cannot load space file: {exc}")
-        if not isinstance(loaded, BasedSimplicialSet):
-            raise click.UsageError(
-                "space file has no basepoint; subset constructions need one")
-        if trunc is not None and trunc < loaded.trunc:
-            from .simplicial import SimplicialSet, SimplexRef
-            xs = loaded.space
-            cut = SimplicialSet(
-                trunc, xs.levels[:trunc + 1],
-                [xs.faces[k] if k <= trunc else None for k in range(trunc + 1)],
-                [xs.degeneracies[k] if k < trunc else None
-                 for k in range(trunc + 1)],
-                xs.labels[:trunc + 1] if xs.labels else None)
-            loaded = BasedSimplicialSet(cut, SimplexRef(0, loaded.basepoint.index))
-        base, tag, dim = loaded, f"file:{path}", None
-    else:
-        raise click.UsageError(
+            raise ParameterError("--space sphere needs --d")
+        if d < 1:
+            raise ParameterError("--d must be >= 1")
+        base = sphere_model(d, trunc if trunc is not None else n * d + 1)
+        return base, "sphere", d
+    if space == "torus":
+        return torus_model(trunc if trunc is not None else 2 * n + 1), "torus", 2
+    if not space.startswith("file:"):
+        raise ParameterError(
             f"unknown space {space!r}: use sphere, torus or file:PATH")
-    if base.trunc < 1:  # degree trunc is never trusted
-        raise click.UsageError(
-            f"truncation level {base.trunc} leaves no trusted degree; "
-            "--trunc must be >= 1")
-    return base, tag, dim
+    path = space[5:]
+    try:
+        loaded = load_space(path)
+    except (OSError, SpaceFormatError) as exc:
+        raise ParameterError(f"cannot load space file: {exc}")
+    if not isinstance(loaded, BasedSimplicialSet):
+        raise ParameterError(
+            "space file has no basepoint; subset constructions need one")
+    if loaded.trunc < 1:
+        raise _no_trusted_degree(loaded.trunc)
+    if trunc is not None and trunc < loaded.trunc:
+        xs = loaded.space
+        cut = SimplicialSet(
+            trunc, xs.levels[:trunc + 1],
+            [xs.faces[k] if k <= trunc else None for k in range(trunc + 1)],
+            [xs.degeneracies[k] if k < trunc else None
+             for k in range(trunc + 1)],
+            xs.labels[:trunc + 1] if xs.labels else None)
+        loaded = BasedSimplicialSet(cut, SimplexRef(0, loaded.basepoint.index))
+    return loaded, f"file:{path}", None
 
 
 def _cached_complex(cache: cache_mod.BoundaryCache, key: str, top: int,
@@ -134,92 +147,45 @@ def _cached_complex(cache: cache_mod.BoundaryCache, key: str, top: int,
     return None if complex_.validate() else complex_
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="finsub")
-def main() -> None:
-    """Exact homology of finite subset spaces of spheres and friends."""
-
-
-@main.command(name="homology")
-@click.option("--space", default="sphere", show_default=True,
-              help="sphere, torus or file:PATH")
-@click.option("--d", type=int, default=None, help="sphere dimension")
-@click.option("--n", type=int, required=True, help="maximum number of points")
-@click.option("--construction", type=click.Choice(CONSTRUCTIONS), default="expn",
-              show_default=True)
-@click.option("--model", type=click.Choice(("based", "bar")), default="based",
-              show_default=True, help="model for --construction conf")
-@click.option("--coeffs", type=click.Choice(("Z", "Q")), default="Z",
-              show_default=True)
-@click.option("--max-degree", type=int, default=None,
-              help="report homology through this degree (default: trusted range)")
-@click.option("--trunc", type=int, default=None,
-              help="truncation level of the base space (default n*d+1)")
-@OUT_OPTION
-@click.option("--cache-dir", type=click.Path(), default=None,
-              envvar=cache_mod.ENV_VAR,
-              help=f"boundary-matrix cache (or ${cache_mod.ENV_VAR})")
-@click.option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
-              show_default=True, help=CEILING_HELP)
 def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
                  out, cache_dir, ceiling):
     """Homology of a subset-space construction over a base space."""
     if n < 1:
-        raise click.UsageError("--n must be >= 1")
+        raise ParameterError("--n must be >= 1")
     if max_degree is not None and max_degree < 0:
-        raise click.UsageError("--max-degree must be >= 0")
+        raise ParameterError("--max-degree must be >= 0")
     if ceiling < 0:
-        raise click.UsageError("--ceiling must be >= 0")
-    dim_guess = d if space == "sphere" else 2
-    default_trunc = n * dim_guess + 1 if dim_guess else None
-    try:
-        base, tag, dim = _resolve_space(space, d, trunc, default_trunc)
-        reduced = construction in ("bar", "conf")
-        cache = key = complex_ = None
-        if cache_dir:  # only a cache hashes, so other jobs never load hashlib
-            cache = cache_mod.BoundaryCache(cache_dir)
-            key = cache_mod.descriptor_key({
-                "base": space_hash(base), "construction": construction, "n": n,
-                "model": model if construction == "conf" else None,
-                "trunc": base.trunc, "reduced": reduced,
-                "format": cache_mod.FORMAT,
-            })
-            complex_ = _cached_complex(cache, key, base.trunc, reduced)
-        if complex_ is None:
-            variant = {"expn": "exp", "conf": f"conf-{model}"}.get(
-                construction, construction)
-            complex_ = keyed_complex(base, n, variant, reduced=reduced,
-                                     ceiling=ceiling)
-            if cache:
-                for k, m in enumerate(complex_.boundary):
-                    cache.put(key, k, m)
-        trusted = complex_.top_degree - 1  # degree trunc is never trusted
-        upto = trusted if max_degree is None else min(max_degree, trusted)
-        payload = homology_to_json(
-            homology(complex_, coeffs, through=upto), space=tag,
-            construction=construction, n=n, d=dim, reduced=reduced,
-            coeffs=coeffs)
-        if construction == "conf":
-            payload["model"] = model
-        _emit(payload, out)
-    except (BudgetError, ResourceError) as exc:
-        click.echo(f"resource error: {exc}", err=True)
-        sys.exit(2)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise ParameterError("--ceiling must be >= 0")
+    base, tag, dim = _resolve_space(space, d, n, trunc)
+    reduced = construction in ("bar", "conf")
+    cache = key = complex_ = None
+    if cache_dir:  # only a cache hashes, so other jobs never load hashlib
+        cache = cache_mod.BoundaryCache(cache_dir)
+        key = cache_mod.descriptor_key({
+            "base": space_hash(base), "construction": construction, "n": n,
+            "model": model if construction == "conf" else None,
+            "trunc": base.trunc, "reduced": reduced,
+            "format": cache_mod.FORMAT,
+        })
+        complex_ = _cached_complex(cache, key, base.trunc, reduced)
+    if complex_ is None:
+        variant = {"expn": "exp", "conf": f"conf-{model}"}.get(
+            construction, construction)
+        complex_ = keyed_complex(base, n, variant, reduced=reduced,
+                                 ceiling=ceiling)
+        if cache:
+            for k, m in enumerate(complex_.boundary):
+                cache.put(key, k, m)
+    trusted = complex_.top_degree - 1  # degree trunc is never trusted
+    upto = trusted if max_degree is None else min(max_degree, trusted)
+    payload = homology_to_json(
+        homology(complex_, coeffs, through=upto), space=tag,
+        construction=construction, n=n, d=dim, reduced=reduced, coeffs=coeffs)
+    if construction == "conf":
+        payload["model"] = model
+    _emit(payload, out)
 
 
-@main.command(name="verify")
-@click.argument("claim")
-@click.option("-n", type=int, default=None, help="number of points")
-@click.option("-d", type=int, default=None, help="sphere dimension")
-@click.option("--space", default="sphere", show_default=True,
-              help="sphere or torus (claims that support it)")
-@click.option("--budget-nd", type=int, default=DEFAULT_BUDGET_ND,
-              show_default=True, help="refuse runs with n*d above this")
-@click.option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
-              show_default=True, help=CEILING_HELP)
-@OUT_OPTION
 def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
     """Run one claim of the verification matrix.
 
@@ -227,107 +193,185 @@ def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
     exit 1 on any mismatch.
     """
     if budget_nd < 0:
-        raise click.UsageError("--budget-nd must be >= 0")
+        raise ParameterError("--budget-nd must be >= 0")
     if ceiling < 0:
-        raise click.UsageError("--ceiling must be >= 0")
-    try:
-        reports = run_claim(claim, n, d, ceiling=ceiling, budget_nd=budget_nd,
-                            space=space)
-    except (BudgetError, ResourceError) as exc:
-        click.echo(f"resource error: {exc}", err=True)
-        sys.exit(2)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise ParameterError("--ceiling must be >= 0")
+    reports = run_claim(claim, n, d, ceiling=ceiling, budget_nd=budget_nd,
+                        space=space)
     for rep in reports:
-        click.echo(str(rep))
-        click.echo("")
+        print(rep)
+        print()
     payload = {"claim": claim,
                "reports": [r.to_json(include_timing=False) for r in reports]}
     if out:
         _emit(payload, out)
     if any(r.verdict == "mismatch" for r in reports):
-        sys.exit(1)
+        return 1
 
 
-@main.command(name="groupcoh")
-@click.option("-n", type=int, required=True, help="symmetric group degree")
-@click.option("--action", type=click.Choice(("trivial", "sign")),
-              default="trivial", show_default=True)
-@click.option("--max-degree", type=int, default=2, show_default=True)
-@click.option("--ceiling", type=int, default=DEFAULT_BASIS_CEILING,
-              show_default=True, help="bar-resolution basis budget")
-@OUT_OPTION
 def cmd_groupcoh(n, action, max_degree, ceiling, out):
     """Cohomology of S_n with trivial or sign integral coefficients."""
     if n < 1:
-        raise click.UsageError("-n must be >= 1")
+        raise ParameterError("-n must be >= 1")
     if max_degree < 0:
-        raise click.UsageError("--max-degree must be >= 0")
+        raise ParameterError("--max-degree must be >= 0")
     if ceiling < 0:
-        raise click.UsageError("--ceiling must be >= 0")
-    try:
-        c = bar_cochain_complex(n, CoefficientAction(action), max_degree,
-                                ceiling=ceiling)
-    except ResourceError as exc:
-        click.echo(f"resource error: {exc}", err=True)
-        sys.exit(2)
+        raise ParameterError("--ceiling must be >= 0")
+    c = bar_cochain_complex(n, CoefficientAction(action), max_degree,
+                            ceiling=ceiling)
     # degree max_degree + 1 lacks its outgoing coboundary
     payload = homology_to_json(homology(c, through=max_degree), group=f"S_{n}",
                                action=action, coeffs="Z", cohomology=True)
     _emit(payload, out)
 
 
-@main.command(name="page")
-@click.option("--space", default="sphere", show_default=True)
-@click.option("--d", type=int, default=None)
-@click.option("--n", type=int, required=True)
-@click.option("--variant", type=click.Choice(("exp", "based", "bar")),
-              default="bar", show_default=True)
-@click.option("--trunc", type=int, default=None)
-@click.option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
-              show_default=True, help=CEILING_HELP)
-@OUT_OPTION
 def cmd_page(space, d, n, variant, trunc, ceiling, out):
     """Spectral-sequence pages of the points-count filtration."""
     if n < 1:
-        raise click.UsageError("--n must be >= 1")
+        raise ParameterError("--n must be >= 1")
     if ceiling < 0:
-        raise click.UsageError("--ceiling must be >= 0")
-    dim_guess = d if space == "sphere" else 2
-    default_trunc = n * dim_guess + 1 if dim_guess else None
-    try:
-        base, tag, dim = _resolve_space(space, d, trunc, default_trunc)
-        f = filtered_complex(base, n, variant, ceiling=ceiling)
-        seq = pages(f)
-        totals = seq[-1].total_dims()
-        payload = {
-            "space": tag, "d": dim, "n": n, "variant": variant,
-            "pages": [p.to_json() for p in seq],
-            "einfty_totals": [totals.get(m, 0) for m in range(f.top_degree + 1)],
-        }
-        _emit(payload, out)
-    except BudgetError as exc:
-        click.echo(f"resource error: {exc}", err=True)
-        sys.exit(2)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise ParameterError("--ceiling must be >= 0")
+    base, tag, dim = _resolve_space(space, d, n, trunc)
+    f = filtered_complex(base, n, variant, ceiling=ceiling)
+    seq = pages(f)
+    totals = seq[-1].total_dims()
+    payload = {
+        "space": tag, "d": dim, "n": n, "variant": variant,
+        "pages": [p.to_json() for p in seq],
+        "einfty_totals": [totals.get(m, 0) for m in range(f.top_degree + 1)],
+    }
+    _emit(payload, out)
 
 
-@main.command(name="cache")
-@click.argument("action", type=click.Choice(("stats", "clear")))
-@click.option("--cache-dir", type=click.Path(), default=None,
-              envvar=cache_mod.ENV_VAR, required=False)
 def cmd_cache(action, cache_dir):
     """Inspect or clear the boundary-matrix cache."""
     if not cache_dir:
-        raise click.UsageError(
-            f"give --cache-dir or set ${cache_mod.ENV_VAR}")
+        raise ParameterError(f"give --cache-dir or set ${cache_mod.ENV_VAR}")
     cache = cache_mod.BoundaryCache(cache_dir)
     if action == "stats":
         _emit(cache.stats().to_json(), None)
     else:
         removed = cache.clear()
         _emit({"removed": removed}, None)
+
+
+def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and one parser per subcommand."""
+    top = _Parser(prog=prog, usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+                  description="Exact homology of finite subset spaces of "
+                  "spheres and friends.", add_help=False, allow_abbrev=False)
+    top.add_argument("--version", action="version",
+                     version=f"finsub, version {__version__}",
+                     help="Show the version and exit.")
+    top.add_argument("--help", action="help",
+                     help="Show this message and exit.")
+    subs = top.add_subparsers(dest="command", prog=prog, metavar="COMMAND")
+    commands = {}
+
+    def command(fn, name, usage="[OPTIONS]"):
+        doc = fn.__doc__ or ""  # None under python -OO
+        sub = subs.add_parser(name, help=doc.split("\n")[0], description=doc,
+                              usage=f"%(prog)s {usage}", add_help=False,
+                              allow_abbrev=False)
+        sub.set_defaults(run=fn)
+        sub.add_argument("--help", action="help",
+                         help="Show this message and exit.")
+        commands[name] = sub
+        return sub.add_argument
+
+    def out(option):
+        option("--out", metavar="PATH", help="write JSON here")
+
+    def ceiling(option, default=DEFAULT_CELL_CEILING, help=CEILING_HELP):
+        option("--ceiling", type=int, default=default,
+               help=f"{help} [default: %(default)s]")
+
+    def cache_dir(option, help=None):
+        option("--cache-dir", metavar="PATH",
+               default=cache_mod.default_cache_dir(), help=help)
+
+    option = command(cmd_homology, "homology")
+    option("--space", default="sphere",
+           help="sphere, torus or file:PATH [default: %(default)s]")
+    option("--d", type=int, help="sphere dimension")
+    option("--n", type=int, required=True,
+           help="maximum number of points [required]")
+    option("--construction", choices=CONSTRUCTIONS, default="expn",
+           help="[default: %(default)s]")
+    option("--model", choices=("based", "bar"), default="based",
+           help="model for --construction conf [default: %(default)s]")
+    option("--coeffs", choices=("Z", "Q"), default="Z",
+           help="[default: %(default)s]")
+    option("--max-degree", type=int,
+           help="report homology through this degree (default: trusted range)")
+    option("--trunc", type=int,
+           help="truncation level of the base space (default n*d+1)")
+    out(option)
+    cache_dir(option, f"boundary-matrix cache (or ${cache_mod.ENV_VAR})")
+    ceiling(option)
+
+    option = command(cmd_verify, "verify", "[OPTIONS] CLAIM")
+    option("claim", metavar="CLAIM")
+    option("-n", type=int, help="number of points")
+    option("-d", type=int, help="sphere dimension")
+    option("--space", default="sphere", help="sphere or torus (claims that "
+           "support it) [default: %(default)s]")
+    option("--budget-nd", type=int, default=DEFAULT_BUDGET_ND,
+           help="refuse runs with n*d above this [default: %(default)s]")
+    ceiling(option)
+    out(option)
+
+    option = command(cmd_groupcoh, "groupcoh")
+    option("-n", type=int, required=True,
+           help="symmetric group degree [required]")
+    option("--action", choices=("trivial", "sign"), default="trivial",
+           help="[default: %(default)s]")
+    option("--max-degree", type=int, default=2, help="[default: %(default)s]")
+    ceiling(option, DEFAULT_BASIS_CEILING, "bar-resolution basis budget")
+    out(option)
+
+    option = command(cmd_page, "page")
+    option("--space", default="sphere", help="[default: %(default)s]")
+    option("--d", type=int)
+    option("--n", type=int, required=True, help="[required]")
+    option("--variant", choices=("exp", "based", "bar"), default="bar",
+           help="[default: %(default)s]")
+    option("--trunc", type=int)
+    ceiling(option)
+    out(option)
+
+    option = command(cmd_cache, "cache", "[OPTIONS] {stats|clear}")
+    option("action", choices=("stats", "clear"))
+    cache_dir(option)
+    return top, commands
+
+
+def main(argv: Optional[list[str]] = None,
+         prog_name: Optional[str] = None) -> None:
+    """Runs one command.  Returns on success; otherwise exits with the
+    command's code (1 on a verify mismatch, 2 on a usage or resource
+    error)."""
+    top, commands = _parser(prog_name or "finsub")
+    args, extra = top.parse_known_args(sys.argv[1:] if argv is None else argv)
+    if args.command is None:
+        top.error("Missing command.")
+    sub = commands[args.command]
+    if extra:
+        sub.error(f"unrecognized arguments: {' '.join(extra)}")
+    kwargs = vars(args)
+    del kwargs["command"]
+    run = kwargs.pop("run")
+    try:
+        if kwargs.get("out") is not None:
+            _writable_out(kwargs["out"])
+        code = run(**kwargs)
+    except ParameterError as exc:
+        sub.error(str(exc))
+    except (BudgetError, ResourceError) as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    if code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

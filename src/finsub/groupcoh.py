@@ -15,7 +15,6 @@ opt-in to very large eliminations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
 from .homology import ChainComplex, HomologyGroup, homology
@@ -31,15 +30,27 @@ class ResourceError(RuntimeError):
     """The bar resolution would exceed the configured basis ceiling."""
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """Permutation of {0..n-1} in one-line notation."""
+    """Permutation of {0..n-1} in one-line notation.  A value: equal
+    permutations hash alike."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"{self.images} is not a permutation")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"{images} is not a permutation")
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
 
     @property
     def n(self) -> int:
@@ -69,15 +80,27 @@ class Permutation:
         return sgn
 
 
-@dataclass(frozen=True)
 class CoefficientAction:
-    """How S_n acts on the coefficient group Z."""
+    """How S_n acts on the coefficient group Z.  A value: equal actions
+    hash alike."""
 
-    kind: str
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in (TRIVIAL, SIGN):
-            raise ValueError(f"unknown action {self.kind!r}")
+    def __init__(self, kind: str):
+        if kind not in (TRIVIAL, SIGN):
+            raise ValueError(f"unknown action {kind!r}")
+        self.kind = kind
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind
+
+    def __hash__(self) -> int:
+        return hash(self.kind)
+
+    def __repr__(self) -> str:
+        return f"CoefficientAction(kind={self.kind!r})"
 
     def scalar(self, g: Permutation) -> int:
         return g.sign() if self.kind == SIGN else 1

@@ -12,7 +12,6 @@ same container with boundary[k] mapping degree k-1 to k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
@@ -29,23 +28,35 @@ from .snf import (
 )
 
 
-@dataclass(frozen=True)
 class HomologyGroup:
     """Finitely generated abelian group: free rank plus invariant-factor
-    torsion list (each >= 2, each dividing the next)."""
+    torsion list (each >= 2, each dividing the next).  A value: equal
+    groups hash alike."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        if rank < 0:
             raise ValueError("negative rank")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError("torsion coefficients must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion must form a divisibility chain")
+        self.rank = rank
+        self.torsion = torsion
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.torsion == other.torsion
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.torsion))
+
+    def __repr__(self) -> str:
+        return f"HomologyGroup(rank={self.rank!r}, torsion={self.torsion!r})"
 
     @property
     def trivial(self) -> bool:
@@ -347,7 +358,6 @@ def space_homology(space: SpaceLike, reduced: bool = False,
 # Generator bases
 # ----------------------------------------------------------------------
 
-@dataclass
 class HomologyBasis:
     """Presentation of one homology group with explicit generator chains.
 
@@ -356,15 +366,21 @@ class HomologyBasis:
     reduced mod their orders).
     """
 
-    degree: int
-    group: HomologyGroup
-    free_gens: list[dict[int, int]]
-    torsion_gens: list[dict[int, int]]
-    torsion_orders: list[int]
-    _out_matrix: SparseIntMatrix
-    _vinv_bottom: list[dict[int, int]]
-    _u2_rows: list[dict[int, int]]
-    _b_factors: list[int]
+    def __init__(self, degree: int, group: HomologyGroup,
+                 free_gens: list[dict[int, int]],
+                 torsion_gens: list[dict[int, int]], torsion_orders: list[int],
+                 _out_matrix: SparseIntMatrix,
+                 _vinv_bottom: list[dict[int, int]],
+                 _u2_rows: list[dict[int, int]], _b_factors: list[int]):
+        self.degree = degree
+        self.group = group
+        self.free_gens = free_gens
+        self.torsion_gens = torsion_gens
+        self.torsion_orders = torsion_orders
+        self._out_matrix = _out_matrix
+        self._vinv_bottom = _vinv_bottom
+        self._u2_rows = _u2_rows
+        self._b_factors = _b_factors
 
     def coords(self, cycle: dict[int, int]) -> tuple[list[int], list[int]]:
         """(free coordinates, torsion coordinates) of a cycle's class."""
@@ -433,7 +449,6 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
 # Induced and connecting maps
 # ----------------------------------------------------------------------
 
-@dataclass
 class HomologyMapDescription:
     """A homology-level map reported on free parts.
 
@@ -441,16 +456,27 @@ class HomologyMapDescription:
     engine's generator bases; ``torsion_images`` gives, per source free
     generator, its coordinates in the target torsion generators (so
     images of infinite-order classes that become torsion stay visible).
+    Descriptions with equal fields are equal.
     """
 
-    degree_source: int
-    degree_target: int
-    source: HomologyGroup
-    target: HomologyGroup
-    free_matrix: list[list[int]]
-    torsion_images: list[list[int]]
-    kernel_rank: int
-    cokernel_rank: int
+    def __init__(self, degree_source: int, degree_target: int,
+                 source: HomologyGroup, target: HomologyGroup,
+                 free_matrix: list[list[int]],
+                 torsion_images: list[list[int]], kernel_rank: int,
+                 cokernel_rank: int):
+        self.degree_source = degree_source
+        self.degree_target = degree_target
+        self.source = source
+        self.target = target
+        self.free_matrix = free_matrix
+        self.torsion_images = torsion_images
+        self.kernel_rank = kernel_rank
+        self.cokernel_rank = cokernel_rank
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def free_index(self) -> Optional[int]:
         """|determinant| when the free matrix is square and nonzero-rank;
@@ -643,23 +669,24 @@ def connecting_free_index(x: SpaceLike, a: SimplicialMap, k: int,
 # Long exact sequence rank checks
 # ----------------------------------------------------------------------
 
-@dataclass
 class LesNode:
-    degree: int
-    kind: str  # "A", "X", "XA"
-    betti: int
-    group: Optional[HomologyGroup]
-    rank_in: int
-    rank_out: int
+    def __init__(self, degree: int, kind: str, betti: int,
+                 group: Optional[HomologyGroup], rank_in: int, rank_out: int):
+        self.degree = degree
+        self.kind = kind  # "A", "X", "XA"
+        self.betti = betti
+        self.group = group
+        self.rank_in = rank_in
+        self.rank_out = rank_out
 
     @property
     def exact(self) -> bool:
         return self.rank_in + self.rank_out == self.betti
 
 
-@dataclass
 class LesReport:
-    nodes: list[LesNode] = field(default_factory=list)
+    def __init__(self, nodes: Optional[list[LesNode]] = None):
+        self.nodes = [] if nodes is None else nodes
 
     @property
     def ok(self) -> bool:

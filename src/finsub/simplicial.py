@@ -14,7 +14,6 @@ collapsed), :func:`torus_model`, :func:`point_model`, plus generic
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
@@ -23,11 +22,26 @@ class SpaceFormatError(ValueError):
     """Raised for malformed space files, with field diagnostics."""
 
 
-@dataclass(frozen=True)
 class SimplexRef:
-    """Position of a simplex: level and index into that level's table."""
-    level: int
-    index: int
+    """Position of a simplex: level and index into that level's table.
+    A value: equal positions hash alike."""
+
+    __slots__ = ("level", "index")
+
+    def __init__(self, level: int, index: int):
+        self.level = level
+        self.index = index
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level == other.level and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.index))
+
+    def __repr__(self) -> str:
+        return f"SimplexRef(level={self.level!r}, index={self.index!r})"
 
 
 class SimplicialSet:
@@ -276,9 +290,9 @@ def identity_map(space: SpaceLike) -> SimplicialMap:
 # Validation of the simplicial identities
 # ----------------------------------------------------------------------
 
-@dataclass
 class ValidationReport:
-    violations: list[tuple]
+    def __init__(self, violations: list[tuple]):
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

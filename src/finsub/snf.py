@@ -40,7 +40,6 @@ transform tracked, while ``smith_normal_form(transforms=True)`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import neg
 from typing import Collection, Iterable, Iterator, Optional
@@ -243,7 +242,6 @@ def divisor_chain(values: Iterable[int]) -> list[int]:
     return vals[:ones] + rest
 
 
-@dataclass
 class SnfResult:
     """Diagonalization ``U @ M @ V = D`` with optional transforms.
 
@@ -252,13 +250,18 @@ class SnfResult:
     columns of V beyond the rank form a basis of the kernel lattice.
     """
 
-    rows: int
-    cols: int
-    factors: list[int]
-    U: Optional[SparseIntMatrix] = None
-    Uinv: Optional[SparseIntMatrix] = None
-    V: Optional[SparseIntMatrix] = None
-    Vinv: Optional[SparseIntMatrix] = None
+    def __init__(self, rows: int, cols: int, factors: list[int],
+                 U: Optional[SparseIntMatrix] = None,
+                 Uinv: Optional[SparseIntMatrix] = None,
+                 V: Optional[SparseIntMatrix] = None,
+                 Vinv: Optional[SparseIntMatrix] = None):
+        self.rows = rows
+        self.cols = cols
+        self.factors = factors
+        self.U = U
+        self.Uinv = Uinv
+        self.V = V
+        self.Vinv = Vinv
 
     @property
     def rank(self) -> int:

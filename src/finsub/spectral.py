@@ -26,7 +26,6 @@ floating-point step is involved anywhere (argument at
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
@@ -35,17 +34,16 @@ from .snf import SparseIntMatrix, _addmul
 from .subsetspace import DEFAULT_CELL_CEILING, keyed_complex
 
 
-@dataclass
 class FilteredComplex:
     """Chain complex over Q (stored integrally) with a filtration level
     attached to every basis element; boundaries never raise the level."""
 
-    dims: list[int]
-    boundary: list[SparseIntMatrix]
-    filt: list[list[int]]
-    n: int
-
-    def __post_init__(self):
+    def __init__(self, dims: list[int], boundary: list[SparseIntMatrix],
+                 filt: list[list[int]], n: int):
+        self.dims = dims
+        self.boundary = boundary
+        self.filt = filt
+        self.n = n
         # rho_m(c, s) at [m][c][s + 1], filled on the first rho call
         self._rho_tables: Optional[dict[int, list[list[int]]]] = None
         self._cum: list[list[int]] = []
@@ -203,17 +201,24 @@ class FilteredComplex:
         return sum((-1) ** m * d for m, d in enumerate(self.dims))
 
 
-@dataclass
 class Page:
     """One page of the spectral sequence: dims and differential ranks.
 
     d_r maps (p, q) to (p - r, q + r - 1); ``dranks`` records the rank
-    of the differential leaving each node (nonzero entries only).
+    of the differential leaving each node (nonzero entries only).  Pages
+    with the same r, dims and ranks are equal.
     """
 
-    r: int
-    dims: dict[tuple[int, int], int] = field(default_factory=dict)
-    dranks: dict[tuple[int, int], int] = field(default_factory=dict)
+    def __init__(self, r: int, dims: Optional[dict[tuple[int, int], int]] = None,
+                 dranks: Optional[dict[tuple[int, int], int]] = None):
+        self.r = r
+        self.dims = {} if dims is None else dims
+        self.dranks = {} if dranks is None else dranks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)

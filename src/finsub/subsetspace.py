@@ -38,9 +38,9 @@ points-count filtration level of S is |S|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from typing import Optional
 
 from .homology import ChainComplex
 from .simplicial import (
@@ -235,7 +235,6 @@ def conf_plus(x: BasedSimplicialSet, n: int, model: str = "based", trunc=None, *
     return _build(x, *_FILTERS[f"conf-{model}"](n), trunc, ceiling)[0]
 
 
-@dataclass
 class FiltrationTower:
     """Nested spaces 1..n with basepoint-preserving inclusions.
 
@@ -244,9 +243,11 @@ class FiltrationTower:
     through :meth:`inclusion`.
     """
 
-    variant: str
-    spaces: list[BasedSimplicialSet]
-    inclusions: list[SimplicialMap] = field(default_factory=list)
+    def __init__(self, variant: str, spaces: list[BasedSimplicialSet],
+                 inclusions: Optional[list[SimplicialMap]] = None):
+        self.variant = variant
+        self.spaces = spaces
+        self.inclusions = [] if inclusions is None else inclusions
 
     @property
     def n(self) -> int:

@@ -3,12 +3,14 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+
+from cli_runner import CliRunner
 
 from finsub.cli import main
 from finsub.simplicial import save_space, sphere_model
@@ -256,20 +258,26 @@ def test_homology_cache_keys_are_pinned(runner, tmp_path):
         [f"{key}-d{k}.json" for k in range(6)]
 
 
-def _loads_hashlib(*jobs):
-    """Whether a fresh interpreter that runs ``jobs`` through the CLI ends
-    up with ``_hashlib`` (and so OpenSSL's libcrypto) loaded."""
+def _fresh_interpreter(script, *args):
+    """The last stderr line of a fresh interpreter that runs ``script``
+    with ``args``, the package on its path and no cache directory set."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "FINSUB_CACHE_DIR"}
     env["PYTHONPATH"] = str(src)
-    script = ("import sys\nfrom finsub.cli import main\n"
-              "for job in sys.argv[1:]:\n"
-              "    main(job.split(), standalone_mode=False)\n"
-              "sys.stderr.write(str('_hashlib' in sys.modules))\n")
-    done = subprocess.run([sys.executable, "-c", script, *jobs], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=120)
-    return done.stderr.splitlines()[-1] == "True"
+    return done.stderr.splitlines()[-1]
+
+
+def _loads_hashlib(*jobs):
+    """Whether a fresh interpreter that runs ``jobs`` through the CLI ends
+    up with ``_hashlib`` (and so OpenSSL's libcrypto) loaded."""
+    script = ("import sys\nfrom finsub.cli import main\n"
+              "for job in sys.argv[1:]:\n"
+              "    main(job.split())\n"
+              "sys.stderr.write(str('_hashlib' in sys.modules))\n")
+    return _fresh_interpreter(script, *jobs) == "True"
 
 
 def test_jobs_without_a_cache_never_load_hashlib(tmp_path):
@@ -448,3 +456,111 @@ def test_homology_over_reported_rank_is_an_engine_fault(runner, monkeypatch):
     assert isinstance(res.exception, RuntimeError)
     assert str(res.exception) == \
         "degree 0: 1 cells but differential ranks 1 out + 1 in"
+
+
+@pytest.mark.parametrize("script", [
+    "import finsub.cli\n"
+    "for job in sys.argv[1:]:\n"
+    "    finsub.cli.main(job.split())\n",
+    "import finsub\n",
+], ids=["cli", "library"])
+def test_startup_loads_only_the_standard_library(script):
+    # module presence, not time: a third-party or heavyweight import
+    # would cost every CLI process its start-up time again
+    jobs = ["groupcoh -n 3 --max-degree 1",
+            "homology --space sphere --d 2 --n 2"]
+    loaded = _fresh_interpreter(
+        "import sys\nbefore = set(sys.modules)\n" + script +
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n",
+        *jobs).split()
+    assert "finsub" in loaded
+    tops = {name.split(".")[0] for name in loaded}
+    assert not tops & {"click", "dataclasses", "inspect"}
+    assert tops <= set(sys.stdlib_module_names) | {"finsub"}
+
+
+HELP_OPTIONS = {
+    "homology": ["--space", "--d", "--n", "--construction", "--model",
+                 "--coeffs", "--max-degree", "--trunc", "--out", "--cache-dir",
+                 "--ceiling"],
+    "verify": ["-n", "-d", "--space", "--budget-nd", "--ceiling", "--out"],
+    "groupcoh": ["-n", "--action", "--max-degree", "--ceiling", "--out"],
+    "page": ["--space", "--d", "--n", "--variant", "--trunc", "--ceiling",
+             "--out"],
+    "cache": ["--cache-dir"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_help_names_every_option(runner, command):
+    res = runner.invoke(main, [command, "--help"])
+    assert res.exit_code == 0, res.output
+    named = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", res.output))
+    assert set(HELP_OPTIONS[command]) | {"--help"} <= named
+
+
+@pytest.mark.parametrize("args", [
+    ["homology", "--d", "2", "--n", "2", "--no-such-option"],
+    ["homology", "--d", "2", "--n", "2", "--construction", "nope"],
+    ["homology", "--d", "2"],
+    ["homology", "--d", "2", "--n", "x"],
+    ["cache", "bogus"],
+])
+def test_parse_errors_are_usage_errors(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    lines = res.output.splitlines()
+    assert lines[0].startswith("Usage: ") and f" {args[0]} " in lines[0]
+    assert len([line for line in lines if line.startswith("Error: ")]) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["homology", "--space", "sphere", "--d", "0", "--n", "2"],
+     "--d must be >= 1"),
+    (["page", "--space", "torus", "--n", "2", "--trunc", "-2"],
+     "--trunc must be >= 1"),
+    (["verify", "lemma-quo", "-n", "1", "-d", "0"], "-d must be >= 1"),
+])
+def test_out_of_range_parameters_are_usage_errors(runner, args, message):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    errors = [line for line in res.output.splitlines()
+              if line.startswith("Error: ")]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_version_from_the_module_entry_point():
+    import finsub
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "finsub.cli", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"finsub, version {finsub.__version__}\n"
+
+
+def test_launcher_call_with_a_program_name(capsys):
+    main(["groupcoh", "-n", "3", "--max-degree", "1"], prog_name="finsub")
+    assert groups_of(json.loads(capsys.readouterr().out))[1] == (0, ())
+    with pytest.raises(SystemExit) as done:
+        main(["groupcoh"], prog_name="finsub")
+    assert done.value.code == 2
+    assert capsys.readouterr().err.startswith("Usage: finsub groupcoh ")
+
+
+@pytest.mark.parametrize("args, target", [
+    (["homology", "--space", "sphere", "--d", "2", "--n", "2"], "keyed_complex"),
+    (["verify", "thm2", "-n", "2", "-d", "2"], "run_claim"),
+    (["page", "--space", "sphere", "--d", "2", "--n", "2"], "filtered_complex"),
+])
+def test_engine_value_error_is_not_a_usage_error(runner, monkeypatch, args,
+                                                  target):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(importlib.import_module("finsub.cli"), target, boom)
+    res = runner.invoke(main, args)
+    assert res.exit_code != 2
+    assert "Usage" not in res.output and "Error:" not in res.output
+    assert isinstance(res.exception, ValueError)
+    assert str(res.exception) == "boom"

@@ -27,6 +27,22 @@ def test_permutation_basics():
         Permutation((0, 0, 1))
 
 
+def test_permutations_and_actions_are_values():
+    p = Permutation((1, 0, 2))
+    assert p == Permutation((1, 0, 2)) and hash(p) == hash(Permutation((1, 0, 2)))
+    assert p != Permutation((0, 1, 2)) and p != (1, 0, 2)
+    assert p * p == Permutation((0, 1, 2))
+    assert len(set(symmetric_group(3) + symmetric_group(3))) == 6
+    with pytest.raises(ValueError):
+        Permutation((1, 2))
+    sign = CoefficientAction("sign")
+    assert sign == CoefficientAction("sign") != CoefficientAction("trivial")
+    assert hash(sign) == hash(CoefficientAction("sign")) and sign != "sign"
+    assert sign.kind == "sign"
+    with pytest.raises(ValueError, match="unknown action"):
+        CoefficientAction("bogus")
+
+
 @given(st.permutations(list(range(4))), st.permutations(list(range(4))))
 @settings(max_examples=60, deadline=None)
 def test_sign_is_multiplicative(a, b):

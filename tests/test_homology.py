@@ -7,6 +7,7 @@ import pytest
 from conftest import bar_reference, in_image_lattice
 from finsub.homology import (
     HomologyGroup,
+    LesReport,
     connecting_free_index,
     connecting_map,
     euler_characteristic,
@@ -130,6 +131,24 @@ def test_homology_group_validation():
     assert str(HomologyGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"
     assert str(HomologyGroup(0)) == "0"
     assert HomologyGroup(1, (3,)).torsion_order() == 3
+
+
+def test_homology_group_is_a_value():
+    a, b = HomologyGroup(1, (2, 4)), HomologyGroup(1, (2, 4))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != HomologyGroup(1, (4,)) and a != HomologyGroup(2, (2, 4))
+    assert HomologyGroup(0) == HomologyGroup(0, ())
+    assert a != (1, (2, 4))
+    table = {a: "first"}
+    table[b] = "second"
+    assert table == {HomologyGroup(1, (2, 4)): "second"}
+    assert len({HomologyGroup(0), HomologyGroup(0), HomologyGroup(1)}) == 2
+
+
+def test_les_reports_do_not_share_nodes():
+    first, second = LesReport(), LesReport()
+    first.nodes.append("node")
+    assert second.nodes == [] and LesReport().nodes == []
 
 
 def test_minimal_sphere_complex():

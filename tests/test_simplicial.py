@@ -232,3 +232,11 @@ def test_space_hash_is_pinned():
 def test_simplexref_fields():
     ref = SimplexRef(2, 5)
     assert (ref.level, ref.index) == (2, 5)
+
+
+def test_simplexref_is_a_value():
+    ref = SimplexRef(2, 5)
+    assert ref == SimplexRef(2, 5) and hash(ref) == hash(SimplexRef(2, 5))
+    assert ref != SimplexRef(5, 2) and ref != SimplexRef(2, 4)
+    assert ref != (2, 5)
+    assert {ref: 1, SimplexRef(2, 5): 2} == {SimplexRef(2, 5): 2}
