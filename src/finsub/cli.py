@@ -75,6 +75,20 @@ def _writable_out(out: str) -> None:
     raise ParameterError(f"Invalid value for '--out': {out!r} {problem}")
 
 
+def _usable_cache_dir(cache_dir: str) -> None:
+    """Refuse a --cache-dir (or $FINSUB_CACHE_DIR) path that names a
+    file or lies under one, where the cache could not make its
+    directory."""
+    path = os.path.abspath(cache_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if os.path.isdir(path):
+        return
+    problem = ("is not a directory" if path == os.path.abspath(cache_dir)
+               else f"lies under the file {path!r}")
+    raise ParameterError(f"Invalid value for '--cache-dir': {cache_dir!r} {problem}")
+
+
 def _emit(data: dict, out: Optional[str]) -> None:
     text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if out:
@@ -364,6 +378,8 @@ def main(argv: Optional[list[str]] = None,
     try:
         if kwargs.get("out") is not None:
             _writable_out(kwargs["out"])
+        if kwargs.get("cache_dir"):
+            _usable_cache_dir(kwargs["cache_dir"])
         code = run(**kwargs)
     except ParameterError as exc:
         sub.error(str(exc))

@@ -13,7 +13,7 @@ same container with boundary[k] mapping degree k-1 to k.
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional
+from typing import Iterator, Optional
 
 from .simplicial import SimplicialMap, SimplicialSet, SpaceLike, underlying
 from .snf import (
@@ -300,7 +300,10 @@ def homology(c: ChainComplex, coeffs: str = "Z",
       clearing the next differential by P stays exact.
 
     The ranks of every degree are checked against its cell count, the
-    unreported ones too.
+    unreported ones too.  The pass itself is :func:`_eliminated`;
+    :func:`homology_basis` runs its rank-only form up to the
+    differential arriving at its degree, for the same d.d bound on the
+    differential whose kernel it needs.
     """
     if coeffs not in ("Z", "Q"):
         raise ValueError("coeffs must be 'Z' or 'Q'")
@@ -311,19 +314,9 @@ def homology(c: ChainComplex, coeffs: str = "Z",
         raise ValueError(f"through must be in 0..{top}, got {through}")
     ranks: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
-    paired: set[int] = set()
-    last_rank = 0
-    for k in (range(top + 1) if c.cochain else range(top, -1, -1)):
-        m = c.boundary[k]
-        if coeffs == "Z" and (k if c.cochain else k - 1) <= through:
-            pivot_rows, diagonal = _untracked_diagonal(m, paired)
-            factors = divisor_chain(diagonal)
-            ranks[k] = len(factors)
-            torsion[k] = tuple(f for f in factors if f > 1)
-        else:
-            pivot_rows, ranks[k] = _untracked_rank(m, paired, m.cols - last_rank)
-        paired = set(pivot_rows)
-        last_rank = ranks[k]
+    for k, r, t in _eliminated(c, through if coeffs == "Z" else None):
+        ranks[k] = r
+        torsion[k] = t
     out: list[HomologyGroup] = []
     for k in range(top + 1):
         out_key, in_key = (k + 1, k) if c.cochain else (k, k + 1)
@@ -337,6 +330,67 @@ def homology(c: ChainComplex, coeffs: str = "Z",
         if k <= through:
             out.append(HomologyGroup(r, torsion.get(in_key, ())))
     return out
+
+
+def _eliminated(c: ChainComplex, torsion_through: Optional[int] = None
+                ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Eliminate the differentials of ``c`` in :func:`homology`'s order
+    and yield ``(k, rank, torsion)`` for each boundary[k] as it is done.
+
+    Torsion is computed for the differentials that give torsion to a
+    degree <= ``torsion_through`` (none when it is None); every other
+    one is eliminated for its rank alone, stopping at the d.d bound,
+    and yields no torsion.  A caller that stops iterating eliminates
+    nothing further.
+    """
+    paired: set[int] = set()
+    last_rank = 0
+    for k in (range(c.top_degree + 1) if c.cochain
+              else range(c.top_degree, -1, -1)):
+        m = c.boundary[k]
+        if torsion_through is not None and \
+                (k if c.cochain else k - 1) <= torsion_through:
+            pivot_rows, diagonal = _untracked_diagonal(m, paired)
+            factors = divisor_chain(diagonal)
+            last_rank = len(factors)
+            yield k, last_rank, tuple(f for f in factors if f > 1)
+        else:
+            pivot_rows, last_rank = _untracked_rank(m, paired,
+                                                    m.cols - last_rank)
+            yield k, last_rank, ()
+        paired = set(pivot_rows)
+
+
+def _cycle_lattice(c: ChainComplex, k: int
+                   ) -> tuple[list[dict[int, int]], int, list[dict[int, int]]]:
+    """:func:`~finsub.snf.kernel_lattice` of the differential M leaving
+    degree k, whose stream stops at the d.d bound when M has more rows
+    than columns.  A degree outside 0..top is refused.
+
+    The image arriving at degree k lies in ker M (d.d = 0), so
+    rank M <= dims[k] - rank(in_k).  rank(in_k) comes from
+    :func:`_eliminated`, run only until it reaches the incoming
+    differential: the rank-only clearing pass of :func:`homology`.
+    The bound is taken only when M has more rows than columns.  The
+    stream can stop only where M has rows beyond its rank, and the
+    shape alone promises rows - cols of them when that is positive:
+    the bar coboundary leaving degree 2 for S_4 (12 167 x 529, rank
+    506) stops after about 1 700 rows.  A wide M need have no such row.
+    The wide differentials of subset spaces have a rank close to their
+    row count, so a stop saves little of their stream, while the bound
+    costs the rank pass over the differentials before M, and a bounded
+    stream runs a rank check of its waiting rows each time its echelon
+    grows past the bound.  On them the bounded call was the slower one.
+    """
+    if not 0 <= k <= c.top_degree:
+        raise ValueError(f"degree must be in 0..{c.top_degree}, got {k}")
+    m = c.out_matrix(k)
+    if m.rows <= m.cols:
+        return kernel_lattice(m)
+    in_key = k if c.cochain else k + 1
+    in_rank = 0 if in_key > c.top_degree else next(
+        r for j, r, _ in _eliminated(c) if j == in_key)
+    return kernel_lattice(m, m.cols - in_rank)
 
 
 def betti_numbers(c: ChainComplex) -> list[int]:
@@ -401,13 +455,15 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     The kernel lattice of the outgoing differential, with coordinate
     rows for it, is read off its unit echelon
     (:func:`finsub.snf.kernel_lattice`), so only the echelon's residue
-    is eliminated with a tracked column transform.  The incoming image
-    is rewritten in kernel coordinates and put in Smith form with a
-    tracked row transform.
+    is eliminated with a tracked column transform; on a tall
+    differential its row stream stops at the d.d bound
+    (:func:`_cycle_lattice`).  The incoming image is rewritten in kernel
+    coordinates and put in Smith form with a tracked row transform.  A
+    degree outside 0..top is refused.
     """
+    kernel, _, vinv_bottom = _cycle_lattice(c, k)
     dk = c.out_matrix(k)
     dk1 = c.in_matrix(k)
-    kernel, _, vinv_bottom = kernel_lattice(dk)
     z = len(kernel)
     dk1_rows = dk1.row_dicts()
     b = SparseIntMatrix(z, dk1.cols)
@@ -634,13 +690,14 @@ def zigzag_free_index(src: ChainComplex, tgt: ChainComplex,
     images of any lattice basis of the relative cycles, because torsion
     classes die in a free quotient; the index is the gcd of those image
     coordinates.  This avoids presenting the (possibly huge) source
-    homology group.
+    homology group.  The cycle lattice stops at the d.d bound as in
+    :func:`homology_basis`.
     """
     tgt_basis = homology_basis(tgt, k - 1)
     if tgt_basis.group.rank != 1:
         raise ValueError("fast path needs a rank-1 target free part")
     g = 0
-    for cycle in kernel_lattice(src.out_matrix(k))[0]:
+    for cycle in _cycle_lattice(src, k)[0]:
         free, _ = tgt_basis.coords(block.mul_col(cycle))
         g = gcd(g, free[0])
         if g == 1:

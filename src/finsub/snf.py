@@ -9,7 +9,9 @@ no modular shortcuts.  The entry points are
 * :func:`diagonalize` -- a diagonalization (no divisibility chain) that
   tracks either transform and its inverse;
 * :func:`kernel_lattice` -- a basis of the integer kernel with
-  coordinate rows for it, which is what homology presentations need.
+  coordinate rows for it, which is what homology presentations need;
+  given a bound on the rank, its row stream stops once the bound is
+  reached, as ``homology.homology_basis`` does with the d.d bound.
 
 All of them run on one sparse elimination engine, with transform
 tracking switched on or off.  It prefers +-1 pivots in short columns
@@ -789,7 +791,7 @@ def smith_normal_form(m: SparseIntMatrix, transforms: bool = False) -> SnfResult
     return SnfResult(m.rows, m.cols, invariant_factors(m))
 
 
-def kernel_lattice(m: SparseIntMatrix
+def kernel_lattice(m: SparseIntMatrix, bound: Optional[int] = None
                    ) -> tuple[list[dict[int, int]], int, list[dict[int, int]]]:
     """A basis K of the integer kernel lattice of ``m``, the rank of
     ``m``, and coordinate rows L with L.K = I; all sparse vectors.
@@ -813,8 +815,20 @@ def kernel_lattice(m: SparseIntMatrix
     L = V'^-1_bottom . proj_F give x's coordinates in K.  The rank of
     ``m`` is |Q| + r'.  The echelon rows are let go as K_E is read off
     them, and the residue rows once R[:, F] is built.
+
+    Given a ``bound`` that the rank of ``m`` cannot exceed, the stream
+    stops once the rows streamed so far reach it (see ``_unit_echelon``),
+    and all of the above runs on those rows S in place of ``m``.  The
+    integer kernel of a matrix is Z^n intersected with its rational
+    kernel, the orthogonal complement of its rational row space.  S is
+    a subset of the rows of ``m`` whose rank reached ``bound``, so it
+    has the rank of ``m`` and spans the same rational row space: ``m``
+    and S have the same kernel lattice.  So K is a basis of the kernel
+    lattice of ``m``, the rank returned is that of ``m``, and L.K = I,
+    as without a bound.  Where the stopped echelon took other pivots, K
+    differs from the unbounded basis by a unimodular change.
     """
-    _, echelon, residue = _unit_echelon(m)
+    _, echelon, residue = _unit_echelon(m, bound=bound)
     free = [c for c in range(m.cols) if c not in echelon]
     position = {f: i for i, f in enumerate(free)}
     k_e: dict[int, dict[int, int]] = {f: {f: 1} for f in free}

@@ -301,6 +301,40 @@ def test_cache_dir_from_environment(runner, tmp_path, monkeypatch):
     assert json.loads(stats.output)["entries"] > 0
 
 
+@pytest.mark.parametrize("args", [
+    ["cache", "stats"],
+    ["cache", "clear"],
+    ["homology", "--space", "sphere", "--d", "1", "--n", "2"],
+])
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+@pytest.mark.parametrize("source", ["option", "environment"])
+def test_cache_dir_that_names_a_file_is_a_usage_error(runner, monkeypatch,
+                                                      tmp_path, args, where,
+                                                      source):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the job ran before --cache-dir was checked")
+
+    monkeypatch.setattr(importlib.import_module("finsub.cli"), "keyed_complex",
+                        no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a cache\n")
+    cache_dir = blocker if where == "a file" else blocker / "cache"
+    if source == "option":
+        monkeypatch.delenv("FINSUB_CACHE_DIR", raising=False)
+        args = args + ["--cache-dir", str(cache_dir)]
+    else:
+        monkeypatch.setenv("FINSUB_CACHE_DIR", str(cache_dir))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.exception is None
+    lines = res.output.splitlines()
+    assert lines[0].startswith(f"Usage: finsub {args[0]} ")
+    errors = [line for line in lines if line.startswith("Error: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: Invalid value for '--cache-dir': ")
+    assert blocker.read_text() == "not a cache\n"
+
+
 def test_verify_match_and_exit_codes(runner):
     res = runner.invoke(main, ["verify", "circle", "-n", "3"])
     assert res.exit_code == 0, res.output
