@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from typing import Optional
 
@@ -20,6 +21,10 @@ ENV_VAR = "FINSUB_CACHE_DIR"
 # Part of every descriptor; bump it when the engine changes the boundary
 # matrices a descriptor stands for, so that older entries miss.
 FORMAT = 1
+# The only names the cache writes: entries <sha256 hex>-d<degree>.json,
+# and their temp files, which add .<random>.tmp (group 1).  Compiled on
+# first use, by stats and clear only.
+_NAME = r"[0-9a-f]{64}-d[0-9]+\.json(\.\w+\.tmp)?"
 
 
 def default_cache_dir() -> Optional[str]:
@@ -51,23 +56,19 @@ class BoundaryCache:
         return os.path.join(self.directory, f"{key}-d{degree}.json")
 
     def get(self, key: str, degree: int) -> Optional[SparseIntMatrix]:
-        path = self._path(key, degree)
-        if not os.path.exists(path):
-            return None
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            return SparseIntMatrix.from_triplets(
-                data["rows"], data["cols"],
-                ((r, c, v) for r, c, v in data["triplets"]))
-        except (ValueError, KeyError, OSError):
-            return None  # treat corrupt entries as misses
+            with open(self._path(key, degree), "r", encoding="utf-8") as fh:
+                return _parse(json.load(fh))
+        except (ValueError, KeyError, TypeError, IndexError, OSError):
+            return None  # a missing entry, or a corrupt one
 
     def put(self, key: str, degree: int, matrix: SparseIntMatrix) -> None:
         payload = {"rows": matrix.rows, "cols": matrix.cols,
                    "triplets": matrix.triplets()}
         path = self._path(key, degree)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=self.directory,
+                                   prefix=os.path.basename(path) + ".",
+                                   suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True)
@@ -77,21 +78,32 @@ class BoundaryCache:
                 os.unlink(tmp)
             raise
 
+    def _own(self) -> list[tuple[str, bool]]:
+        """(path, is a temp file) for each file in the directory that the
+        cache wrote; nothing else there is counted or deleted."""
+        if not os.path.isdir(self.directory):
+            return []
+        found = [(n, re.fullmatch(_NAME, n)) for n in os.listdir(self.directory)]
+        return [(os.path.join(self.directory, n), bool(m[1]))
+                for n, m in found if m]
+
     def stats(self) -> CacheStats:
-        entries = 0
-        total = 0
-        if os.path.isdir(self.directory):
-            for name in os.listdir(self.directory):
-                if name.endswith(".json"):
-                    entries += 1
-                    total += os.path.getsize(os.path.join(self.directory, name))
-        return CacheStats(entries, total)
+        entries = [path for path, temp in self._own() if not temp]
+        return CacheStats(len(entries), sum(map(os.path.getsize, entries)))
 
     def clear(self) -> int:
-        removed = 0
-        if os.path.isdir(self.directory):
-            for name in os.listdir(self.directory):
-                if name.endswith(".json") or name.endswith(".tmp"):
-                    os.unlink(os.path.join(self.directory, name))
-                    removed += 1
-        return removed
+        owned = self._own()
+        for path, _ in owned:
+            os.unlink(path)
+        return len(owned)
+
+
+def _parse(data) -> SparseIntMatrix:
+    """The matrix of an entry {"rows": int, "cols": int, "triplets":
+    [[int, int, int], ...]}; raises on any other shape."""
+    rows, cols, triplets = data["rows"], data["cols"], data["triplets"]
+    # exact types: a bool is an int, and a float would leave exact arithmetic
+    if not (type(rows) is type(cols) is int and type(triplets) is list
+            and {type(v) for t in triplets for v in t} <= {int}):
+        raise ValueError("malformed cache entry")
+    return SparseIntMatrix.from_triplets(rows, cols, triplets)

@@ -132,6 +132,9 @@ def _resolve_space(space: str, d: Optional[int], n: int, trunc: Optional[int]
             "space file has no basepoint; subset constructions need one")
     if loaded.trunc < 1:
         raise _no_trusted_degree(loaded.trunc)
+    if trunc is not None and trunc > loaded.trunc:
+        raise ParameterError(f"--trunc {trunc} exceeds the space file's "
+                             f"truncation {loaded.trunc}")
     if trunc is not None and trunc < loaded.trunc:
         xs = loaded.space
         cut = SimplicialSet(

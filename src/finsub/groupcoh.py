@@ -164,9 +164,7 @@ def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
                 if v:
                     columns[col][row] = v
         boundary.append(mat)
-    c = ChainComplex(dims, boundary, cochain=True,
-                     meta={"kind": "bar", "group": f"S_{n}", "action": action.kind,
-                           "maxdeg": maxdeg})
+    c = ChainComplex(dims, boundary, cochain=True)
     c.assert_valid()
     return c
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterator, Optional
 
-from .simplicial import SimplicialMap, SimplicialSet, SpaceLike, underlying
+from .simplicial import SimplicialMap, SpaceLike, underlying
 from .snf import (
     SparseIntMatrix,
     _untracked_diagonal,
@@ -84,14 +84,13 @@ class HomologyGroup:
 class ChainComplex:
     """Bounded complex of free Z-modules with sparse integer boundaries.
 
-    ``basis``/``basis_index`` optionally record which simplex each basis
-    element came from, which chain maps need.
+    ``basis`` optionally records which simplex (or subset key) each
+    basis element came from, which chain maps and restrictions need.
     """
 
     def __init__(self, dims: list[int], boundary: list[SparseIntMatrix],
                  reduced: bool = False, cochain: bool = False,
-                 basis: Optional[list[list[int]]] = None,
-                 meta: Optional[dict] = None):
+                 basis: Optional[list[list[int]]] = None):
         if len(boundary) != len(dims):
             raise ValueError("need one boundary matrix per degree")
         self.dims = list(dims)
@@ -99,10 +98,6 @@ class ChainComplex:
         self.reduced = reduced
         self.cochain = cochain
         self.basis = basis
-        self.basis_index: Optional[list[dict[int, int]]] = None
-        if basis is not None:
-            self.basis_index = [{s: i for i, s in enumerate(b)} for b in basis]
-        self.meta = meta or {}
         for k in range(len(dims)):
             want_cols = dims[k - 1] if (cochain and k) else dims[k]
             if not cochain:
@@ -182,23 +177,15 @@ def normalized_complex(space: SpaceLike, reduced: bool = False,
     if maxdeg > xs.trunc:
         raise ValueError(f"maxdeg {maxdeg} exceeds truncation {xs.trunc}")
     basis = [xs.nondegenerate(k) for k in range(maxdeg + 1)]
-    return _face_chains(xs, basis, reduced, "normalized")
-
-
-def _face_chains(xs: SimplicialSet, basis: list[list[int]], reduced: bool,
-                 kind: str) -> ChainComplex:
-    """Chains on the given cells of each level, boundary the alternating
-    face sum with faces outside the cells dropped."""
-    index = [{s: i for i, s in enumerate(b)} for b in basis]
     dims = [len(b) for b in basis]
     boundary = [SparseIntMatrix(1 if reduced else 0, dims[0])]
     if reduced:
         for j in range(dims[0]):
             boundary[0].set(0, j, 1)
-    for k in range(1, len(basis)):
+    for k in range(1, maxdeg + 1):
         mat = SparseIntMatrix(dims[k - 1], dims[k])
         fmaps = xs.faces[k]
-        idx = index[k - 1]
+        idx = {s: i for i, s in enumerate(basis[k - 1])}
         for j, cell in enumerate(basis[k]):
             sign = 1
             for i in range(k + 1):
@@ -207,23 +194,49 @@ def _face_chains(xs: SimplicialSet, basis: list[list[int]], reduced: bool,
                     mat.add(t, j, sign)
                 sign = -sign
         boundary.append(mat)
-    c = ChainComplex(dims, boundary, reduced=reduced, basis=basis,
-                     meta={"kind": kind, "maxdeg": len(basis) - 1})
+    c = ChainComplex(dims, boundary, reduced=reduced, basis=basis)
     c.assert_valid()
     return c
 
 
-def relative_complex(x: SpaceLike, a: Optional[SimplicialMap],
-                     maxdeg: Optional[int] = None) -> ChainComplex:
-    """Chains of x with the image of ``a`` (and degenerates) dropped.
+def _submatrix(m: SparseIntMatrix, rows: list[int], cols: list[int]
+               ) -> SparseIntMatrix:
+    """The entries of ``m`` on the given rows and columns, in their order."""
+    pos = {r: i for i, r in enumerate(rows)}
+    out = SparseIntMatrix(len(rows), len(cols))
+    for j, c in enumerate(cols):
+        for r, v in m.column(c).items():
+            if r in pos:
+                out.set(pos[r], j, v)
+    return out
 
-    Computes the homology of the quotient x / im(a) in reduced form
-    without materializing the quotient space.  ``a=None`` degenerates to
-    the plain unreduced complex of x.
+
+def _restrict(c: ChainComplex, picks: list[list[int]], reduced: bool = False
+              ) -> ChainComplex:
+    """``c`` on the basis positions ``picks[k]`` of each degree k, in that
+    order (a quotient or subquotient complex when the cells left out
+    span a subcomplex); ``reduced`` keeps a reduced ``c``'s augmentation."""
+    boundary = [_submatrix(c.boundary[0], [0] if reduced else [], picks[0])]
+    boundary += [_submatrix(c.boundary[k], picks[k - 1], picks[k])
+                 for k in range(1, len(picks))]
+    return ChainComplex([len(p) for p in picks], boundary, reduced=reduced,
+                        basis=[[cells[i] for i in p]
+                               for cells, p in zip(c.basis, picks)])
+
+
+def _relative(x: SpaceLike, a: Optional[SimplicialMap], maxdeg: Optional[int]
+              ) -> tuple[ChainComplex, ChainComplex, list[list[int]]]:
+    """The normalized complex of x through ``maxdeg`` (by default the
+    lower truncation), its restriction to the cells outside im(a), d.d
+    checked, and their positions in it; all of it when ``a`` is None.
+
+    Refuses ``a`` unless it lands in x, is defined through ``maxdeg``,
+    is injective and has an image closed under faces and degeneracies.
     """
-    xs = underlying(x)
     if a is None:
-        return normalized_complex(x, reduced=False, maxdeg=maxdeg)
+        cx = normalized_complex(x, maxdeg=maxdeg)
+        return cx, cx, [list(range(n)) for n in cx.dims]
+    xs = underlying(x)
     tgt = underlying(a.target)
     if tgt is not xs and tgt != xs:
         raise ValueError("relative_complex: map does not land in the given space")
@@ -238,10 +251,24 @@ def relative_complex(x: SpaceLike, a: Optional[SimplicialMap],
         raise ValueError(
             f"relative_complex: image not closed under structure maps "
             f"({len(bad)} failures, first {bad[0]})")
-    img = [set(a.maps[k]) for k in range(maxdeg + 1)]
-    basis = [[s for s in xs.nondegenerate(k) if s not in img[k]]
-             for k in range(maxdeg + 1)]
-    return _face_chains(xs, basis, False, "relative")
+    cx = normalized_complex(x, maxdeg=maxdeg)
+    picks = [[i for i, s in enumerate(cells) if s not in img]
+             for cells, img in zip(cx.basis, map(set, a.maps))]
+    rel = _restrict(cx, picks)
+    rel.assert_valid()
+    return cx, rel, picks
+
+
+def relative_complex(x: SpaceLike, a: Optional[SimplicialMap],
+                     maxdeg: Optional[int] = None) -> ChainComplex:
+    """Chains of x with the image of ``a`` (and degenerates) dropped.
+
+    Computes the homology of the quotient x / im(a) in reduced form
+    without materializing the quotient space: the normalized complex of
+    x restricted to the cells outside im(a).  ``a=None`` degenerates to
+    the plain unreduced complex of x.
+    """
+    return _relative(x, a, maxdeg)[1]
 
 
 # ----------------------------------------------------------------------
@@ -599,10 +626,10 @@ def chain_map_matrix(f: SimplicialMap, k: int, src: ChainComplex,
 
     Basis cells mapping to degenerate or dropped simplices contribute 0.
     """
-    if src.basis is None or tgt.basis is None or tgt.basis_index is None:
+    if src.basis is None or tgt.basis is None:
         raise ValueError("chain maps need complexes with simplex bases")
     mat = SparseIntMatrix(tgt.dims[k], src.dims[k])
-    tidx = tgt.basis_index[k]
+    tidx = {s: i for i, s in enumerate(tgt.basis[k])}
     mp = f.maps[k]
     for j, cell in enumerate(src.basis[k]):
         t = tidx.get(mp[cell])
@@ -628,44 +655,36 @@ def induced_map(f: SimplicialMap, k: int,
     return _assemble_description(src_basis, tgt_basis, images)
 
 
-def _connecting_block(x: SpaceLike, a: SimplicialMap, k: int,
-                      src: ChainComplex, tgt: ChainComplex) -> SparseIntMatrix:
-    """Faces of relative degree-k cells that land on subspace cells,
-    written in the subspace complex's degree k-1 basis."""
-    xs = underlying(x)
-    inv_a = {a.maps[k - 1][s]: s for s in range(len(a.maps[k - 1]))}
-    if src.basis is None or tgt.basis_index is None:
-        raise ValueError("connecting block needs simplex bases")
-    tidx = tgt.basis_index[k - 1]
-    conn = SparseIntMatrix(tgt.dims[k - 1], src.dims[k])
-    fmaps = xs.faces[k]
-    for j, cell in enumerate(src.basis[k]):
-        sign = 1
-        for i in range(k + 1):
-            pre = inv_a.get(fmaps[i][cell])
-            if pre is not None:
-                t = tidx.get(pre)
-                if t is not None:
-                    conn.add(t, j, sign)
-            sign = -sign
-    return conn
+def _subspace_block(cx: ChainComplex, a: SimplicialMap, k: int,
+                    tgt: ChainComplex, cols: list[int]) -> SparseIntMatrix:
+    """boundary[k] of x's chains ``cx`` on ``cols``, with rows at a(t) for
+    each t in the degree k-1 basis of ``tgt``, a complex of a's source.
+    Each a(t) is a cell of ``cx``: a(t) = s_j y for an injective simplicial
+    a would give a(s_j d_j t) = s_j d_j a(t) = a(t), so t = s_j d_j t."""
+    at = {s: i for i, s in enumerate(cx.basis[k - 1])}
+    fk = a.maps[k - 1]
+    return _submatrix(cx.boundary[k], [at[fk[t]] for t in tgt.basis[k - 1]],
+                      cols)
 
 
-def _connecting_complexes(x: SpaceLike, a: SimplicialMap, k: int,
-                          rel: Optional[SimplicialMap]
-                          ) -> tuple[ChainComplex, ChainComplex]:
+def _connecting_chains(x: SpaceLike, a: SimplicialMap, k: int,
+                       rel: Optional[SimplicialMap]
+                       ) -> tuple[ChainComplex, ChainComplex, SparseIntMatrix]:
+    """(source, target, block) of the connecting map in degree k, for
+    :func:`zigzag_map`: the source is x / a and the block is read off the
+    same build of x's chains."""
     if k < 1:
         raise ValueError("connecting maps start in degree >= 1")
     trunc = min(underlying(x).trunc, a.trunc)
     if trunc < k + 1:
         raise ValueError(
             f"connecting map in degree {k} needs truncation >= {k + 1}, have {trunc}")
-    src = relative_complex(x, a, maxdeg=k + 1)
+    cx, src, picks = _relative(x, a, k + 1)
     if rel is None:
         tgt = normalized_complex(a.source, reduced=True, maxdeg=k)
     else:
         tgt = relative_complex(a.source, rel, maxdeg=k)
-    return src, tgt
+    return src, tgt, _subspace_block(cx, a, k, tgt, picks[k])
 
 
 def zigzag_map(src: ChainComplex, tgt: ChainComplex, block: SparseIntMatrix,
@@ -710,16 +729,14 @@ def connecting_map(x: SpaceLike, a: SimplicialMap, k: int,
     """Connecting homomorphism H_k(x/a) -> H_{k-1}(a) (or, with ``rel``,
     into H_{k-1}(a/rel)) of levelwise spaces, by :func:`zigzag_map`.
     """
-    src, tgt = _connecting_complexes(x, a, k, rel)
-    return zigzag_map(src, tgt, _connecting_block(x, a, k, src, tgt), k)
+    return zigzag_map(*_connecting_chains(x, a, k, rel), k)
 
 
 def connecting_free_index(x: SpaceLike, a: SimplicialMap, k: int,
                           rel: Optional[SimplicialMap] = None) -> int:
     """|d| on free parts of :func:`connecting_map` when the target free
     part has rank 1, by :func:`zigzag_free_index`."""
-    src, tgt = _connecting_complexes(x, a, k, rel)
-    return zigzag_free_index(src, tgt, _connecting_block(x, a, k, src, tgt), k)
+    return zigzag_free_index(*_connecting_chains(x, a, k, rel), k)
 
 
 # ----------------------------------------------------------------------
@@ -791,17 +808,10 @@ def les_check(x: SpaceLike, a: Optional[SimplicialMap],
     ``with_torsion`` the Betti numbers are their ranks.  Degrees up to
     maxdeg-1 are checked.
     """
-    xs = underlying(x)
-    if maxdeg is None:
-        maxdeg = xs.trunc if a is None else min(xs.trunc, a.trunc)
-    cx = normalized_complex(x, reduced=False, maxdeg=maxdeg)
-    cxa = relative_complex(x, a, maxdeg=maxdeg)
-    if a is not None:
-        ca = normalized_complex(a.source, reduced=False, maxdeg=maxdeg)
-    else:
-        ca = ChainComplex([0] * (maxdeg + 1),
-                          [SparseIntMatrix(0, 0) for _ in range(maxdeg + 1)],
-                          basis=[[] for _ in range(maxdeg + 1)])
+    cx, cxa, picks = _relative(x, a, maxdeg)
+    maxdeg = cx.top_degree
+    ca = (_restrict(cx, [[] for _ in cx.dims]) if a is None  # empty subspace
+          else normalized_complex(a.source, reduced=False, maxdeg=maxdeg))
     if with_torsion:
         groups_a, groups_x, groups_xa = (homology(c) for c in (ca, cx, cxa))
         betti_a, betti_x, betti_xa = ([g.rank for g in groups]
@@ -809,20 +819,16 @@ def les_check(x: SpaceLike, a: Optional[SimplicialMap],
     else:
         betti_a, betti_x, betti_xa = (betti_numbers(c) for c in (ca, cx, cxa))
 
-    # chain maps: inclusion i, projection j, connecting block
+    # chain maps: inclusion i, projection j (cx onto the picked cells),
+    # connecting block
     def imap(k: int) -> SparseIntMatrix:
         if a is None:
             return SparseIntMatrix(cx.dims[k], 0)
         return chain_map_matrix(a, k, ca, cx)
 
     def jmap(k: int) -> SparseIntMatrix:
-        mat = SparseIntMatrix(cxa.dims[k], cx.dims[k])
-        xa_idx = cxa.basis_index[k]
-        for j, cell in enumerate(cx.basis[k]):
-            t = xa_idx.get(cell)
-            if t is not None:
-                mat.set(t, j, 1)
-        return mat
+        return SparseIntMatrix.from_triplets(
+            cxa.dims[k], cx.dims[k], ((t, j, 1) for t, j in enumerate(picks[k])))
 
     rank_i = {}
     rank_j = {}
@@ -834,7 +840,7 @@ def les_check(x: SpaceLike, a: Optional[SimplicialMap],
         if a is None:
             rank_d[k] = 0
             continue
-        conn = _connecting_block(x, a, k, cxa, ca)
+        conn = _subspace_block(cx, a, k, ca, picks[k])
         rank_d[k] = _induced_rank_q(conn, cxa.out_matrix(k), ca.in_matrix(k - 1))
     report = LesReport()
     for k in range(maxdeg):

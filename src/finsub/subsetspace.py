@@ -42,7 +42,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .homology import ChainComplex
+from .homology import ChainComplex, _restrict, _submatrix
 from .simplicial import (
     BasedSimplicialSet,
     SimplexRef,
@@ -438,38 +438,9 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
                     mat.add(t, j, sign)
                 sign = -sign
         boundary.append(mat)
-    c = ChainComplex(dims, boundary, reduced=reduced, basis=keys,
-                     meta={"kind": "keyed", "variant": variant})
+    c = ChainComplex(dims, boundary, reduced=reduced, basis=keys)
     c.assert_valid()
     return c
-
-
-def _submatrix(m: SparseIntMatrix, rows: list[int], cols: list[int]
-               ) -> SparseIntMatrix:
-    """The entries of ``m`` on the given rows and columns, in their order."""
-    pos = {r: i for i, r in enumerate(rows)}
-    out = SparseIntMatrix(len(rows), len(cols))
-    for j, c in enumerate(cols):
-        for r, v in m.column(c).items():
-            if r in pos:
-                out.set(pos[r], j, v)
-    return out
-
-
-def _graded_piece(c: ChainComplex, sizes: range, reduced: bool
-                  ) -> tuple[ChainComplex, list[list[int]]]:
-    """The keys of ``c`` with a size in ``sizes``, each degree's boundary
-    restricted to them, and their positions in ``c``; ``reduced`` keeps
-    the augmentation row."""
-    picks = [[i for i, key in enumerate(keys) if len(key) in sizes]
-             for keys in c.basis]
-    boundary = [_submatrix(c.boundary[0], [0] if reduced else [], picks[0])]
-    boundary += [_submatrix(c.boundary[m], picks[m - 1], picks[m])
-                 for m in range(1, len(picks))]
-    piece = ChainComplex([len(p) for p in picks], boundary, reduced=reduced,
-                         basis=[[keys[i] for i in p]
-                                for keys, p in zip(c.basis, picks)])
-    return piece, picks
 
 
 def keyed_connecting(x: BasedSimplicialSet, n: int, k: int, *,
@@ -497,7 +468,12 @@ def keyed_connecting(x: BasedSimplicialSet, n: int, k: int, *,
         raise ValueError(f"connecting map in degree {k} needs truncation "
                          f">= {k + 1}, have {x.trunc}")
     bar = keyed_complex(x, n, "bar", reduced=True, ceiling=ceiling)
-    src, cols = _graded_piece(bar, range(n, n + 1), False)
-    tgt, rows = _graded_piece(bar, range(2) if n == 2 else range(n - 1, n),
-                              n == 2)
-    return src, tgt, _submatrix(bar.boundary[k], rows[k - 1], cols[k])
+
+    def sized(sizes: range) -> list[list[int]]:
+        return [[i for i, key in enumerate(keys) if len(key) in sizes]
+                for keys in bar.basis]
+
+    cols = sized(range(n, n + 1))
+    rows = sized(range(2) if n == 2 else range(n - 1, n))
+    return (_restrict(bar, cols), _restrict(bar, rows, reduced=n == 2),
+            _submatrix(bar.boundary[k], rows[k - 1], cols[k]))

@@ -14,6 +14,7 @@ from cli_runner import CliRunner
 
 from finsub.cli import main
 from finsub.simplicial import save_space, sphere_model
+from finsub.snf import SparseIntMatrix
 
 
 @pytest.fixture
@@ -210,6 +211,19 @@ def test_homology_from_file_with_trunc_cut(runner, tmp_path):
     assert max(groups_of(payload)) == 2  # trusted range shrank with trunc
 
 
+@pytest.mark.parametrize("command", ["homology", "page"])
+def test_trunc_above_the_space_file_is_a_usage_error(runner, tmp_path, command):
+    path = tmp_path / "circle.json"
+    save_space(sphere_model(1, 3), str(path))
+    args = [command, "--space", f"file:{path}", "--n", "2"]
+    res = runner.invoke(main, args + ["--trunc", "7"])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error")]
+    assert errors == ["Error: --trunc 7 exceeds the space file's truncation 3"]
+    res = runner.invoke(main, args + ["--trunc", "3"])
+    assert res.exit_code == 0, res.output
+
+
 def test_homology_cache_roundtrip(runner, tmp_path):
     cache_dir = tmp_path / "cache"
     args = ["homology", "--space", "sphere", "--d", "2", "--n", "2",
@@ -246,6 +260,72 @@ def test_homology_tampered_cache_entry_is_recomputed(runner, tmp_path):
     assert again.exit_code == 0, again.output
     assert again.output == first.output
     assert paths[k].read_text() == original  # recomputed and overwritten
+
+
+def test_cache_clear_and_stats_touch_only_cache_files(runner, tmp_path,
+                                                     monkeypatch):
+    from finsub import cache as cache_mod
+    args = ["homology", "--space", "sphere", "--d", "2", "--n", "2",
+            "--cache-dir", str(tmp_path)]
+    assert runner.invoke(main, args).exit_code == 0
+    entries = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+    # a write that never reached its rename leaves the cache's temp file
+    monkeypatch.setattr(cache_mod.os, "replace", lambda src, dst: None)
+    cache_mod.BoundaryCache(str(tmp_path)).put("0" * 64, 0,
+                                              SparseIntMatrix.identity(2))
+    monkeypatch.undo()
+    leftover = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+    assert len(leftover) == 1
+    foreign = ["notes.json", "notes.tmp", ("a" * 64) + "-d1.json.bak",
+               ("A" * 64) + "-d0.json"]
+    for name in foreign:
+        (tmp_path / name).write_text("{}")
+    stats = runner.invoke(main, ["cache", "stats", "--cache-dir", str(tmp_path)])
+    assert json.loads(stats.output) == {"entries": len(entries),
+                                        "bytes": sum(entries.values())}
+    cleared = runner.invoke(main, ["cache", "clear", "--cache-dir", str(tmp_path)])
+    assert json.loads(cleared.output)["removed"] == len(entries) + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(foreign)
+
+
+MALFORMED_ENTRIES = {
+    "top-level list": [],
+    "triplet outside the shape": {"rows": 2, "cols": 2, "triplets": [[2, 0, 1]]},
+    "bare int triplet": {"rows": 2, "cols": 2, "triplets": [5]},
+    "short triplet": {"rows": 2, "cols": 2, "triplets": [[0, 1]]},
+    "non-int value": {"rows": 2, "cols": 2, "triplets": [[0, 1, 1.5]]},
+    "negative shape": {"rows": -1, "cols": 2, "triplets": []},
+    "string shape": {"rows": "2", "cols": 2, "triplets": []},
+    "missing triplets": {"rows": 2, "cols": 2},
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED_ENTRIES.values(),
+                         ids=MALFORMED_ENTRIES.keys())
+def test_malformed_cache_entry_is_a_miss(tmp_path, data):
+    from finsub.cache import BoundaryCache
+    cache = BoundaryCache(str(tmp_path))
+    key = "f" * 64
+    cache.put(key, 0, SparseIntMatrix.identity(2))
+    assert cache.get(key, 0) == SparseIntMatrix.identity(2)
+    (tmp_path / f"{key}-d0.json").write_text(json.dumps(data))
+    assert cache.get(key, 0) is None
+
+
+@pytest.mark.parametrize("data", MALFORMED_ENTRIES.values(),
+                         ids=MALFORMED_ENTRIES.keys())
+def test_homology_recomputes_a_malformed_cache_entry(runner, tmp_path, data):
+    args = ["homology", "--space", "sphere", "--d", "2", "--n", "2",
+            "--cache-dir", str(tmp_path)]
+    first = runner.invoke(main, args)
+    assert first.exit_code == 0, first.output
+    entry = next(tmp_path.glob("*-d3.json"))
+    original = entry.read_text()
+    entry.write_text(json.dumps(data))
+    again = runner.invoke(main, args)
+    assert again.exit_code == 0, again.output
+    assert again.output == first.output
+    assert entry.read_text() == original  # recomputed and overwritten
 
 
 def test_homology_cache_keys_are_pinned(runner, tmp_path):

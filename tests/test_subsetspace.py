@@ -33,8 +33,6 @@ from finsub.subsetspace import (
 )
 from finsub import subsetspace
 from finsub.homology import (
-    _connecting_block,
-    _connecting_complexes,
     connecting_free_index,
     connecting_map,
     normalized_complex,
@@ -43,6 +41,7 @@ from finsub.homology import (
     zigzag_map,
 )
 from finsub.spectral import filtered_complex
+from homology_reference import connecting_block, connecting_complexes
 
 
 def test_exp_rejects_n_zero():
@@ -388,8 +387,8 @@ def test_keyed_connecting_matches_levelwise():
         tw = tower(x, n, "bar")
         top, sub = tw.stage(n), tw.inclusions[n - 2]
         rel = tw.inclusions[n - 3] if n > 2 else None
-        ref_src, ref_tgt = _connecting_complexes(top, sub, k, rel)
-        ref_block = _connecting_block(top, sub, k, ref_src, ref_tgt)
+        ref_src, ref_tgt = connecting_complexes(top, sub, k, rel)
+        ref_block = connecting_block(top, sub, k, ref_src, ref_tgt)
         src, tgt, block = keyed_connecting(x, n, k)
         case = (name, n, k)
         _same_chains(x, n, src, ref_src)
