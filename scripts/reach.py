@@ -14,6 +14,11 @@ it runs ``homology_basis`` in each degree of the record's groups,
 checks that its group is the one ``homology`` reported, and adds
 ``basis_s``: the wall time of each, by degree.  Run it from a checkout;
 it puts the checkout's ``src`` on the import path itself.
+
+``reach_groups.json``, next to the script, pins the groups of measured
+runs under the key ``"D N variant"``.  When it holds the run's key and
+the groups differ, the script prints the record, names each differing
+degree on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -80,6 +85,17 @@ def main() -> None:
     if args.bases:
         record["basis_s"] = basis_s
     print(json.dumps(record))
+    pinned_file = Path(__file__).resolve().with_name("reach_groups.json")
+    if pinned_file.exists():
+        pinned = json.loads(pinned_file.read_text()).get(
+            f"{args.d} {args.n} {args.variant}")
+        got = record["groups"]
+        if pinned is not None and pinned != got:
+            for k in sorted(set(pinned) | set(got), key=int):
+                if pinned.get(k) != got.get(k):
+                    print(f"degree {k}: {got.get(k, '0')}, pinned "
+                          f"{pinned.get(k, '0')}", file=sys.stderr)
+            sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -484,9 +484,14 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     (:func:`finsub.snf.kernel_lattice`), so only the echelon's residue
     is eliminated with a tracked column transform; on a tall
     differential its row stream stops at the d.d bound
-    (:func:`_cycle_lattice`).  The incoming image is rewritten in kernel
-    coordinates and put in Smith form with a tracked row transform.  A
-    degree outside 0..top is refused.
+    (:func:`_cycle_lattice`).  The incoming image b is rewritten in
+    kernel coordinates and its transpose put in Smith form with a
+    tracked column transform: from U.b.V = D follows V^T.b^T.U^T = D^T,
+    so the V of b^T is the U^T of b, in the same order of invariant
+    factors.  The generators are the kernel combinations given by the
+    columns of U^-1 (the rows of that V^-1), and the rows of U (the
+    columns of that V) give a cycle's coordinates in them.  A degree
+    outside 0..top is refused.
     """
     kernel, _, vinv_bottom = _cycle_lattice(c, k)
     dk = c.out_matrix(k)
@@ -505,10 +510,10 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
                     del acc[col]
         for col, v in acc.items():
             b.set(i, col, v)
-    res2 = diagonalize(b, track_u=True, chain=True)
+    res2 = diagonalize(b.transpose(), chain=True)
     factors = res2.factors
     s = len(factors)
-    uinv_cols = [res2.Uinv.column(i) for i in range(z)]
+    uinv_cols = res2.Vinv.row_dicts()
     gens: list[dict[int, int]] = []
     for i in range(z):
         chain: dict[int, int] = {}
@@ -525,7 +530,8 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     free_gens = gens[s:]
     group = HomologyGroup(z - s, tuple(torsion_orders))
     return HomologyBasis(k, group, free_gens, torsion_gens, torsion_orders,
-                         dk, vinv_bottom, res2.U.row_dicts(), factors)
+                         dk, vinv_bottom, [res2.V.column(i) for i in range(z)],
+                         factors)
 
 
 # ----------------------------------------------------------------------
@@ -812,12 +818,15 @@ def les_check(x: SpaceLike, a: Optional[SimplicialMap],
     maxdeg = cx.top_degree
     ca = (_restrict(cx, [[] for _ in cx.dims]) if a is None  # empty subspace
           else normalized_complex(a.source, reduced=False, maxdeg=maxdeg))
+    # x / nothing is cx itself, so its homology is computed once
     if with_torsion:
-        groups_a, groups_x, groups_xa = (homology(c) for c in (ca, cx, cxa))
+        groups_a, groups_x = homology(ca), homology(cx)
+        groups_xa = groups_x if cxa is cx else homology(cxa)
         betti_a, betti_x, betti_xa = ([g.rank for g in groups]
                                       for groups in (groups_a, groups_x, groups_xa))
     else:
-        betti_a, betti_x, betti_xa = (betti_numbers(c) for c in (ca, cx, cxa))
+        betti_a, betti_x = betti_numbers(ca), betti_numbers(cx)
+        betti_xa = betti_x if cxa is cx else betti_numbers(cxa)
 
     # chain maps: inclusion i, projection j (cx onto the picked cells),
     # connecting block

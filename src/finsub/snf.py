@@ -3,21 +3,21 @@
 Everything here runs over arbitrary-precision integers: no floating point,
 no modular shortcuts.  The entry points are
 
-* :func:`smith_normal_form` -- invariant factors of an integer matrix,
-  optionally with unimodular transforms ``U, V`` such that ``U @ M @ V``
-  is the diagonal of the factors;
-* :func:`diagonalize` -- a diagonalization (no divisibility chain) that
-  tracks either transform and its inverse;
+* :func:`smith_normal_form` -- invariant factors of an integer matrix;
+* :func:`diagonalize` -- a diagonalization ``U @ M @ V = D``, with the
+  invariant factors on the diagonal on request, that tracks the column
+  transform V and its inverse; a row transform is the transposed V of
+  the transpose;
 * :func:`kernel_lattice` -- a basis of the integer kernel with
   coordinate rows for it, which is what homology presentations need;
   given a bound on the rank, its row stream stops once the bound is
   reached, as ``homology.homology_basis`` does with the d.d bound.
 
-All of them run on one sparse elimination engine, with transform
-tracking switched on or off.  It prefers +-1 pivots in short columns
-among the sparsest rows; once no unit entry is left, it pivots on the
-entry of smallest absolute value and reduces by gcd remainders until
-the pivot divides its row and column.
+All of them run on one sparse elimination engine, with column
+transform tracking switched on or off.  It prefers +-1 pivots in short
+columns among the sparsest rows; once no unit entry is left, it pivots
+on the entry of smallest absolute value and reduces by gcd remainders
+until the pivot divides its row and column.
 
 :func:`invariant_factors` and :func:`rank`, which need no transforms,
 first stream the rows, sparsest first, into a fully reduced +-1 echelon
@@ -36,8 +36,8 @@ columns by the unit echelon's pivot rows; a differential it needs only
 the rank of stops streaming once the rank is fixed.
 :func:`kernel_lattice` reads a kernel basis straight off the same
 echelon and gives the engine only the residue, with the column
-transform tracked, while ``smith_normal_form(transforms=True)`` and
-``diagonalize`` track the transforms of the whole matrix they are given.
+transform tracked, while ``diagonalize`` tracks the column transform of
+the whole matrix it is given.
 """
 
 from __future__ import annotations
@@ -245,35 +245,30 @@ def divisor_chain(values: Iterable[int]) -> list[int]:
 
 
 class SnfResult:
-    """Diagonalization ``U @ M @ V = D`` with optional transforms.
+    """Diagonal factors of ``M``, with the column transform V of a
+    diagonalization ``U @ M @ V = D`` when it was tracked.
 
     ``factors`` lists the nonzero diagonal entries (positions 0..rank-1).
     When ``chain`` was requested they are the invariant factors.  The
-    columns of V beyond the rank form a basis of the kernel lattice.
+    columns of V beyond the rank form a basis of the kernel lattice.  A
+    row transform U is never tracked: it is the transposed V of ``M``'s
+    transpose.
     """
 
     def __init__(self, rows: int, cols: int, factors: list[int],
-                 U: Optional[SparseIntMatrix] = None,
-                 Uinv: Optional[SparseIntMatrix] = None,
                  V: Optional[SparseIntMatrix] = None,
                  Vinv: Optional[SparseIntMatrix] = None):
         self.rows = rows
         self.cols = cols
         self.factors = factors
-        self.U = U
-        self.Uinv = Uinv
+        # always None: perfbench/tracer.py still reads them
+        self.U = self.Uinv = None
         self.V = V
         self.Vinv = Vinv
 
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-    def diagonal_matrix(self) -> SparseIntMatrix:
-        d = SparseIntMatrix(self.rows, self.cols)
-        for i, f in enumerate(self.factors):
-            d.set(i, i, f)
-        return d
 
 
 class _Buckets:
@@ -328,21 +323,21 @@ def _negate(vec: dict[int, int]) -> None:
 
 
 class _Elimination:
-    """Sparse unimodular elimination, with optional transform tracking.
+    """Sparse unimodular elimination, with optional column transform
+    tracking.
 
     The working copy is row-major with a column index.  Rows and columns
     keep their indices for the whole run: a finished pivot ``(r, c)`` is
     appended to ``pivots`` and its row and column leave the active
     matrix, so no entry is ever moved to reach the diagonal.  The
     diagonal order is the pivot order; :meth:`result` permutes the
-    transforms' rows and columns to match it.
+    transform's columns to match it.
 
-    Row operations update U (rows) and U^-1 (columns) when ``track_u``;
-    column operations update V (columns) and V^-1 (rows) when
-    ``track_v``.
+    Column operations update V (columns) and V^-1 (rows) when
+    ``track_v``; row operations are not recorded.
     """
 
-    def __init__(self, m: SparseIntMatrix, track_u: bool, track_v: bool):
+    def __init__(self, m: SparseIntMatrix, track_v: bool):
         self.nr = m.rows
         self.nc = m.cols
         self.rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
@@ -358,11 +353,7 @@ class _Elimination:
             self.buckets.put(r, len(row))
         # [row, column, value] of each finished pivot, value > 0
         self.pivots: list[list[int]] = []
-        self.track_u = track_u
         self.track_v = track_v
-        if track_u:
-            self.u_rows: list[dict[int, int]] = [{i: 1} for i in range(self.nr)]
-            self.uinv_cols: list[dict[int, int]] = [{i: 1} for i in range(self.nr)]
         if track_v:
             self.v_cols: list[dict[int, int]] = [{i: 1} for i in range(self.nc)]
             self.vinv_rows: list[dict[int, int]] = [{i: 1} for i in range(self.nc)]
@@ -412,7 +403,7 @@ class _Elimination:
         +-1 pivot leaves no remainder.
         """
         rows, colrows, put = self.rows, self.colrows, self.buckets.put
-        track_u, track_v = self.track_u, self.track_v
+        track_v = self.track_v
         while True:
             prow = rows[r]
             # the pivot entry is left out of the row updates and its
@@ -442,9 +433,6 @@ class _Elimination:
                         del colrows[c][r2]
                     if len(drow) != before:
                         put(r2, len(drow))
-                    if track_u:
-                        _addmul(self.u_rows[r2], self.u_rows[r], -q)
-                        _addmul(self.uinv_cols[r], self.uinv_cols[r2], q)
                 if c in drow:
                     smaller = r2
                     break
@@ -468,13 +456,9 @@ class _Elimination:
                 break
             put(r, len(prow))
             c = smaller
-        if a < 0:
-            if track_u:
-                _negate(self.u_rows[r])
-                _negate(self.uinv_cols[r])
-            elif track_v:
-                _negate(self.v_cols[c])
-                _negate(self.vinv_rows[c])
+        if a < 0 and track_v:
+            _negate(self.v_cols[c])
+            _negate(self.vinv_rows[c])
         self.pivots.append([r, c, abs(a)])
         rows[r] = {}
         colrows[c] = {}
@@ -502,13 +486,10 @@ class _Elimination:
             [[x, y], [-b/g, a/g]] @ diag(a, b) @ [[1, -y*b/g], [1, x*a/g]]
                 = diag(g, a*b/g)   where x*a + y*b = g,
 
-        both factors of determinant 1.
+        both factors of determinant 1; only the right one is tracked.
         """
-        (ri, ci, a), (rj, cj, b) = pi, pj
+        (_, ci, a), (_, cj, b) = pi, pj
         g, x, y = xgcd(a, b)
-        if self.track_u:
-            _combine(self.u_rows, ri, rj, x, y, -b // g, a // g)
-            _combine(self.uinv_cols, ri, rj, a // g, b // g, -y, x)
         if self.track_v:
             _combine(self.v_cols, ci, cj, 1, 1, -y * b // g, x * a // g)
             _combine(self.vinv_rows, ci, cj, x * a // g, y * b // g, -1, 1)
@@ -516,17 +497,6 @@ class _Elimination:
 
     def result(self) -> SnfResult:
         res = SnfResult(self.nr, self.nc, [p[2] for p in self.pivots])
-        if self.track_u:
-            done = {p[0] for p in self.pivots}
-            order = [p[0] for p in self.pivots] + \
-                [r for r in range(self.nr) if r not in done]
-            u = SparseIntMatrix(self.nr, self.nr)
-            for i, r in enumerate(order):
-                for c, v in self.u_rows[r].items():
-                    u._cols[c][i] = v
-            uinv = SparseIntMatrix(self.nr, self.nr)
-            uinv._cols = [self.uinv_cols[r] for r in order]
-            res.U, res.Uinv = u, uinv
         if self.track_v:
             done = {p[1] for p in self.pivots}
             order = [p[1] for p in self.pivots] + \
@@ -742,7 +712,7 @@ def _untracked_diagonal(m: SparseIntMatrix, skip_cols: Collection[int] = ()
         for r, row in enumerate(basis):
             for c, v in row.items():
                 b._cols[c][r] = v
-        diagonal += [p[2] for p in _Elimination(b, False, False).run().pivots]
+        diagonal += [p[2] for p in _Elimination(b, False).run().pivots]
     return pivot_rows, diagonal
 
 
@@ -767,27 +737,22 @@ def rank(m: SparseIntMatrix) -> int:
     return _untracked_rank(m)[1]
 
 
-def diagonalize(m: SparseIntMatrix, track_u: bool = False, track_v: bool = False,
-                chain: bool = False) -> SnfResult:
-    """Tracked diagonalization ``U @ M @ V = D``.
+def diagonalize(m: SparseIntMatrix, chain: bool = False) -> SnfResult:
+    """Diagonalization ``U @ M @ V = D`` with V and V^-1 tracked.
 
-    With ``chain=True`` the diagonal carries the invariant factors; the
-    transforms stay aligned with them, which is what generator extraction
-    requires (a post-hoc numeric gcd/lcm fix would not be).
+    With ``chain=True`` the diagonal carries the invariant factors; V
+    stays aligned with them, which is what generator extraction requires
+    (a post-hoc numeric gcd/lcm fix would not be).  The row transform of
+    ``M`` is the transposed V of ``diagonalize(M.transpose())``.
     """
-    work = _Elimination(m, track_u, track_v).run()
+    work = _Elimination(m, True).run()
     if chain:
         work.enforce_chain()
     return work.result()
 
 
-def smith_normal_form(m: SparseIntMatrix, transforms: bool = False) -> SnfResult:
-    """Invariant factors of ``m``; with ``transforms`` also U, V with
-    ``U @ M @ V`` diagonal.  V is tracked over the whole matrix, so its
-    entries can explode (54 495-bit kernel columns on a 24x30 input with
-    13-bit entries); :func:`kernel_lattice` gives kernel bases without it."""
-    if transforms:
-        return diagonalize(m, track_u=True, track_v=True, chain=True)
+def smith_normal_form(m: SparseIntMatrix) -> SnfResult:
+    """Invariant factors of ``m``, with no transform."""
     return SnfResult(m.rows, m.cols, invariant_factors(m))
 
 
@@ -842,7 +807,7 @@ def kernel_lattice(m: SparseIntMatrix, bound: Optional[int] = None
         for f, v in x.items():
             r._cols[position[f]][i] = v
     del residue
-    res = diagonalize(r, track_v=True)
+    res = diagonalize(r)
     kernel = []
     for j in range(res.rank, len(free)):
         vec: dict[int, int] = {}

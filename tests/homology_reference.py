@@ -40,11 +40,12 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
 
     Kernel lattice from the tracked column transform of the outgoing
     differential; the incoming image is rewritten in kernel coordinates
-    and put in Smith form with a tracked row transform.
+    and put in Smith form through the tracked column transform of its
+    transpose.
     """
     dk = c.out_matrix(k)
     dk1 = c.in_matrix(k)
-    res1 = diagonalize(dk, track_v=True)
+    res1 = diagonalize(dk)
     r = res1.rank
     nk = c.dims[k]
     z = nk - r
@@ -64,10 +65,10 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
                     del acc[col]
         for col, v in acc.items():
             b.set(i, col, v)
-    res2 = diagonalize(b, track_u=True, chain=True)
+    res2 = diagonalize(b.transpose(), chain=True)
     factors = res2.factors
     s = len(factors)
-    uinv_cols = [res2.Uinv.column(i) for i in range(z)]
+    uinv_cols = res2.Vinv.row_dicts()
     gens: list[dict[int, int]] = []
     for i in range(z):
         chain: dict[int, int] = {}
@@ -84,7 +85,8 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     free_gens = gens[s:]
     group = HomologyGroup(z - s, tuple(torsion_orders))
     return HomologyBasis(k, group, free_gens, torsion_gens, torsion_orders,
-                         dk, vinv_bottom, res2.U.row_dicts(), factors)
+                         dk, vinv_bottom, [res2.V.column(i) for i in range(z)],
+                         factors)
 
 
 def _basis_index(c: ChainComplex, k: int) -> dict:

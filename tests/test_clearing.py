@@ -28,7 +28,7 @@ from finsub.subsetspace import keyed_complex
 def per_matrix_groups(c):
     """Groups from the invariant factors of every differential alone,
     eliminated by ``_Elimination`` with no echelon and no clearing."""
-    f = [divisor_chain(p[2] for p in _Elimination(m, False, False).run().pivots)
+    f = [divisor_chain(p[2] for p in _Elimination(m, False).run().pivots)
          for m in c.boundary] + [[]]
     groups = []
     for k, dim in enumerate(c.dims):

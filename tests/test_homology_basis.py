@@ -8,11 +8,20 @@ on the whole differential, and checked on their own: every generator is
 a cycle, the free generators have unit coordinates, every torsion
 generator has its order at the lattice level, and the reference's free
 generators are a unimodular change of the new ones.
+
+Its second stage puts the transpose of the incoming image b (in kernel
+coordinates) in Smith form with a tracked column transform, in place of
+b with a tracked row transform; that stage is compared with the row
+transform of ``snf_reference`` on the same b.
 """
+
+import random
+import sys
 
 import pytest
 
 import homology_reference as reference
+import snf_reference
 from conftest import conjugated, in_image_lattice, peak_traced, time_limit
 from finsub import snf
 from finsub.groupcoh import CoefficientAction, bar_cochain_complex
@@ -20,6 +29,9 @@ from finsub.homology import homology, homology_basis
 from finsub.simplicial import sphere_model, torus_model
 from finsub.snf import SparseIntMatrix, invariant_factors, kernel_lattice, rank
 from finsub.subsetspace import keyed_complex
+
+# the module; ``finsub.homology`` on the package is the function
+homology_module = sys.modules["finsub.homology"]
 
 
 def prime_factors(n):
@@ -150,13 +162,68 @@ def test_kernel_lattice_of_bar_coboundary_tracks_only_the_residue(monkeypatch):
     tracked = []
     init = snf._Elimination.__init__
 
-    def record(self, m, track_u, track_v):
+    def record(self, m, track_v):
         if track_v:
             tracked.append((m.rows, m.cols))
-        init(self, m, track_u, track_v)
+        init(self, m, track_v)
 
     monkeypatch.setattr(snf._Elimination, "__init__", record)
     assert str(homology_basis(c, 2).group) == "Z/2"
     assert c.out_matrix(2).cols == 529
     assert tracked and all(cols < 529 for _, cols in tracked)
     assert all(rows < 100 for rows, _ in tracked)
+
+
+def assert_transposed_stage(b):
+    """The chain factors of b^T equal the reference's chain factors of b
+    with a tracked row transform, and V^T.b, V the column transform of
+    b^T, has no nonzero row past the rank."""
+    res = snf.diagonalize(b.transpose(), chain=True)
+    old = snf_reference.diagonalize(b, True, False, chain=True)
+    assert res.factors == old.factors
+    vtb = res.V.transpose().mul(b)
+    assert all(not row for row in vtb.row_dicts()[res.rank:])
+
+
+def incoming_images(monkeypatch, c, degrees):
+    """The b of each degree's second stage, caught from ``homology_basis``."""
+    seen = []
+    diagonalize = homology_module.diagonalize
+
+    def record(m, chain=False):
+        seen.append(m.transpose())
+        return diagonalize(m, chain)
+
+    monkeypatch.setattr(homology_module, "diagonalize", record)
+    for k in degrees:
+        homology_basis(c, k)
+    monkeypatch.undo()
+    assert len(seen) == len(degrees)
+    return seen
+
+
+def test_transposed_stage_matches_reference_on_random_matrices():
+    rng = random.Random(2101)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        assert_transposed_stage(SparseIntMatrix.from_dense(
+            [[rng.choice([0, 0, 0, 1, -1, 2, -3, 4, 6]) for _ in range(nc)]
+             for _ in range(nr)]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("action", ["trivial", "sign"])
+def test_transposed_stage_matches_reference_on_bar_images(monkeypatch, n, action):
+    c = bar_cochain_complex(n, CoefficientAction(action), 2)
+    for b in incoming_images(monkeypatch, c, (1, 2)):
+        assert_transposed_stage(b)
+
+
+@pytest.mark.parametrize("x,n", [
+    (sphere_model(2, 5), 2), (sphere_model(2, 7), 3), (sphere_model(3, 7), 2),
+    (torus_model(5), 2)])
+def test_transposed_stage_matches_reference_on_keyed_images(monkeypatch, x, n):
+    for variant in ("exp", "bar"):
+        c = keyed_complex(x, n, variant)
+        for b in incoming_images(monkeypatch, c, range(c.top_degree + 1)):
+            assert_transposed_stage(b)

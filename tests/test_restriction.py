@@ -3,6 +3,7 @@ one normalized-complex build, against the face loops they replaced
 (``homology_reference``)."""
 
 import random
+import sys
 
 import pytest
 
@@ -97,6 +98,27 @@ def test_les_check_equals_face_loop(with_torsion):
         got = les_check(x, a, with_torsion=with_torsion)
         assert _nodes(got) == _nodes(
             reference.les_check(x, a, with_torsion=with_torsion)), case
+
+
+@pytest.mark.parametrize("with_torsion", [True, False])
+def test_les_check_of_no_subspace_computes_x_once(monkeypatch, with_torsion):
+    # x / nothing is x itself: homology runs on the empty subspace and on
+    # x, not a second time on x
+    x = exp(sphere_model(2, 7), 3)
+    module = sys.modules["finsub.homology"]
+    calls = []
+    homology = module.homology
+
+    def spy(c, *args, **kwargs):
+        calls.append(c)
+        return homology(c, *args, **kwargs)
+
+    monkeypatch.setattr(module, "homology", spy)
+    got = les_check(x, None, with_torsion=with_torsion)
+    monkeypatch.undo()
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    assert _nodes(got) == _nodes(reference.les_check(x, None,
+                                                     with_torsion=with_torsion))
 
 
 def _bad_subspaces():

@@ -1,11 +1,16 @@
 """Smoke tests for the scripts under ``scripts/``."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def test_reach_record_on_s2_two_points():
@@ -42,3 +47,25 @@ def test_reach_record_times_bases_on_s2_two_points():
     assert sorted(record["basis_s"]) == ["0", "2", "4"]
     assert all(t >= 0 for t in record["basis_s"].values())
     assert "pages_s" not in record
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 3)])
+def test_reach_matches_the_pinned_groups(d, n):
+    pinned = json.loads((SCRIPTS / "reach_groups.json").read_text())
+    done = subprocess.run([sys.executable, str(SCRIPTS / "reach.py"), str(d), str(n)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(done.stdout)["groups"] == pinned[f"{d} {n} exp"]
+
+
+def test_reach_exits_1_on_a_group_that_differs_from_the_pinned_one(tmp_path):
+    # a copy of the script beside a pinned file with H_5 of S^3 n=3 tampered
+    shutil.copy(SCRIPTS / "reach.py", tmp_path / "reach.py")
+    pinned = json.loads((SCRIPTS / "reach_groups.json").read_text())
+    pinned["3 3 exp"]["5"] = "Z/2"
+    (tmp_path / "reach_groups.json").write_text(json.dumps(pinned))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, str(tmp_path / "reach.py"), "3", "3"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 1
+    assert done.stderr.strip() == "degree 5: Z/2 + Z/2, pinned Z/2"
+    assert json.loads(done.stdout)["groups"]["5"] == "Z/2 + Z/2"

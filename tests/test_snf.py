@@ -153,20 +153,17 @@ def unimodular(m):
     return d in (1, -1)
 
 
-def test_transforms_umv():
+def test_chain_transform_is_unimodular():
     rng = random.Random(99)
     for _ in range(80):
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
         dense = random_dense(rng, nr, nc, density=0.8)
         m = SparseIntMatrix.from_dense(dense)
-        res = smith_normal_form(m, transforms=True)
+        res = diagonalize(m, chain=True)
         assert res.factors == minors_gcd_factors(dense)
-        d = res.U.mul(m).mul(res.V)
-        assert d == res.diagonal_matrix()
-        assert unimodular(res.U) and unimodular(res.V)
-        assert res.U.mul(res.Uinv) == SparseIntMatrix.identity(nr)
-        assert res.V.mul(res.Vinv) == SparseIntMatrix.identity(nc)
+        assert unimodular(res.V)
+        check_tracked(m, res, chain=True)
 
 
 def test_diagonalize_without_chain_tracks_inverses():
@@ -174,7 +171,7 @@ def test_diagonalize_without_chain_tracks_inverses():
     for _ in range(40):
         dense = random_dense(rng, rng.randint(1, 5), rng.randint(2, 6))
         m = SparseIntMatrix.from_dense(dense)
-        res = diagonalize(m, track_v=True)
+        res = diagonalize(m)
         # M @ V has zero columns beyond the rank
         mv = m.mul(res.V)
         for j in range(res.rank, m.cols):
@@ -217,13 +214,17 @@ def test_no_unit_entries_matrix():
     dense = [[4, 6], [10, 8]]
     assert invariant_factors(SparseIntMatrix.from_dense(dense)) == \
         minors_gcd_factors(dense)
-    res = smith_normal_form(SparseIntMatrix.from_dense(dense), transforms=True)
+    m = SparseIntMatrix.from_dense(dense)
+    assert smith_normal_form(m).factors == minors_gcd_factors(dense)
+    res = diagonalize(m, chain=True)
     assert res.factors == minors_gcd_factors(dense)
+    check_tracked(m, res, chain=True)
 
 
 def test_transforms_on_heavy_torsion():
     # conjugates of fixed torsion diagonals by random unimodular matrices
-    # must come back with the same invariant factors and aligned transforms
+    # must come back with the same invariant factors and a column
+    # transform aligned with them
     rng = random.Random(5150)
     for factors in ([2, 6, 12], [3, 3], [4, 8, 8], [2, 2, 2, 4]):
         n = len(factors)
@@ -232,9 +233,9 @@ def test_transforms_on_heavy_torsion():
         d = [[factors[i] if i == j else 0 for j in range(n)] for i in range(n)]
         m = _matmul(_matmul(left, d), right)
         sm = SparseIntMatrix.from_dense(m)
-        res = smith_normal_form(sm, transforms=True)
+        res = diagonalize(sm, chain=True)
         assert res.factors == factors
-        assert res.U.mul(sm).mul(res.V) == res.diagonal_matrix()
+        check_tracked(sm, res, chain=True)
 
 
 def _random_unimodular(rng, n, steps=12):
@@ -268,7 +269,8 @@ try:
             assert b % a == 0
         assert factors == minors_gcd_factors(dense) == elimination_alone(m)
         assert len(factors) == rank(m)
-        res = smith_normal_form(m, transforms=True)
+        assert smith_normal_form(m).factors == factors
+        res = diagonalize(m, chain=True)
         assert res.factors == factors
         check_tracked(m, res, chain=True)
 except ImportError:  # pragma: no cover
@@ -278,25 +280,15 @@ except ImportError:  # pragma: no cover
 # -- differential: the engines this one replaced -----------------------------------
 
 def check_tracked(m, res, chain):
-    """Positive factors, divisible in turn when ``chain``; U, V inverted
-    by Uinv, Vinv; U @ M @ V = D when both are tracked, else the rows of
-    U @ M (columns of M @ V) beyond the rank vanish."""
+    """Positive factors, divisible in turn when ``chain``; V inverted by
+    Vinv; the columns of M @ V beyond the rank vanish."""
     assert all(f > 0 for f in res.factors)
     if chain:
         for a, b in zip(res.factors, res.factors[1:]):
             assert b % a == 0
-    if res.U is not None:
-        assert res.U.mul(res.Uinv) == SparseIntMatrix.identity(m.rows)
-    if res.V is not None:
-        assert res.V.mul(res.Vinv) == SparseIntMatrix.identity(m.cols)
-    if res.U is not None and res.V is not None:
-        assert res.U.mul(m).mul(res.V) == res.diagonal_matrix()
-    elif res.V is not None:
-        mv = m.mul(res.V)
-        assert all(not mv.column(j) for j in range(res.rank, m.cols))
-    elif res.U is not None:
-        um = res.U.mul(m)
-        assert all(not row for row in um.row_dicts()[res.rank:])
+    assert res.V.mul(res.Vinv) == SparseIntMatrix.identity(m.cols)
+    mv = m.mul(res.V)
+    assert all(not mv.column(j) for j in range(res.rank, m.cols))
 
 
 def random_sparse(rng, nr, nc, density, values):
@@ -318,14 +310,15 @@ def conjugated_torsion(rng, factors, nr, nc):
 def elimination_alone(m):
     """Invariant factors from ``_Elimination`` on all of ``m``: the path
     ``invariant_factors`` took before the unit echelon."""
-    return divisor_chain(p[2] for p in _Elimination(m, False, False).run().pivots)
+    return divisor_chain(p[2] for p in _Elimination(m, False).run().pivots)
 
 
 def assert_matches_reference(m, tracked=True):
     """Factors and rank equal the reference's and those of
     ``_Elimination`` alone; unless ``tracked`` is off (for large
-    matrices), so do the reference's rank and tracked factors, and every
-    tracking mode passes ``check_tracked``."""
+    matrices), so do the reference's rank and tracked factors, and the
+    tracked diagonalization passes ``check_tracked`` with and without
+    ``chain``."""
     want = reference.invariant_factors(m)
     assert invariant_factors(m) == want == elimination_alone(m)
     assert rank(m) == len(want)
@@ -334,16 +327,14 @@ def assert_matches_reference(m, tracked=True):
     if not tracked:
         return
     assert reference.rank(m) == len(want)
-    assert smith_normal_form(m, transforms=True).factors == \
-        reference.diagonalize(m, True, True, chain=True).factors == want
-    for track_u, track_v, chain in [(False, True, False), (True, False, True),
-                                    (True, True, False)]:
-        res = diagonalize(m, track_u=track_u, track_v=track_v, chain=chain)
-        old = reference.diagonalize(m, track_u, track_v, chain)
+    assert smith_normal_form(m).factors == want
+    for chain in (False, True):
+        res = diagonalize(m, chain=chain)
+        old = reference.diagonalize(m, False, True, chain)
         assert res.rank == old.rank == len(want)
         check_tracked(m, res, chain)
         if chain:
-            assert res.factors == want
+            assert res.factors == old.factors == want
 
 
 def random_reference_cases():
