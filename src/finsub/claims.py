@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
+from .fncells import fn_homology
 from .groupcoh import CoefficientAction, bar_cochain_complex
 from .homology import (
     ChainComplex,
@@ -465,6 +466,24 @@ def claim_generaltwo(n: int, d: Optional[int], opts: dict,
         expected, computed, _verdict(expected, computed))]
 
 
+def claim_fn_conf(n: int, d: int, opts: dict) -> list[VerificationReport]:
+    if n < 1 or d < 1:
+        raise ParameterError("fn-conf needs n >= 1 and d >= 1")
+    _check_nd(n, d, opts["budget_nd"])
+    keyed = _groups(sphere_model(d, n * d + 1), n, "conf-bar", opts,
+                    reduced=True)
+    cells = d ** (n - 1)
+    fn = fn_homology(n, d)
+    return [VerificationReport(
+        "fn-conf", {"n": n, "d": d, "degree": k},
+        f"reduced H_{k} of the compactified {n}-point configuration space "
+        f"of R^{d} from its {cells} Fox-Neuwirth cells equals the keyed "
+        f"conf-bar model's",
+        f"keyed conf-bar chains of S^{d}, reduced",
+        str(expected), str(fn[k]), _verdict(expected, fn[k]))
+        for k, expected in enumerate(keyed)]
+
+
 CLAIMS: dict[str, Callable] = {
     "thm1": claim_thm1,
     "thm2": claim_thm2,
@@ -477,6 +496,7 @@ CLAIMS: dict[str, Callable] = {
     "e1-collapse": claim_e1_collapse,
     "groupcoh-xcheck": claim_groupcoh_xcheck,
     "generaltwo": claim_generaltwo,
+    "fn-conf": claim_fn_conf,
 }
 
 
@@ -489,7 +509,7 @@ def run_claim(claim: str, n: Optional[int], d: Optional[int], *,
     if n is None:
         raise ParameterError(f"claim {claim!r} needs -n")
     if d is None and claim in ("thm1", "thm2", "thm2a-partial", "connectivity",
-                               "e1-collapse"):
+                               "e1-collapse", "fn-conf"):
         raise ParameterError(f"claim {claim!r} needs -d")
     if d is not None and d < 1:
         raise ParameterError("-d must be >= 1")

@@ -30,7 +30,7 @@ from .groupcoh import (
     DEFAULT_BASIS_CEILING,
     CoefficientAction,
     ResourceError,
-    bar_cochain_complex,
+    duality_cochains,
 )
 from .homology import ChainComplex, homology, homology_to_json
 from .simplicial import (
@@ -234,9 +234,9 @@ def cmd_groupcoh(n, action, max_degree, ceiling, out):
         raise ParameterError("--max-degree must be >= 0")
     if ceiling < 0:
         raise ParameterError("--ceiling must be >= 0")
-    c = bar_cochain_complex(n, CoefficientAction(action), max_degree,
-                            ceiling=ceiling)
-    # degree max_degree + 1 lacks its outgoing coboundary
+    c = duality_cochains(n, CoefficientAction(action), max_degree,
+                         ceiling=ceiling)
+    # codimension max_degree + 1 lacks its outgoing differential
     payload = homology_to_json(homology(c, through=max_degree), group=f"S_{n}",
                                action=action, coeffs="Z", cohomology=True)
     _emit(payload, out)

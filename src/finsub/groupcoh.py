@@ -1,22 +1,34 @@
 """Cohomology of symmetric groups with integral coefficients.
 
-H^r(S_n, M) for M the trivial module Z or the sign module, computed
-from the normalized bar resolution: degree-r cochains are Z-valued
-functions on r-tuples of non-identity group elements, the coboundary is
-the usual alternating sum with the module action twisting the first
-slot.  Group elements are enumerated in lexicographic one-line order.
+H^r(S_n, M) for M the trivial module Z or the sign module.
 
-This is deliberately the dumbest correct resolution; the basis grows
-like (n!-1)^r, so a budget guard refuses degrees that would not fit.
-The default ceiling admits S_4 through degree 2 (cohomology at degree r
-materializes the degree r+1 tuple table); raising it is an explicit
-opt-in to very large eliminations.
+:func:`group_cohomology` and ``finsub groupcoh`` read it off the
+Fox-Neuwirth cells of UConf_n(R^m)^+ by Poincare duality,
+H^r(S_n; M) = H~_(nm-r)(UConf_n(R^m)^+) for r <= m-2 with m even for
+the trivial module and odd for the sign module (``finsub.fncells``):
+through degree R that takes the cells of codimension <= R+1, 20 for
+S_4 through degree 2.
+
+The normalized bar resolution is the reference, and the independent
+side of the ``thm2`` and ``groupcoh-xcheck`` claims: degree-r cochains
+are Z-valued functions on r-tuples of non-identity group elements, the
+coboundary is the usual alternating sum with the module action
+twisting the first slot.  Group elements are enumerated in
+lexicographic one-line order.  This is deliberately the dumbest
+correct resolution; the basis grows like (n!-1)^r, so a budget guard
+refuses degrees that would not fit.  The default ceiling admits S_4
+through degree 2 (cohomology at degree r materializes the degree r+1
+tuple table); raising it is an explicit opt-in to very large
+eliminations.  The duality path keeps the same admission, so a job
+refused on the bar side is refused on both.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import factorial
 
+from .fncells import duality_dimension, fn_cochains
 from .homology import ChainComplex, HomologyGroup, homology
 from .snf import SparseIntMatrix
 
@@ -113,6 +125,22 @@ def symmetric_group(n: int) -> list[Permutation]:
     return [Permutation(p) for p in permutations(range(n))]
 
 
+def _admit(n: int, maxdeg: int, ceiling: int) -> None:
+    """Refuse a job whose bar resolution, through degree maxdeg + 1,
+    has a degree with more than ``ceiling`` basis tuples; both ways of
+    computing group cohomology take this one admission."""
+    if maxdeg < 0:
+        raise ValueError("maxdeg must be non-negative")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    m = factorial(n) - 1
+    for r in range(1, maxdeg + 2):
+        if m ** r > ceiling:
+            raise ResourceError(
+                f"bar resolution for S_{n} at degree {r} needs {m ** r} "
+                f"basis tuples, over the ceiling of {ceiling}")
+
+
 def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
                         ceiling: int = DEFAULT_BASIS_CEILING) -> ChainComplex:
     """Normalized bar cochain complex of S_n through degree maxdeg.
@@ -126,16 +154,10 @@ def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
     significant, so faces are index arithmetic on an integer
     multiplication table (-1 for the identity).
     """
-    if maxdeg < 0:
-        raise ValueError("maxdeg must be non-negative")
+    _admit(n, maxdeg, ceiling)
     nontriv = [g for g in symmetric_group(n) if not g.is_identity()]
     m = len(nontriv)
     top = maxdeg + 1
-    for r in range(1, top + 1):
-        if m ** r > ceiling:
-            raise ResourceError(
-                f"bar resolution for S_{n} at degree {r} needs {m ** r} "
-                f"basis tuples, over the ceiling of {ceiling}")
     images = [g.images for g in nontriv]
     ids = {p: i for i, p in enumerate(images)}
     # (a * b)(i) = a(b(i)), composed on the one-line tuples
@@ -169,12 +191,26 @@ def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
     return c
 
 
+def duality_cochains(n: int, action: CoefficientAction, maxdeg: int,
+                     ceiling: int = DEFAULT_BASIS_CEILING) -> ChainComplex:
+    """A cochain complex whose H^r is H^r(S_n, M) for r <= maxdeg: the
+    Fox-Neuwirth cells of UConf_n(R^m)^+ of codimension <= maxdeg + 1,
+    graded by codimension, with the least m >= maxdeg + 2 whose parity
+    matches the action (``finsub.fncells``).  The bar-resolution
+    ceiling admits or refuses the job as :func:`bar_cochain_complex`
+    would."""
+    _admit(n, maxdeg, ceiling)
+    m = duality_dimension(maxdeg, action.kind == SIGN)
+    return fn_cochains(n, m, maxdeg + 1)
+
+
 def group_cohomology(n: int, action: CoefficientAction | str, r: int,
                      ceiling: int = DEFAULT_BASIS_CEILING) -> HomologyGroup:
-    """H^r(S_n, M) from the normalized bar resolution."""
+    """H^r(S_n, M), read off the Fox-Neuwirth cells by duality
+    (:func:`duality_cochains`); :func:`bar_cochain_complex` is the
+    reference it is tested against."""
     if isinstance(action, str):
         action = CoefficientAction(action)
     if r < 0:
         raise ValueError("degree must be non-negative")
-    c = bar_cochain_complex(n, action, r, ceiling=ceiling)
-    return homology(c, through=r)[r]
+    return homology(duality_cochains(n, action, r, ceiling), through=r)[r]

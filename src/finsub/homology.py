@@ -133,15 +133,40 @@ class ChainComplex:
         return SparseIntMatrix(self.dims[k], 0)
 
     def validate(self) -> list[tuple[int, int]]:
-        """Columns where the double differential fails to vanish."""
+        """Columns where the double differential fails to vanish.
+
+        Each product column is summed into one dense list per degree,
+        with the +-1 entries of the inner column added without a
+        multiplication, and only the rows it touched are read and reset.
+        """
         bad = []
         for k in range(len(self.dims)):
             outer = self.out_matrix(k)
             inner = self.in_matrix(k)
             if outer.rows == 0 or inner.cols == 0:
                 continue
+            outer_cols = [outer.column(j) for j in range(outer.cols)]
+            acc = [0] * outer.rows
             for c in range(inner.cols):
-                if outer.mul_col(inner.column(c)):
+                touched: list[int] = []
+                for j, x in inner.column(c).items():
+                    col = outer_cols[j]
+                    touched.extend(col)
+                    if x == 1:
+                        for r, v in col.items():
+                            acc[r] += v
+                    elif x == -1:
+                        for r, v in col.items():
+                            acc[r] -= v
+                    else:
+                        for r, v in col.items():
+                            acc[r] += v * x
+                nonzero = False
+                for r in touched:
+                    if acc[r]:
+                        nonzero = True
+                        acc[r] = 0
+                if nonzero:
                     bad.append((k, c))
         return bad
 

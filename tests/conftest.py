@@ -1,6 +1,7 @@
-"""Shared test helpers: random subcomplexes, hand-built spaces, a
-wall-time limit, a traced-memory peak, seeded unimodular conjugates of
-chain complexes and an image-lattice membership oracle."""
+"""Shared test helpers: random subcomplexes, random based spaces, the
+keyed test cases, hand-built spaces, a wall-time limit, a traced-memory
+peak, seeded unimodular conjugates of chain complexes and an
+image-lattice membership oracle."""
 
 import random
 import signal
@@ -17,6 +18,8 @@ from finsub.simplicial import (
     SimplicialSet,
     point_model,
     quotient,
+    sphere_model,
+    torus_model,
     underlying,
 )
 from finsub.snf import SparseIntMatrix, invariant_factors, rank
@@ -69,6 +72,33 @@ def filtered_from_tower(t):
     filt = [[marks[k][cell] for cell in complex_.basis[k]]
             for k in range(len(complex_.dims))]
     return FilteredComplex(complex_.dims, complex_.boundary, filt, t.n)
+
+
+def random_based_spaces(count, seed=2026):
+    """``count`` seeded random subcomplexes of the 3-simplex, each based
+    at a random vertex."""
+    rng = random.Random(seed)
+    out = {}
+    for i in range(count):
+        sub, _ = make_random_subcomplex(simplex_model(3, 3), rng)
+        bp = SimplexRef(0, rng.randrange(sub.levels[0]))
+        out[f"random{i}"] = BasedSimplicialSet(sub, bp)
+    return out
+
+
+def keyed_cases():
+    """(name, based space, n) for the keyed chain tests: spheres with
+    n*d <= 9, at a lower truncation where the level tables would be
+    large, tori and seeded random based spaces."""
+    for d in (1, 2, 3):
+        for n in range(1, 9 // d + 1):
+            trunc = n * d + 1 if n * d <= 6 else 6 - d
+            yield f"S^{d}", sphere_model(d, trunc), n
+    for n in (1, 2):
+        yield "T^2", torus_model(2 * n + 1), n
+    for name, x in random_based_spaces(2).items():
+        for n in (1, 2, 3):
+            yield name, x, n
 
 
 def make_random_subcomplex(space, rng, p=0.3):

@@ -7,6 +7,10 @@ columns of V beyond the rank, and the rows of V^-1 below it as
 coordinates), as before the kernel lattices came from the unit echelon;
 ``test_homology_basis.py`` compares against it.
 
+``validate`` is the d.d check as one ``SparseIntMatrix.mul_col`` per
+column, as before ``ChainComplex.validate`` summed into a dense list;
+``test_ddcheck.py`` compares against it.
+
 ``relative_complex``, ``connecting_complexes``, ``connecting_block`` and
 ``les_check`` build relative chains, connecting blocks and LES maps with
 face loops of their own, as before they became restrictions of one
@@ -33,6 +37,20 @@ from finsub.homology import (
 )
 from finsub.simplicial import SimplicialMap, SimplicialSet, SpaceLike, underlying
 from finsub.snf import SparseIntMatrix, diagonalize
+
+
+def validate(c: ChainComplex) -> list[tuple[int, int]]:
+    """Columns where the double differential fails to vanish."""
+    bad = []
+    for k in range(len(c.dims)):
+        outer = c.out_matrix(k)
+        inner = c.in_matrix(k)
+        if outer.rows == 0 or inner.cols == 0:
+            continue
+        for col in range(inner.cols):
+            if outer.mul_col(inner.column(col)):
+                bad.append((k, col))
+    return bad
 
 
 def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:

@@ -148,3 +148,15 @@ def test_thm2_reports_share_the_claim_time():
     assert len(reports) == 2
     assert reports[0].wall_time > 0
     assert reports[0].wall_time == reports[1].wall_time
+
+
+def test_fn_conf_reports_every_degree():
+    reports = claim("fn-conf", 3, 3, budget_nd=9)
+    assert [r.params["degree"] for r in reports] == list(range(10))
+    assert all_match(reports)
+    assert {r.params["degree"]: r.computed for r in reports
+            if r.computed != "0"} == {7: "Z + Z/3", 8: "Z/2"}
+    with pytest.raises(ValueError, match="needs -d"):
+        claim("fn-conf", 3)
+    with pytest.raises(BudgetError):
+        claim("fn-conf", 3, 3)

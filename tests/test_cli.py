@@ -148,7 +148,7 @@ def test_unwritable_out_is_refused_before_any_work(runner, monkeypatch, tmp_path
         raise AssertionError("the job ran before --out was checked")
 
     cli_module = importlib.import_module("finsub.cli")
-    for name in ("keyed_complex", "run_claim", "bar_cochain_complex",
+    for name in ("keyed_complex", "run_claim", "duality_cochains",
                  "filtered_complex"):
         monkeypatch.setattr(cli_module, name, no_work)
     out = tmp_path / "missing" / "x.json" if where == "no such folder" else tmp_path

@@ -1,6 +1,5 @@
 """Subset-space functors: tables, filtrations, configuration models."""
 
-import random
 from itertools import combinations
 from math import comb
 
@@ -9,12 +8,10 @@ import pytest
 from conftest import (
     bar_reference,
     filtered_from_tower,
-    make_random_subcomplex,
-    simplex_model,
+    keyed_cases,
+    random_based_spaces,
 )
 from finsub.simplicial import (
-    BasedSimplicialSet,
-    SimplexRef,
     quotient,
     sphere_model,
     torus_model,
@@ -197,19 +194,9 @@ def test_exp_labels():
 
 # -- key filters against the quotient constructions they replace -------------
 
-def _random_based_spaces(count, seed=2026):
-    rng = random.Random(seed)
-    out = {}
-    for i in range(count):
-        sub, _ = make_random_subcomplex(simplex_model(3, 3), rng)
-        bp = SimplexRef(0, rng.randrange(sub.levels[0]))
-        out[f"random{i}"] = BasedSimplicialSet(sub, bp)
-    return out
-
-
 BASES = {"S^1": sphere_model(1, 4), "S^2": sphere_model(2, 5),
          "S^3": sphere_model(3, 5), "T^2": torus_model(3),
-         **_random_based_spaces(4)}
+         **random_based_spaces(4)}
 
 
 def _assert_same(got, ref):
@@ -279,23 +266,9 @@ def _table_keys(x, k, variant, n):
     return ([()] if rule == "avoids" or lo > 1 else []) + keys
 
 
-def _keyed_cases():
-    # spheres with n*d <= 9; where the level tables would be large the
-    # comparison runs on a lower truncation
-    for d in (1, 2, 3):
-        for n in range(1, 9 // d + 1):
-            trunc = n * d + 1 if n * d <= 6 else 6 - d
-            yield f"S^{d}", sphere_model(d, trunc), n
-    for n in (1, 2):
-        yield "T^2", torus_model(2 * n + 1), n
-    for name, x in _random_based_spaces(2).items():
-        for n in (1, 2, 3):
-            yield name, x, n
-
-
 @pytest.mark.parametrize("variant", sorted(LEVELWISE))
 def test_keyed_complex_matches_levelwise(variant):
-    for name, x, n in _keyed_cases():
+    for name, x, n in keyed_cases():
         space = LEVELWISE[variant](x, n)
         for reduced in (False, True):
             ref = normalized_complex(space, reduced=reduced)
@@ -311,7 +284,7 @@ def test_keyed_complex_matches_levelwise(variant):
 def test_keyed_filtration_matches_tower(variant):
     bases = [(sphere_model(2, 7), 3), (sphere_model(3, 7), 2),
              (torus_model(5), 2)]
-    bases += [(x, 3) for x in _random_based_spaces(2).values()]
+    bases += [(x, 3) for x in random_based_spaces(2).values()]
     for x, n in bases:
         ref = filtered_from_tower(tower(x, n, variant))
         got = filtered_complex(x, n, variant)
@@ -365,7 +338,7 @@ def _connecting_cases():
         yield "S^1", sphere_model(1, n + 1), n, n
     yield "T^2", torus_model(4), 2, 3
     # several vertices, so that degree 0 of the n=2 target is reached
-    for name, x in _random_based_spaces(2).items():
+    for name, x in random_based_spaces(2).items():
         for n in (2, 3):
             for k in (1, 2):
                 yield name, x, n, k
