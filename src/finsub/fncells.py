@@ -191,27 +191,25 @@ def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def fn_cochains(n: int, m: int, top_codim: int | None = None) -> ChainComplex:
+def fn_cochains(n: int, m: int, top_codim: int) -> ChainComplex:
     """The reduced cellular chains of UConf_n(R^m)^+ as a cochain
     complex graded by codimension, so that H^c of it is
     H~_(nm-c)(UConf_n(R^m)^+).
 
-    Only codimensions 0..``top_codim`` are built (default: up to
-    (n-1)(m-1), the last one with cells); H^c is exact for
+    Only codimensions 0..``top_codim`` are built; H^c is exact for
     c < top_codim, and for c = top_codim too when no cell has a higher
-    codimension.  ``basis[c]`` lists the separator sequences of
-    codimension c in lexicographic order, and d.d = 0 is checked on
-    every column.
+    codimension, (n-1)(m-1) being the last one with cells.
+    ``basis[c]`` lists the separator sequences of codimension c in
+    lexicographic order, and d.d = 0 is checked on every column.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    top = (n - 1) * (m - 1) if top_codim is None else top_codim
-    if top < 0:
+    if top_codim < 0:
         raise ValueError("top_codim must be >= 0")
-    basis = [cells(n, m, c) for c in range(top + 1)]
+    basis = [cells(n, m, c) for c in range(top_codim + 1)]
     dims = [len(b) for b in basis]
     boundary = [SparseIntMatrix(dims[0], 0)]
-    for c in range(1, top + 1):
+    for c in range(1, top_codim + 1):
         index = {s: r for r, s in enumerate(basis[c])}
         mat = SparseIntMatrix(dims[c], dims[c - 1])
         for col, s in enumerate(basis[c - 1]):
@@ -224,19 +222,14 @@ def fn_cochains(n: int, m: int, top_codim: int | None = None) -> ChainComplex:
     return complex_
 
 
-def fn_homology(n: int, m: int, lo: int = 0) -> dict[int, HomologyGroup]:
-    """H~_k(UConf_n(R^m)^+) for every k in lo..nm, from the cells of
-    degree >= lo - 1 alone.  Degrees below n+m-1, the lowest cell, are
-    0."""
+def fn_homology(n: int, m: int) -> dict[int, HomologyGroup]:
+    """H~_k(UConf_n(R^m)^+) for every k in 0..nm, from all m^(n-1)
+    cells.  Degrees below n+m-1, the lowest cell, are 0."""
     top_deg = n * m
     full = (n - 1) * (m - 1)
-    codim = min(full, max(top_deg - lo + 1, 0))
-    c = fn_cochains(n, m, codim)
-    through = codim if codim == full else codim - 1
-    groups = homology(c, through=through) if through >= 0 else []
-    return {k: (groups[top_deg - k] if top_deg - k <= through
-                else HomologyGroup(0))
-            for k in range(max(lo, 0), top_deg + 1)}
+    groups = homology(fn_cochains(n, m, full), through=full)
+    return {k: groups[top_deg - k] if top_deg - k <= full else HomologyGroup(0)
+            for k in range(top_deg + 1)}
 
 
 def duality_dimension(maxdeg: int, sign: bool) -> int:

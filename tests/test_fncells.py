@@ -119,10 +119,13 @@ def test_two_points_match_projective_space(m):
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 4), (4, 3), (5, 2), (4, 4),
                                  (6, 2)])
 def test_windows_give_the_full_groups(n, m):
-    full = fn_homology(n, m)
-    for lo in range(-1, n * m + 2):
-        window = fn_homology(n, m, lo)
-        assert window == {k: g for k, g in full.items() if k >= lo}, lo
+    # duality_cochains reads H^(c-1) and below off the window of
+    # codimension <= c; every such window gives the full complex's groups
+    full_codim = (n - 1) * (m - 1)
+    full = homology(fn_cochains(n, m, full_codim), through=full_codim)
+    for c in range(1, full_codim + 2):
+        window = homology(fn_cochains(n, m, c), through=c - 1)
+        assert window == full[:c], c
 
 
 def test_windows_build_only_the_cells_they_read():
@@ -149,5 +152,5 @@ def test_every_column_is_checked(monkeypatch):
 
     monkeypatch.setattr(fncells, "cell_boundary", corrupt)
     with pytest.raises(RuntimeError, match="double differential"):
-        fn_cochains(4, 3)
+        fn_cochains(4, 3, 6)
     assert flipped
