@@ -28,9 +28,7 @@ from .snf import SparseIntMatrix, invariant_factors, kernel_basis, rank, smith_n
 from .subsetspace import (
     BudgetError,
     FiltrationTower,
-    conf_plus,
     exp,
-    exp_bar,
     exp_based,
     keyed_complex,
     tower,
@@ -63,8 +61,8 @@ __all__ = [
     "save_space", "space_hash", "sphere_model", "torus_model", "validate",
     "SparseIntMatrix", "invariant_factors", "kernel_basis", "rank",
     "smith_normal_form",
-    "BudgetError", "FiltrationTower", "conf_plus", "exp", "exp_bar",
-    "exp_based", "keyed_complex", "tower",
+    "BudgetError", "FiltrationTower", "exp", "exp_based", "keyed_complex",
+    "tower",
     "ChainComplex", "HomologyBasis", "HomologyGroup", "HomologyMapDescription",
     "connecting_free_index", "connecting_map", "euler_characteristic",
     "homology", "homology_basis", "induced_map", "les_check",

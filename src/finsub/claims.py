@@ -498,6 +498,7 @@ CLAIMS: dict[str, Callable] = {
     "generaltwo": claim_generaltwo,
     "fn-conf": claim_fn_conf,
 }
+TORUS_CLAIMS = ("lemma-quo", "generaltwo")  # the claims that take a space
 
 
 def run_claim(claim: str, n: Optional[int], d: Optional[int], *,
@@ -506,6 +507,11 @@ def run_claim(claim: str, n: Optional[int], d: Optional[int], *,
     if claim not in CLAIMS:
         raise ParameterError(f"unknown claim {claim!r}; choose from "
                          f"{', '.join(sorted(CLAIMS))}")
+    if space not in ("sphere", "torus"):
+        raise ParameterError(f"unknown space {space!r}: use sphere or torus")
+    if space == "torus" and claim not in TORUS_CLAIMS:
+        raise ParameterError(f"claim {claim!r} runs on spheres only; --space "
+                             f"torus is for {' and '.join(TORUS_CLAIMS)}")
     if n is None:
         raise ParameterError(f"claim {claim!r} needs -n")
     if d is None and claim in ("thm1", "thm2", "thm2a-partial", "connectivity",
@@ -516,7 +522,7 @@ def run_claim(claim: str, n: Optional[int], d: Optional[int], *,
     opts = {"ceiling": ceiling, "budget_nd": budget_nd}
     t0 = time.time()
     fn = CLAIMS[claim]
-    if claim in ("lemma-quo", "generaltwo"):
+    if claim in TORUS_CLAIMS:
         reports = fn(n, d, opts, space=space)
     else:
         reports = fn(n, d, opts)

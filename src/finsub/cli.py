@@ -106,8 +106,9 @@ def _no_trusted_degree(trunc: int) -> ParameterError:
 def _resolve_space(space: str, d: Optional[int], n: int, trunc: Optional[int]
                    ) -> tuple[BasedSimplicialSet, str, Optional[int]]:
     """Returns (based space, tag, dimension-if-known), refusing a space
-    whose truncation leaves no trusted degree.  Sphere and torus models
-    are truncated at n*dim+1 unless ``trunc`` is given."""
+    whose truncation leaves no trusted degree and a ``d`` that is not the
+    space's dimension.  Sphere and torus models are truncated at n*dim+1
+    unless ``trunc`` is given."""
     if trunc is not None and trunc < 1:  # degree trunc is never trusted
         raise _no_trusted_degree(trunc)
     if space == "sphere":
@@ -118,10 +119,15 @@ def _resolve_space(space: str, d: Optional[int], n: int, trunc: Optional[int]
         base = sphere_model(d, trunc if trunc is not None else n * d + 1)
         return base, "sphere", d
     if space == "torus":
+        if d is not None and d != 2:
+            raise ParameterError(f"--space torus has dimension 2, not --d {d}")
         return torus_model(trunc if trunc is not None else 2 * n + 1), "torus", 2
     if not space.startswith("file:"):
         raise ParameterError(
             f"unknown space {space!r}: use sphere, torus or file:PATH")
+    if d is not None:
+        raise ParameterError("--d applies to --space sphere and torus, "
+                             "not to a space file")
     path = space[5:]
     try:
         loaded = load_space(path)
@@ -141,8 +147,7 @@ def _resolve_space(space: str, d: Optional[int], n: int, trunc: Optional[int]
             trunc, xs.levels[:trunc + 1],
             [xs.faces[k] if k <= trunc else None for k in range(trunc + 1)],
             [xs.degeneracies[k] if k < trunc else None
-             for k in range(trunc + 1)],
-            xs.labels[:trunc + 1] if xs.labels else None)
+             for k in range(trunc + 1)])
         loaded = BasedSimplicialSet(cut, SimplexRef(0, loaded.basepoint.index))
     return loaded, f"file:{path}", None
 
@@ -331,8 +336,8 @@ def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
     option("claim", metavar="CLAIM")
     option("-n", type=int, help="number of points")
     option("-d", type=int, help="sphere dimension")
-    option("--space", default="sphere", help="sphere or torus (claims that "
-           "support it) [default: %(default)s]")
+    option("--space", default="sphere", help="sphere, or torus for lemma-quo "
+           "and generaltwo [default: %(default)s]")
     option("--budget-nd", type=int, default=DEFAULT_BUDGET_ND,
            help="refuse runs with n*d above this [default: %(default)s]")
     ceiling(option)

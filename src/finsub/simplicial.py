@@ -49,14 +49,12 @@ class SimplicialSet:
 
     faces[k][i][x] is d_i(x) for a level-k simplex x (1 <= k <= trunc,
     0 <= i <= k); degeneracies[k][j][x] is s_j(x) (0 <= k < trunc,
-    0 <= j <= k).  Labels are an optional debugging aid and excluded
-    from equality.
+    0 <= j <= k).
     """
 
     def __init__(self, trunc: int, levels: list[int],
                  faces: list[Optional[list[list[int]]]],
-                 degeneracies: list[Optional[list[list[int]]]],
-                 labels: Optional[list[list[str]]] = None):
+                 degeneracies: list[Optional[list[list[int]]]]):
         if trunc < 0:
             raise ValueError("trunc must be non-negative")
         if len(levels) != trunc + 1:
@@ -67,7 +65,6 @@ class SimplicialSet:
         self.levels = list(levels)
         self.faces = faces
         self.degeneracies = degeneracies
-        self.labels = labels
         self._nondeg_cache: dict[int, list[int]] = {}
         self._check_shapes()
 
@@ -109,11 +106,6 @@ class SimplicialSet:
 
     def degeneracy(self, k: int, j: int, x: int) -> int:
         return self.degeneracies[k][j][x]
-
-    def label(self, k: int, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[k][x]
-        return f"{k}.{x}"
 
     def nondegenerate(self, k: int) -> list[int]:
         """Level-k simplices not in the image of any degeneracy."""
@@ -193,9 +185,6 @@ class BasedSimplicialSet:
 
     def nondegenerate(self, k: int) -> list[int]:
         return self.space.nondegenerate(k)
-
-    def label(self, k: int, x: int) -> str:
-        return self.space.label(k, x)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BasedSimplicialSet):
@@ -376,7 +365,7 @@ def _monotone_surjections(k: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def sphere_model(d: int, trunc: int, with_labels: bool = True) -> BasedSimplicialSet:
+def sphere_model(d: int, trunc: int) -> BasedSimplicialSet:
     """Minimal sphere S^d: the d-simplex with its boundary collapsed.
 
     Level k holds one basepoint simplex (index 0) plus one simplex per
@@ -412,11 +401,7 @@ def sphere_model(d: int, trunc: int, with_labels: bool = True) -> BasedSimplicia
                 smap[x + 1] = index[k + 1][doubled]
             maps.append(smap)
         degeneracies[k] = maps
-    labels = None
-    if with_labels:
-        labels = [["*"] + ["".join(map(str, t)) for t in tables[k]]
-                  for k in range(trunc + 1)]
-    space = SimplicialSet(trunc, levels, faces, degeneracies, labels)
+    space = SimplicialSet(trunc, levels, faces, degeneracies)
     return BasedSimplicialSet(space, SimplexRef(0, 0))
 
 
@@ -427,8 +412,7 @@ def point_model(trunc: int) -> BasedSimplicialSet:
         [[0]] * (k + 1) for k in range(1, trunc + 1)]
     degeneracies: list[Optional[list[list[int]]]] = [
         [[0]] * (k + 1) for k in range(trunc)] + [None]
-    labels = [["*"] for _ in range(trunc + 1)]
-    space = SimplicialSet(trunc, levels, faces, degeneracies, labels)
+    space = SimplicialSet(trunc, levels, faces, degeneracies)
     return BasedSimplicialSet(space, SimplexRef(0, 0))
 
 
@@ -469,12 +453,7 @@ def product(x: SpaceLike, y: SpaceLike) -> SimplicialSet:
                     smap[base + b] = sa + sy[b]
             maps.append(smap)
         degeneracies[k] = maps
-    labels = None
-    if xs.labels is not None and ys.labels is not None:
-        labels = [[f"({xs.labels[k][a]},{ys.labels[k][b]})"
-                   for a in range(xs.levels[k]) for b in range(ys.levels[k])]
-                  for k in range(trunc + 1)]
-    return SimplicialSet(trunc, levels, faces, degeneracies, labels)
+    return SimplicialSet(trunc, levels, faces, degeneracies)
 
 
 def torus_model(trunc: int) -> BasedSimplicialSet:
@@ -543,16 +522,7 @@ def quotient(x: SpaceLike, a: SimplicialMap) -> tuple[BasedSimplicialSet, Simpli
                     smap[ns] = new_of[k + 1][src[s]]
             maps.append(smap)
         degeneracies[k] = maps
-    labels = None
-    if xs.labels is not None:
-        labels = []
-        for k in range(trunc + 1):
-            lab = ["*"] * levels[k]
-            for s in range(xs.levels[k]):
-                if new_of[k][s]:
-                    lab[new_of[k][s]] = xs.labels[k][s]
-            labels.append(lab)
-    q = SimplicialSet(trunc, levels, faces, degeneracies, labels)
+    q = SimplicialSet(trunc, levels, faces, degeneracies)
     based = BasedSimplicialSet(q, SimplexRef(0, 0))
     qmap = SimplicialMap(x, based, new_of)
     return based, qmap
@@ -568,17 +538,9 @@ def nondegenerate(space: SpaceLike, k: int) -> list[SimplexRef]:
 # ----------------------------------------------------------------------
 
 def space_to_json(space: SpaceLike) -> dict:
-    xs = underlying(space)
-    data = {
-        "trunc": xs.trunc,
-        "levels": xs.levels,
-        "faces": [xs.faces[k] for k in range(1, xs.trunc + 1)],
-        "degeneracies": [xs.degeneracies[k] for k in range(xs.trunc)],
-    }
+    data = underlying(space).structural_data()
     if isinstance(space, BasedSimplicialSet):
         data["basepoint"] = space.basepoint.index
-    if xs.labels is not None:
-        data["labels"] = xs.labels
     return data
 
 
@@ -588,7 +550,24 @@ def save_space(space: SpaceLike, path: str) -> None:
         fh.write("\n")
 
 
+def _is_index(value) -> bool:
+    """An int that is not a bool (JSON true and false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_maps(field: str, raw: list, first: int) -> None:
+    """Each level of ``raw``, numbered from ``first``, must be a list of
+    maps, each map a list of integer indices."""
+    for k, maps in enumerate(raw, first):
+        if not isinstance(maps, list) or not all(
+                isinstance(m, list) and all(map(_is_index, m)) for m in maps):
+            raise SpaceFormatError(f"field {field!r}: level {k} must be a list "
+                                   f"of maps, each a list of integer indices")
+
+
 def space_from_json(data: dict) -> SpaceLike:
+    """The space a parsed space file describes; a file that does not
+    describe one raises SpaceFormatError.  Unknown fields are ignored."""
     if not isinstance(data, dict):
         raise SpaceFormatError("space file must contain a JSON object")
     for field in ("trunc", "levels", "faces", "degeneracies"):
@@ -596,10 +575,12 @@ def space_from_json(data: dict) -> SpaceLike:
             raise SpaceFormatError(f"missing field {field!r}")
     trunc = data["trunc"]
     levels = data["levels"]
-    if not isinstance(trunc, int) or trunc < 0:
+    if not _is_index(trunc) or trunc < 0:
         raise SpaceFormatError("field 'trunc' must be a non-negative integer")
-    if not isinstance(levels, list) or not levels:
-        raise SpaceFormatError("field 'levels' must be a non-empty list of sizes")
+    if not isinstance(levels, list) or not levels or not all(
+            map(_is_index, levels)):
+        raise SpaceFormatError(
+            "field 'levels' must be a non-empty list of integer sizes")
     if len(levels) != trunc + 1:
         raise SpaceFormatError(
             f"field 'levels' must have trunc+1={trunc + 1} entries, got {len(levels)}")
@@ -611,11 +592,12 @@ def space_from_json(data: dict) -> SpaceLike:
     if not isinstance(raw_degen, list) or len(raw_degen) != trunc:
         raise SpaceFormatError(
             f"field 'degeneracies' must list maps for levels 0..{trunc - 1}")
+    _check_maps("faces", raw_faces, 1)
+    _check_maps("degeneracies", raw_degen, 0)
     faces: list[Optional[list[list[int]]]] = [None] + list(raw_faces)
     degeneracies: list[Optional[list[list[int]]]] = list(raw_degen) + [None]
     try:
-        space = SimplicialSet(trunc, levels, faces, degeneracies,
-                              data.get("labels"))
+        space = SimplicialSet(trunc, levels, faces, degeneracies)
     except ValueError as exc:
         raise SpaceFormatError(str(exc)) from exc
     report = validate(space)
@@ -624,7 +606,7 @@ def space_from_json(data: dict) -> SpaceLike:
             f"simplicial identities fail: {report}")
     if "basepoint" in data:
         bp = data["basepoint"]
-        if not isinstance(bp, int) or not 0 <= bp < levels[0]:
+        if not _is_index(bp) or not 0 <= bp < levels[0]:
             raise SpaceFormatError(f"basepoint {bp!r} is not a level-0 index")
         return BasedSimplicialSet(space, SimplexRef(0, bp))
     return space
@@ -642,17 +624,9 @@ def load_space(path: str) -> SpaceLike:
 
 
 def space_hash(space: SpaceLike) -> str:
-    """Content hash of the structural tables (labels excluded)."""
+    """Content hash of the structural tables and the basepoint."""
     import hashlib  # maps libcrypto; only the boundary cache needs it
 
-    xs = underlying(space)
-    payload = {
-        "trunc": xs.trunc,
-        "levels": xs.levels,
-        "faces": [xs.faces[k] for k in range(1, xs.trunc + 1)],
-        "degeneracies": [xs.degeneracies[k] for k in range(xs.trunc)],
-    }
-    if isinstance(space, BasedSimplicialSet):
-        payload["basepoint"] = space.basepoint.index
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(space_to_json(space), sort_keys=True,
+                      separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

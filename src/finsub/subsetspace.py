@@ -8,21 +8,24 @@ Every variant is one filter on these subset keys: a size range and a
 basepoint rule, where keys may be anything, must contain the level-k
 basepoint or must avoid it.
 
-    exp(x, n)              sizes 1..n,   any key
-    exp_based(x, n)        sizes 1..n,   keys containing the basepoint
-    exp_bar(x, n)          sizes 1..n,   keys avoiding the basepoint
-    conf_plus(x, n, "bar")     size n,   keys avoiding the basepoint
-    conf_plus(x, n, "based")   size n+1, keys containing the basepoint
-    tower(x, n, variant)   stage k takes sizes 1..k
+    variant       keys                                   level tables
+    "exp"         sizes 1..n,  any                       exp(x, n)
+    "based"       sizes 1..n,  containing the basepoint  exp_based(x, n)
+    "bar"         sizes 1..n,  avoiding the basepoint    tower(x, n, "bar")
+    "conf-bar"    size n,      avoiding the basepoint    (keyed only)
+    "conf-based"  size n+1,    containing the basepoint  (keyed only)
+
+Stage k of ``tower(x, n, variant)`` takes sizes 1..k; the keyed chains
+of :func:`keyed_complex` take all five variants.
 
 A filter whose keys must avoid the basepoint, or whose minimum size is
 above 1, is not closed under faces.  Its space is the quotient of the
 subset space by everything outside the filter: index 0 of each level is
 the collapsed basepoint, and every face that leaves the filter goes to
-it.  Degeneracies never leave a filter.  So ``exp_bar`` is
-exp(x, n) / exp_based(x, n), and ``conf_plus`` gives the successive
-quotients of the bar and based chains, the one-point compactified
-configuration spaces.
+it.  Degeneracies never leave a filter.  So "bar" is
+exp(x, n) / exp_based(x, n), and "conf-bar" and "conf-based" are the
+successive quotients bar_n / bar_(n-1) and based_(n+1) / based_n, the
+one-point compactified configuration spaces.
 
 Subset keys are sorted index tuples; each level table lists its keys
 lexicographically (after the collapsed basepoint, if any), which makes
@@ -109,9 +112,9 @@ def _keys(m: int, bp: int, lo: int, hi: int, rule: str) -> list[tuple[int, ...]]
 
 
 def _build(x: BasedSimplicialSet, lo: int, hi: int, rule: str, trunc: int,
-           ceiling: int, with_labels: bool = False
-           ) -> tuple[BasedSimplicialSet, Index]:
-    """The space of subset keys with lo..hi elements passing ``rule``.
+           ceiling: int) -> tuple[BasedSimplicialSet, Index]:
+    """The level tables of subset keys with lo..hi elements passing
+    ``rule``; ``lo`` is 1 (the filters of "exp", "based" and "bar").
 
     The ceiling counts the table of every subset of size at most hi
     (only those containing the basepoint under CONTAINS), however many
@@ -119,7 +122,7 @@ def _build(x: BasedSimplicialSet, lo: int, hi: int, rule: str, trunc: int,
     """
     _check_budget(x, hi, trunc, rule == CONTAINS, ceiling)
     xs = underlying(x)
-    collapse = rule == AVOIDS or lo > 1
+    collapse = rule == AVOIDS
     offset = 1 if collapse else 0
     keys = [_keys(xs.levels[k], x.basepoint_at(k), lo, hi, rule)
             for k in range(trunc + 1)]
@@ -143,13 +146,7 @@ def _build(x: BasedSimplicialSet, lo: int, hi: int, rule: str, trunc: int,
         degeneracies[k] = [
             [0] * offset + [above[tuple(sorted(sx[e] for e in s))] for s in keys[k]]
             for sx in xs.degeneracies[k]]
-    labels = None
-    if with_labels and xs.labels is not None:
-        labels = [["*"] * offset
-                  + ["{" + ",".join(xs.labels[k][e] for e in s) + "}"
-                     for s in keys[k]]
-                  for k in range(trunc + 1)]
-    space = SimplicialSet(trunc, levels, faces, degeneracies, labels)
+    space = SimplicialSet(trunc, levels, faces, degeneracies)
     bp0 = 0 if collapse else index[0][(x.basepoint.index,)]
     return BasedSimplicialSet(space, SimplexRef(0, bp0)), index
 
@@ -176,21 +173,19 @@ def _resolve_trunc(x: BasedSimplicialSet, trunc) -> int:
 
 
 def exp(x: BasedSimplicialSet, n: int, trunc=None, *,
-        ceiling: int = DEFAULT_LEVEL_CEILING,
-        with_labels: bool = False) -> BasedSimplicialSet:
+        ceiling: int = DEFAULT_LEVEL_CEILING) -> BasedSimplicialSet:
     """Subset space of at most n points, based at the basepoint singleton.
 
-    For n=1 the result is the identity relabeling of x.
+    For n=1 the result equals x.
     """
     if n < 1:
         raise ValueError("subset spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
-    return _build(x, *_FILTERS["exp"](n), trunc, ceiling, with_labels)[0]
+    return _build(x, *_FILTERS["exp"](n), trunc, ceiling)[0]
 
 
 def exp_based(x: BasedSimplicialSet, n: int, trunc=None, *,
-              ceiling: int = DEFAULT_LEVEL_CEILING,
-              with_labels: bool = False
+              ceiling: int = DEFAULT_LEVEL_CEILING
               ) -> tuple[BasedSimplicialSet, SimplicialMap]:
     """Subsets containing the basepoint, with the inclusion into exp(x, n).
 
@@ -200,39 +195,9 @@ def exp_based(x: BasedSimplicialSet, n: int, trunc=None, *,
     if n < 1:
         raise ValueError("subset spaces need n >= 1")
     trunc = _resolve_trunc(x, trunc)
-    based, based_index = _build(x, *_FILTERS["based"](n), trunc, ceiling,
-                                with_labels)
-    full, full_index = _build(x, *_FILTERS["exp"](n), trunc, ceiling, with_labels)
+    based, based_index = _build(x, *_FILTERS["based"](n), trunc, ceiling)
+    full, full_index = _build(x, *_FILTERS["exp"](n), trunc, ceiling)
     return based, _inclusion(based, based_index, full, full_index)
-
-
-def exp_bar(x: BasedSimplicialSet, n: int, trunc=None, *,
-            ceiling: int = DEFAULT_LEVEL_CEILING,
-            with_labels: bool = False) -> BasedSimplicialSet:
-    """Quotient of exp(x, n) by the basepoint-containing subsets: the
-    subsets avoiding the basepoint plus the collapsed basepoint."""
-    if n < 1:
-        raise ValueError("subset spaces need n >= 1")
-    trunc = _resolve_trunc(x, trunc)
-    return _build(x, *_FILTERS["bar"](n), trunc, ceiling, with_labels)[0]
-
-
-def conf_plus(x: BasedSimplicialSet, n: int, model: str = "based", trunc=None, *,
-              ceiling: int = DEFAULT_LEVEL_CEILING) -> BasedSimplicialSet:
-    """One-point compactified configuration space of n points in x minus
-    its basepoint, as a quotient of either subset-space chain.
-
-    model="based": exp_based(x, n+1) / exp_based(x, n), the keys of size
-    n+1 that contain the basepoint;
-    model="bar": exp_bar(x, n) / exp_bar(x, n-1), the keys of size n that
-    avoid it.
-    """
-    if n < 1:
-        raise ValueError("configuration spaces need n >= 1")
-    trunc = _resolve_trunc(x, trunc)
-    if model not in ("based", "bar"):
-        raise ValueError(f"unknown conf_plus model {model!r}")
-    return _build(x, *_FILTERS[f"conf-{model}"](n), trunc, ceiling)[0]
 
 
 class FiltrationTower:
@@ -275,8 +240,8 @@ def tower(x: BasedSimplicialSet, n: int, variant: str = "bar", trunc=None, *,
     """Filtration by number of points, in the requested variant.
 
     "exp": exp_1 x in exp_2 x in ... ; "based": the basepoint-containing
-    chain; "bar": the chain of quotients exp_bar, whose successive
-    cofibers are the compactified configuration spaces.  Each inclusion
+    chain; "bar": the chain of quotients exp_k(x) / exp_based(x, k), whose
+    successive cofibers are the compactified configuration spaces.  Each inclusion
     sends a subset key to the same key one stage up.
     """
     if n < 1:
@@ -368,12 +333,14 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
                   ceiling: int = DEFAULT_CELL_CEILING) -> ChainComplex:
     """Normalized chains of a subset-space variant, straight from keys.
 
-    ``variant`` is one of "exp", "based", "bar" (the spaces of the same
-    names, for at most n points), "conf-bar" or "conf-based" (the two
-    ``conf_plus`` models); degrees run up to the truncation of x.  Dims,
+    ``variant`` is one of the five filters in the module docstring: "exp",
+    "based" and "bar" for at most n points, or "conf-bar" and
+    "conf-based", the two quotient models of the compactified n-point
+    configuration space; degrees run up to the truncation of x.  Dims,
     boundaries and basis order equal ``normalized_complex`` of the
-    levelwise space, and ``basis`` holds the keys, the collapsed
-    basepoint being the empty key.  ``relative`` drops the basepoint
+    levelwise space (a tower stage, or a quotient of neighbouring
+    stages), and ``basis`` holds the keys, the collapsed basepoint being
+    the empty key.  ``relative`` drops the basepoint
     vertex, giving the chains relative to it.
 
     Keys are counted per degree while they are enumerated, and a degree

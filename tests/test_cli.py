@@ -224,6 +224,72 @@ def test_trunc_above_the_space_file_is_a_usage_error(runner, tmp_path, command):
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("command", ["homology", "page"])
+@pytest.mark.parametrize("where, value, field", [
+    (("levels", 0), "1", "levels"),
+    (("levels", 0), True, "levels"),
+    (("faces", 0), 7, "faces"),
+    (("faces", 1, 0), 7, "faces"),
+    (("faces", 1, 0, 0), "0", "faces"),
+    (("faces", 1, 0, 0), False, "faces"),
+    (("degeneracies", 0, 0, 0), 0.0, "degeneracies"),
+], ids=["size-str", "size-bool", "level-int", "map-int", "index-str",
+        "index-bool", "index-float"])
+def test_mistyped_space_file_is_a_usage_error(runner, tmp_path, command,
+                                               where, value, field):
+    path = tmp_path / "circle.json"
+    save_space(sphere_model(1, 3), str(path))
+    data = json.loads(path.read_text())
+    *outer, last = where
+    holder = data
+    for key in outer:
+        holder = holder[key]
+    holder[last] = value
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, [command, "--space", f"file:{path}", "--n", "2"])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error")]
+    assert len(errors) == 1 and f"field '{field}'" in errors[0], errors
+
+
+@pytest.mark.parametrize("labels", [[["*"], ["*", "01"]], 7])
+def test_space_file_labels_are_ignored(runner, tmp_path, labels):
+    path = tmp_path / "circle.json"
+    save_space(sphere_model(1, 3), str(path))
+    plain = path.read_text()
+    assert "labels" not in json.loads(plain)
+    labelled = json.dumps(dict(json.loads(plain), labels=labels))
+    for trunc in ([], ["--trunc", "2"]):
+        outputs = []
+        for text in (plain, labelled):
+            path.write_text(text)
+            res = runner.invoke(main, ["homology", "--space", f"file:{path}",
+                                       "--n", "2", *trunc])
+            assert res.exit_code == 0, res.output
+            outputs.append(res.output)
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["homology", "page"])
+def test_d_is_refused_for_a_space_file(runner, tmp_path, command):
+    path = tmp_path / "circle.json"
+    save_space(sphere_model(1, 3), str(path))
+    res = runner.invoke(main, [command, "--space", f"file:{path}", "--d", "7",
+                               "--n", "1"])
+    assert res.exit_code == 2, res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error")]
+    assert errors == ["Error: --d applies to --space sphere and torus, "
+                      "not to a space file"]
+
+
+@pytest.mark.parametrize("command", ["homology", "page"])
+def test_torus_takes_d_two(runner, command):
+    res = runner.invoke(main, [command, "--space", "torus", "--d", "2",
+                               "--n", "1"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["d"] == 2
+
+
 def test_homology_cache_roundtrip(runner, tmp_path):
     cache_dir = tmp_path / "cache"
     args = ["homology", "--space", "sphere", "--d", "2", "--n", "2",
@@ -634,6 +700,14 @@ def test_parse_errors_are_usage_errors(runner, args):
     (["page", "--space", "torus", "--n", "2", "--trunc", "-2"],
      "--trunc must be >= 1"),
     (["verify", "lemma-quo", "-n", "1", "-d", "0"], "-d must be >= 1"),
+    (["homology", "--space", "torus", "--d", "9", "--n", "1"],
+     "--space torus has dimension 2, not --d 9"),
+    (["page", "--space", "torus", "--d", "9", "--n", "1"],
+     "--space torus has dimension 2, not --d 9"),
+    (["verify", "thm1", "-n", "2", "-d", "2", "--space", "torus"],
+     "claim 'thm1' runs on spheres only"),
+    (["verify", "lemma-quo", "-n", "1", "-d", "2", "--space", "banana"],
+     "unknown space 'banana'"),
 ])
 def test_out_of_range_parameters_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import bar_reference, in_image_lattice
+from conftest import bar_reference, conf_reference, in_image_lattice
 from finsub.homology import (
     HomologyGroup,
     LesReport,
@@ -28,7 +28,7 @@ from finsub.simplicial import (
     torus_model,
     underlying,
 )
-from finsub.subsetspace import conf_plus, exp, exp_bar, exp_based, tower
+from finsub.subsetspace import exp, exp_based, tower
 
 
 # -- helpers -----------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_relative_matches_quotient_homology():
     s2 = sphere_model(2, 5)
     based, incl = exp_based(s2, 2)
     rel = relative_complex(incl.target, incl)
-    bar = exp_bar(s2, 2)
+    bar = tower(s2, 2, "bar").stage(2)
     assert homology(rel)[:-1] == space_homology(bar, reduced=True)
 
 
@@ -224,7 +224,7 @@ def test_relative_triple_matches_conf():
     s2 = sphere_model(2, 5)
     tw = tower(s2, 3, "based")
     rel = relative_complex(tw.stage(3), tw.inclusions[1])
-    cp = conf_plus(s2, 2, "based")
+    cp = conf_reference(s2, 2, "based")
     assert homology(rel)[:-1] == space_homology(cp, reduced=True)
 
 
@@ -241,7 +241,7 @@ def test_relative_rejects_non_injective():
 def test_homology_basis_agrees_with_groups():
     for space, reduced in ((exp(sphere_model(1, 4), 2), False),
                            (torus_model(4), False),
-                           (conf_plus(sphere_model(2, 5), 2, "bar"), True)):
+                           (conf_reference(sphere_model(2, 5), 2, "bar"), True)):
         c = normalized_complex(space, reduced=reduced)
         groups = homology(c)
         for k in range(len(c.dims) - 1):

@@ -216,13 +216,6 @@ def test_space_io_rejects_bad_json(tmp_path):
         load_space(str(path))
 
 
-def test_labels_excluded_from_equality():
-    a = sphere_model(2, 3, with_labels=True)
-    b = sphere_model(2, 3, with_labels=False)
-    assert underlying(a) == underlying(b)
-    assert space_hash(a) == space_hash(b)
-
-
 def test_space_hash_is_pinned():
     # boundary-cache keys embed this digest; a change orphans every entry
     assert space_hash(sphere_model(2, 5)) == (

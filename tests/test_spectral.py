@@ -5,7 +5,12 @@ import random
 import pytest
 
 import snf_reference
-from conftest import make_random_subcomplex, simplex_model, time_limit
+from conftest import (
+    conf_reference,
+    make_random_subcomplex,
+    simplex_model,
+    time_limit,
+)
 from finsub import snf
 from finsub.homology import space_homology
 from finsub.simplicial import (
@@ -25,7 +30,7 @@ from finsub.spectral import (
     limit_page,
     pages,
 )
-from finsub.subsetspace import conf_plus, tower
+from finsub.subsetspace import tower
 from spectral_reference import rho as reference_rho
 
 
@@ -61,7 +66,7 @@ def test_e1_dims_match_conf_homology(s2_n3):
     assert p1.entries() == [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (3, 3, 1)]
     base = sphere_model(2, 7)
     for p in range(1, 4):
-        cp = conf_plus(base, p, "bar")
+        cp = conf_reference(base, p, "bar")
         betti = [g.rank for g in space_homology(cp, reduced=True, coeffs="Q")]
         for m, r in enumerate(betti):
             assert p1.dim(p, m - p) == r

@@ -7,12 +7,12 @@ import pytest
 
 from conftest import (
     bar_reference,
+    conf_reference,
     filtered_from_tower,
     keyed_cases,
     random_based_spaces,
 )
 from finsub.simplicial import (
-    quotient,
     sphere_model,
     torus_model,
     underlying,
@@ -20,9 +20,7 @@ from finsub.simplicial import (
 )
 from finsub.subsetspace import (
     BudgetError,
-    conf_plus,
     exp,
-    exp_bar,
     exp_based,
     keyed_complex,
     keyed_connecting,
@@ -86,7 +84,7 @@ def test_exp_based_counts_and_inclusion():
 
 def test_exp_bar_counts():
     c = sphere_model(1, 4)
-    bar = exp_bar(c, 2)
+    bar = tower(c, 2, "bar").stage(2)
     assert bar.level_size(2) == 4  # 6 - 3 collapsed + 1 basepoint
     _, qmap = bar_reference(c, 2)
     assert qmap.is_valid()
@@ -96,39 +94,34 @@ def test_exp_bar_counts():
 
 def test_exp_bar_one_keeps_reduced_homology():
     s2 = sphere_model(2, 4)
-    bar1 = exp_bar(s2, 1)
+    bar1 = tower(s2, 1, "bar").stage(1)
     assert space_homology(bar1, reduced=True, maxdeg=3) == \
         space_homology(s2, reduced=True, maxdeg=3)
 
 
 def test_exp_bar_s2_two_top_class():
-    bar = exp_bar(sphere_model(2, 5), 2)
+    bar = tower(sphere_model(2, 5), 2, "bar").stage(2)
     h = space_homology(bar, reduced=True)
     assert [str(g) for g in h] == ["0", "0", "0", "0", "Z"]
 
 
 def test_conf_plus_point_is_sphere():
-    cp = conf_plus(sphere_model(2, 3), 1, "based")
+    cp = conf_reference(sphere_model(2, 3), 1, "based")
     assert [str(g) for g in space_homology(cp, reduced=True)] == ["0", "0", "Z"]
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3), (2, 3)])
 def test_conf_plus_models_agree(n, d):
     base = sphere_model(d, n * d + 1)
-    ha = space_homology(conf_plus(base, n, "based"), reduced=True)
-    hb = space_homology(conf_plus(base, n, "bar"), reduced=True)
+    ha = space_homology(conf_reference(base, n, "based"), reduced=True)
+    hb = space_homology(conf_reference(base, n, "bar"), reduced=True)
     assert ha == hb
 
 
 def test_conf_plus_two_in_plane():
-    cp = conf_plus(sphere_model(2, 5), 2, "bar")
+    cp = conf_reference(sphere_model(2, 5), 2, "bar")
     h = space_homology(cp, reduced=True)
     assert [str(g) for g in h] == ["0", "0", "0", "Z", "Z"]
-
-
-def test_conf_plus_rejects_bad_model():
-    with pytest.raises(ValueError):
-        conf_plus(sphere_model(2, 3), 1, "nonsense")
 
 
 def test_tower_inclusions_validate():
@@ -184,14 +177,6 @@ def test_trunc_validation():
         exp(sphere_model(1, 3), 2, trunc=5)
 
 
-def test_exp_labels():
-    e = exp(sphere_model(1, 2), 2, with_labels=True)
-    labels = underlying(e).labels
-    assert labels is not None
-    assert labels[0] == ["{*}"]
-    assert "{*,01}" in labels[1]
-
-
 # -- key filters against the quotient constructions they replace -------------
 
 BASES = {"S^1": sphere_model(1, 4), "S^2": sphere_model(2, 5),
@@ -199,36 +184,19 @@ BASES = {"S^1": sphere_model(1, 4), "S^2": sphere_model(2, 5),
          **random_based_spaces(4)}
 
 
-def _assert_same(got, ref):
-    assert got == ref  # structure maps and basepoint
-    assert underlying(got).labels == underlying(ref).labels
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_key_filters_match_quotients(name, n):
     x = BASES[name]
     assert exp(x, 1) == x  # the basepoint singleton is the basepoint
-    _assert_same(exp_bar(x, n, with_labels=True),
-                 bar_reference(x, n, with_labels=True)[0])
-
-    based = tower(x, n + 1, "based")
-    _assert_same(conf_plus(x, n, "based"),
-                 quotient(based.stage(n + 1), based.inclusions[n - 1])[0])
-
+    # bar-tower stage k is exp(x, k) / exp_based(x, k), structure maps and
+    # basepoint; its inclusions are the maps that the reference quotient
+    # maps induce from the exp tower's inclusions
     bars = tower(x, n, "bar")
-    if n == 1:
-        ref = bar_reference(x, 1)[0]
-    else:
-        ref = quotient(bars.stage(n), bars.inclusions[n - 2])[0]
-    _assert_same(conf_plus(x, n, "bar"), ref)
-
-    # bar-tower stage k is exp_bar(x, k); its inclusions are the maps that
-    # the reference quotient maps induce from the exp tower's inclusions
     qmaps = []
     for k in range(1, n + 1):
         ref, qmap = bar_reference(x, k)
-        _assert_same(bars.stage(k), ref)
+        assert bars.stage(k) == ref
         qmaps.append(qmap)
     exps = tower(x, n, "exp")
     for k, incl in enumerate(bars.inclusions):
@@ -245,9 +213,9 @@ def test_key_filters_match_quotients(name, n):
 LEVELWISE = {
     "exp": lambda x, n: exp(x, n),
     "based": lambda x, n: exp_based(x, n)[0],
-    "bar": lambda x, n: exp_bar(x, n),
-    "conf-bar": lambda x, n: conf_plus(x, n, "bar"),
-    "conf-based": lambda x, n: conf_plus(x, n, "based"),
+    "bar": lambda x, n: bar_reference(x, n)[0],
+    "conf-bar": lambda x, n: conf_reference(x, n, "bar"),
+    "conf-based": lambda x, n: conf_reference(x, n, "based"),
 }
 
 FILTERS = {"exp": lambda n: (1, n, "any"), "based": lambda n: (1, n, "contains"),
@@ -345,7 +313,7 @@ def _connecting_cases():
 
 
 def _same_chains(x, n, got, ref):
-    """Keyed chains equal levelwise ones of exp_bar(x, n) in the levelwise
+    """Keyed chains equal levelwise ones of bar stage n in the levelwise
     degrees: dims, boundaries and basis keys in order."""
     top = len(ref.dims)
     assert (got.dims[:top], got.reduced) == (ref.dims, ref.reduced)
