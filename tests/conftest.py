@@ -1,7 +1,7 @@
 """Shared test helpers: random subcomplexes, random based spaces, the
-keyed test cases, levelwise references, hand-built spaces, a wall-time limit, a traced-memory
-peak, seeded unimodular conjugates of chain complexes and an
-image-lattice membership oracle."""
+keyed test cases, levelwise references, hand-built spaces, a wall-time
+limit, a traced-memory peak, seeded unimodular conjugates of chain
+complexes and an image-lattice membership oracle."""
 
 import random
 import signal
