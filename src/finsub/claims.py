@@ -112,6 +112,23 @@ def _verdict(expected, computed) -> str:
     return MATCH if expected == computed else MISMATCH
 
 
+def _space(claim: str, n: int, d: Optional[int], opts: dict, space: str
+           ) -> tuple[BasedSimplicialSet, int, str]:
+    """(base, dimension, tag) of a claim that takes a space: the torus,
+    whose dimension 2 is the only ``d`` it takes, or the sphere S^d
+    within the n*d budget."""
+    if n < 1:
+        raise ParameterError(f"{claim} needs n >= 1")
+    if space == "torus":
+        if d not in (None, 2):
+            raise ParameterError(f"--space torus has dimension 2, not -d {d}")
+        return torus_model(2 * n + 1), 2, "torus"
+    if d is None:
+        raise ParameterError(f"{claim} on spheres needs d")
+    _check_nd(n, d, opts["budget_nd"])
+    return sphere_model(d, n * d + 1), d, f"S^{d}"
+
+
 # ----------------------------------------------------------------------
 # claims
 # ----------------------------------------------------------------------
@@ -199,6 +216,25 @@ def claim_thm1(n: int, d: int, opts: dict) -> list[VerificationReport]:
         expected, computed, _verdict(expected, computed))]
 
 
+def _adjudicate(claim: str, params: dict, statement: str, provenance: str,
+                correspondence: HomologyGroup,
+                computed: HomologyGroup) -> VerificationReport:
+    """The report on H_(nd-r) for n = 2, odd d and r = d-1, where the
+    top-degree correspondence and the rational wedge shape disagree:
+    the computed group settles it, and the report never fails."""
+    n, d = params["n"], params["d"]
+    rational_rank = _thm1_expected(n, d)[n * d - params["r"]]
+    return VerificationReport(
+        claim, params, statement, provenance,
+        {"correspondence": str(correspondence),
+         "rational rank": rational_rank},
+        str(computed), ADJUDICATED, detail=(
+            "two internal predictions disagree here: the top-degree "
+            f"correspondence gives {correspondence}, the rational wedge shape "
+            f"forces rank {rational_rank}; computed truth is {computed}, "
+            "which settles the group"))
+
+
 def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
     if n < 2 or d < 2:
         raise ParameterError("thm2 needs n >= 2 and d >= 2")
@@ -207,37 +243,26 @@ def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
     # homology of exp_n S^d in degrees nd-r for r < d needs trusted degrees
     # down to nd-d+1, so trunc nd+1 covers them all
     computed_all = _groups(sphere_model(d, n * d + 1), n, "exp", opts)
-    cohomology = homology(bar_cochain_complex(n, action, d - 1), through=d - 1)
+    cohomology = homology(bar_cochain_complex(n, action, d - 1,
+                                              opts["ceiling"]), through=d - 1)
     reports = []
     for r in range(d):
         computed = computed_all[n * d - r]
         coh = cohomology[r]
-        adjudicate = (d % 2 == 1 and r == d - 1 and n == 2)
-        if d % 2 == 1 and r == d - 1 and n in (2, 3) and not adjudicate:
-            expected = HomologyGroup(coh.rank + 1, coh.torsion)
-            prov = (f"bar-resolution H^{r}(S_{n}, sign) plus one free summand "
-                    f"(exceptional top-degree case)")
-        else:
-            expected = coh
-            prov = f"bar-resolution H^{r}(S_{n}, {action.kind})"
+        plus_z = HomologyGroup(coh.rank + 1, coh.torsion)
+        top = d % 2 == 1 and r == d - 1  # the exceptional top degree
         statement = (f"H_{n * d - r} of the subset space of <= {n} points on "
                      f"S^{d} equals H^{r}(S_{n}, {action.kind})")
-        if adjudicate:
-            cand_a = HomologyGroup(coh.rank + 1, coh.torsion)
-            rational_rank = _thm1_expected(n, d)[n * d - r]
-            detail = (
-                "two internal predictions disagree here: the top-degree "
-                f"correspondence gives {cand_a}, the rational wedge shape "
-                f"forces rank {rational_rank}; computed truth is {computed}, "
-                "which settles the group")
-            reports.append(VerificationReport(
+        if top and n == 2:
+            reports.append(_adjudicate(
                 "thm2", {"n": n, "d": d, "r": r}, statement,
                 "adjudicated between the sign-coefficient correspondence and "
-                "the rational shape",
-                {"correspondence": str(cand_a),
-                 "rational rank": rational_rank},
-                str(computed), ADJUDICATED, detail=detail))
+                "the rational shape", plus_z, computed))
             continue
+        expected, prov = coh, f"bar-resolution H^{r}(S_{n}, {action.kind})"
+        if top and n == 3:
+            expected = plus_z
+            prov += " plus one free summand (exceptional top-degree case)"
         reports.append(VerificationReport(
             "thm2", {"n": n, "d": d, "r": r}, statement, prov,
             str(expected), str(computed), _verdict(expected, computed)))
@@ -280,19 +305,7 @@ def claim_thm2a_partial(n: int, d: int, opts: dict) -> list[VerificationReport]:
 
 def claim_lemma_quo(n: int, d: Optional[int], opts: dict,
                     space: str = "sphere") -> list[VerificationReport]:
-    if n < 1:
-        raise ParameterError("lemma-quo needs n >= 1")
-    if space == "torus":
-        base: BasedSimplicialSet = torus_model(2 * n + 1)
-        dim = 2
-        tag = "torus"
-    else:
-        if d is None:
-            raise ParameterError("lemma-quo on spheres needs d")
-        _check_nd(n, d, opts["budget_nd"])
-        base = sphere_model(d, n * d + 1)
-        dim = d
-        tag = f"S^{d}"
+    base, dim, tag = _space("lemma-quo", n, d, opts, space)
     ha = _groups(base, n, "conf-based", opts, reduced=True)
     hb = _groups(base, n, "conf-bar", opts, reduced=True)
     return [VerificationReport(
@@ -412,8 +425,8 @@ def claim_groupcoh_xcheck(n: int, d: Optional[int], opts: dict) -> list[Verifica
         raise ParameterError("groupcoh-xcheck covers n in {2, 3}")
     _check_nd(n, d, opts["budget_nd"])
     h = _groups(sphere_model(3, 3 * n + 1), n, "conf-bar", opts, reduced=True)
-    cohomology = homology(bar_cochain_complex(n, CoefficientAction("sign"), 2),
-                          through=2)
+    cohomology = homology(bar_cochain_complex(n, CoefficientAction("sign"), 2,
+                                              opts["ceiling"]), through=2)
     reports = []
     for r in range(3):
         coh = cohomology[r]
@@ -437,33 +450,31 @@ def claim_groupcoh_xcheck(n: int, d: Optional[int], opts: dict) -> list[Verifica
 
 def claim_generaltwo(n: int, d: Optional[int], opts: dict,
                      space: str = "torus") -> list[VerificationReport]:
-    if n < 1:
-        raise ParameterError("generaltwo needs n >= 1")
-    if space == "torus":
-        dim = 2
-        base = torus_model(2 * n + 1)
-        tag = "torus"
-    else:
-        if d is None:
-            raise ParameterError("generaltwo on spheres needs d")
-        _check_nd(n, d, opts["budget_nd"])
-        dim = d
-        base = sphere_model(d, n * d + 1)
-        tag = f"S^{d}"
-    rs = list(range(dim - 1))
-    if dim % 2 == 1:
-        rs.append(dim - 1)
+    base, dim, tag = _space("generaltwo", n, d, opts, space)
+    # codimension dim-1 for odd dim is checked too, except at n = 2,
+    # where thm2 adjudicates it: H_(dim+1) of SP^2(S^dim) is 0 and the
+    # configuration side has a Z
+    odd_top = dim % 2 == 1 and n != 2
+    rs = range(dim if odd_top else dim - 1)
     h_exp = _groups(base, n, "exp", opts)
     h_cn = _groups(base, n, "conf-bar", opts, reduced=True)
     expected = {str(n * dim - r): str(h_cn[n * dim - r]) for r in rs}
     computed = {str(n * dim - r): str(h_exp[n * dim - r]) for r in rs}
-    return [VerificationReport(
+    reports = [VerificationReport(
         "generaltwo", {"n": n, "d": dim, "space": tag},
         f"top homology of the subset space of {tag} agrees with the "
         f"compactified configuration space in codimension < {dim - 1}"
-        + (" and dim-1" if dim % 2 else ""),
+        + (" and dim-1" if odd_top else ""),
         "quotient-model configuration homology",
         expected, computed, _verdict(expected, computed))]
+    if dim % 2 == 1 and n == 2:
+        reports.append(_adjudicate(
+            "generaltwo", {"n": n, "d": dim, "space": tag, "r": dim - 1},
+            f"H_{dim + 1} of the subset space of {tag} equals that of the "
+            "compactified configuration space",
+            "adjudicated between the configuration-space correspondence and "
+            "the rational shape", h_cn[dim + 1], h_exp[dim + 1]))
+    return reports
 
 
 def claim_fn_conf(n: int, d: int, opts: dict) -> list[VerificationReport]:
@@ -473,7 +484,7 @@ def claim_fn_conf(n: int, d: int, opts: dict) -> list[VerificationReport]:
     keyed = _groups(sphere_model(d, n * d + 1), n, "conf-bar", opts,
                     reduced=True)
     cells = d ** (n - 1)
-    fn = fn_homology(n, d)
+    fn = fn_homology(n, d, opts["ceiling"])
     return [VerificationReport(
         "fn-conf", {"n": n, "d": d, "degree": k},
         f"reduced H_{k} of the compactified {n}-point configuration space "

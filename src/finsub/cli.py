@@ -26,12 +26,7 @@ from typing import Optional
 from . import __version__
 from . import cache as cache_mod
 from .claims import DEFAULT_BUDGET_ND, ParameterError, run_claim
-from .groupcoh import (
-    DEFAULT_BASIS_CEILING,
-    CoefficientAction,
-    ResourceError,
-    duality_cochains,
-)
+from .groupcoh import CoefficientAction, duality_cochains
 from .homology import ChainComplex, homology, homology_to_json
 from .simplicial import (
     BasedSimplicialSet,
@@ -47,7 +42,6 @@ from .spectral import filtered_complex, pages
 from .subsetspace import DEFAULT_CELL_CEILING, BudgetError, keyed_complex
 
 CONSTRUCTIONS = ("expn", "based", "bar", "conf")
-CEILING_HELP = "non-degenerate cells allowed in any one degree"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,8 +170,6 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
         raise ParameterError("--n must be >= 1")
     if max_degree is not None and max_degree < 0:
         raise ParameterError("--max-degree must be >= 0")
-    if ceiling < 0:
-        raise ParameterError("--ceiling must be >= 0")
     base, tag, dim = _resolve_space(space, d, n, trunc)
     reduced = construction in ("bar", "conf")
     cache = key = complex_ = None
@@ -216,8 +208,6 @@ def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
     """
     if budget_nd < 0:
         raise ParameterError("--budget-nd must be >= 0")
-    if ceiling < 0:
-        raise ParameterError("--ceiling must be >= 0")
     reports = run_claim(claim, n, d, ceiling=ceiling, budget_nd=budget_nd,
                         space=space)
     for rep in reports:
@@ -237,8 +227,6 @@ def cmd_groupcoh(n, action, max_degree, ceiling, out):
         raise ParameterError("-n must be >= 1")
     if max_degree < 0:
         raise ParameterError("--max-degree must be >= 0")
-    if ceiling < 0:
-        raise ParameterError("--ceiling must be >= 0")
     c = duality_cochains(n, CoefficientAction(action), max_degree,
                          ceiling=ceiling)
     # codimension max_degree + 1 lacks its outgoing differential
@@ -251,8 +239,6 @@ def cmd_page(space, d, n, variant, trunc, ceiling, out):
     """Spectral-sequence pages of the points-count filtration."""
     if n < 1:
         raise ParameterError("--n must be >= 1")
-    if ceiling < 0:
-        raise ParameterError("--ceiling must be >= 0")
     base, tag, dim = _resolve_space(space, d, n, trunc)
     f = filtered_complex(base, n, variant, ceiling=ceiling)
     seq = pages(f)
@@ -304,9 +290,10 @@ def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
     def out(option):
         option("--out", metavar="PATH", help="write JSON here")
 
-    def ceiling(option, default=DEFAULT_CELL_CEILING, help=CEILING_HELP):
-        option("--ceiling", type=int, default=default,
-               help=f"{help} [default: %(default)s]")
+    def ceiling(option):
+        option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
+               help="non-degenerate cells allowed in any one degree "
+               "[default: %(default)s]")
 
     def cache_dir(option, help=None):
         option("--cache-dir", metavar="PATH",
@@ -349,7 +336,7 @@ def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
     option("--action", choices=("trivial", "sign"), default="trivial",
            help="[default: %(default)s]")
     option("--max-degree", type=int, default=2, help="[default: %(default)s]")
-    ceiling(option, DEFAULT_BASIS_CEILING, "bar-resolution basis budget")
+    ceiling(option)
     out(option)
 
     option = command(cmd_page, "page")
@@ -384,6 +371,8 @@ def main(argv: Optional[list[str]] = None,
     del kwargs["command"]
     run = kwargs.pop("run")
     try:
+        if kwargs.get("ceiling", 0) < 0:
+            raise ParameterError("--ceiling must be >= 0")
         if kwargs.get("out") is not None:
             _writable_out(kwargs["out"])
         if kwargs.get("cache_dir"):
@@ -391,7 +380,7 @@ def main(argv: Optional[list[str]] = None,
         code = run(**kwargs)
     except ParameterError as exc:
         sub.error(str(exc))
-    except (BudgetError, ResourceError) as exc:
+    except BudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         sys.exit(2)
     if code:

@@ -83,6 +83,10 @@ r <= R needs only the cells of codimension <= R+1, built with the
 least m >= R+2 of the right parity: 20 cells for S_4 through degree 2,
 15 for S_5 through degree 1.  ``finsub.groupcoh`` reads group
 cohomology this way; its bar resolution is the reference.
+
+Budget.  The cells of each codimension are counted while they are
+enumerated, and the first codimension to pass ``ceiling`` cells raises
+``BudgetError``, as the keyed chains do per degree.
 """
 
 from __future__ import annotations
@@ -91,17 +95,24 @@ from itertools import combinations
 
 from .homology import ChainComplex, HomologyGroup, homology
 from .snf import SparseIntMatrix
+from .subsetspace import DEFAULT_CELL_CEILING, BudgetError
 
 
-def cells(n: int, m: int, codim: int) -> list[tuple[int, ...]]:
+def cells(n: int, m: int, codim: int,
+          ceiling: int = DEFAULT_CELL_CEILING) -> list[tuple[int, ...]]:
     """Separator sequences in {1..m}^(n-1) of codimension
-    sum_j (s_j - 1) = codim, in lexicographic order."""
+    sum_j (s_j - 1) = codim, in lexicographic order; ``BudgetError``
+    as soon as there are more than ``ceiling`` of them."""
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int], left: int, slots: int) -> None:
         if slots == 0:
             if left == 0:
                 out.append(tuple(prefix))
+                if len(out) > ceiling:
+                    raise BudgetError(
+                        f"Fox-Neuwirth chains pass {len(out)} cells in "
+                        f"codimension {codim}, over the ceiling of {ceiling}")
             return
         for extra in range(min(left, m - 1) + 1):
             prefix.append(extra + 1)
@@ -191,7 +202,8 @@ def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def fn_cochains(n: int, m: int, top_codim: int) -> ChainComplex:
+def fn_cochains(n: int, m: int, top_codim: int,
+                ceiling: int = DEFAULT_CELL_CEILING) -> ChainComplex:
     """The reduced cellular chains of UConf_n(R^m)^+ as a cochain
     complex graded by codimension, so that H^c of it is
     H~_(nm-c)(UConf_n(R^m)^+).
@@ -200,13 +212,15 @@ def fn_cochains(n: int, m: int, top_codim: int) -> ChainComplex:
     c < top_codim, and for c = top_codim too when no cell has a higher
     codimension, (n-1)(m-1) being the last one with cells.
     ``basis[c]`` lists the separator sequences of codimension c in
-    lexicographic order, and d.d = 0 is checked on every column.
+    lexicographic order, and d.d = 0 is checked on every column.  A
+    codimension with more than ``ceiling`` cells is refused before any
+    boundary is assembled.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if top_codim < 0:
         raise ValueError("top_codim must be >= 0")
-    basis = [cells(n, m, c) for c in range(top_codim + 1)]
+    basis = [cells(n, m, c, ceiling) for c in range(top_codim + 1)]
     dims = [len(b) for b in basis]
     boundary = [SparseIntMatrix(dims[0], 0)]
     for c in range(1, top_codim + 1):
@@ -222,12 +236,13 @@ def fn_cochains(n: int, m: int, top_codim: int) -> ChainComplex:
     return complex_
 
 
-def fn_homology(n: int, m: int) -> dict[int, HomologyGroup]:
+def fn_homology(n: int, m: int, ceiling: int = DEFAULT_CELL_CEILING
+                ) -> dict[int, HomologyGroup]:
     """H~_k(UConf_n(R^m)^+) for every k in 0..nm, from all m^(n-1)
     cells.  Degrees below n+m-1, the lowest cell, are 0."""
     top_deg = n * m
     full = (n - 1) * (m - 1)
-    groups = homology(fn_cochains(n, m, full), through=full)
+    groups = homology(fn_cochains(n, m, full, ceiling), through=full)
     return {k: groups[top_deg - k] if top_deg - k <= full else HomologyGroup(0)
             for k in range(top_deg + 1)}
 

@@ -15,12 +15,14 @@ are Z-valued functions on r-tuples of non-identity group elements, the
 coboundary is the usual alternating sum with the module action
 twisting the first slot.  Group elements are enumerated in
 lexicographic one-line order.  This is deliberately the dumbest
-correct resolution; the basis grows like (n!-1)^r, so a budget guard
-refuses degrees that would not fit.  The default ceiling admits S_4
-through degree 2 (cohomology at degree r materializes the degree r+1
-tuple table); raising it is an explicit opt-in to very large
-eliminations.  The duality path keeps the same admission, so a job
-refused on the bar side is refused on both.
+correct resolution; the basis grows like (n!-1)^r.
+
+Both paths take the one cell ceiling of ``finsub.subsetspace``
+(``DEFAULT_CELL_CEILING``, the CLI's ``--ceiling``), counted on the
+cells each one builds: the Fox-Neuwirth cells of each codimension, or
+the (n!-1)^r bar tuples of each degree r.  A job over it raises
+``BudgetError`` naming the first codimension or degree over the
+ceiling, before any boundary is assembled.
 """
 
 from __future__ import annotations
@@ -31,15 +33,10 @@ from math import factorial
 from .fncells import duality_dimension, fn_cochains
 from .homology import ChainComplex, HomologyGroup, homology
 from .snf import SparseIntMatrix
-
-DEFAULT_BASIS_CEILING = 100_000
+from .subsetspace import DEFAULT_CELL_CEILING, BudgetError
 
 TRIVIAL = "trivial"
 SIGN = "sign"
-
-
-class ResourceError(RuntimeError):
-    """The bar resolution would exceed the configured basis ceiling."""
 
 
 class Permutation:
@@ -125,10 +122,19 @@ def symmetric_group(n: int) -> list[Permutation]:
     return [Permutation(p) for p in permutations(range(n))]
 
 
-def _admit(n: int, maxdeg: int, ceiling: int) -> None:
-    """Refuse a job whose bar resolution, through degree maxdeg + 1,
-    has a degree with more than ``ceiling`` basis tuples; both ways of
-    computing group cohomology take this one admission."""
+def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
+                        ceiling: int = DEFAULT_CELL_CEILING) -> ChainComplex:
+    """Normalized bar cochain complex of S_n through degree maxdeg.
+
+    Degrees 0..maxdeg+1 are materialized so that cohomology at maxdeg
+    has both coboundaries; degree r has (n!-1)^r basis tuples.  The
+    first degree over the ceiling is refused before S_n is listed.
+
+    The non-identity elements are numbered 0..m-1 in enumeration order
+    and an r-tuple is indexed by its digits in base m, first slot most
+    significant, so faces are index arithmetic on an integer
+    multiplication table (-1 for the identity).
+    """
     if maxdeg < 0:
         raise ValueError("maxdeg must be non-negative")
     if n < 1:
@@ -136,27 +142,10 @@ def _admit(n: int, maxdeg: int, ceiling: int) -> None:
     m = factorial(n) - 1
     for r in range(1, maxdeg + 2):
         if m ** r > ceiling:
-            raise ResourceError(
+            raise BudgetError(
                 f"bar resolution for S_{n} at degree {r} needs {m ** r} "
                 f"basis tuples, over the ceiling of {ceiling}")
-
-
-def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
-                        ceiling: int = DEFAULT_BASIS_CEILING) -> ChainComplex:
-    """Normalized bar cochain complex of S_n through degree maxdeg.
-
-    Degrees 0..maxdeg+1 are materialized so that cohomology at maxdeg
-    has both coboundaries; degree r has (n!-1)^r basis tuples.  The
-    first degree over the ceiling is refused.
-
-    The non-identity elements are numbered 0..m-1 in enumeration order
-    and an r-tuple is indexed by its digits in base m, first slot most
-    significant, so faces are index arithmetic on an integer
-    multiplication table (-1 for the identity).
-    """
-    _admit(n, maxdeg, ceiling)
     nontriv = [g for g in symmetric_group(n) if not g.is_identity()]
-    m = len(nontriv)
     top = maxdeg + 1
     images = [g.images for g in nontriv]
     ids = {p: i for i, p in enumerate(images)}
@@ -192,25 +181,23 @@ def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
 
 
 def duality_cochains(n: int, action: CoefficientAction, maxdeg: int,
-                     ceiling: int = DEFAULT_BASIS_CEILING) -> ChainComplex:
+                     ceiling: int = DEFAULT_CELL_CEILING) -> ChainComplex:
     """A cochain complex whose H^r is H^r(S_n, M) for r <= maxdeg: the
     Fox-Neuwirth cells of UConf_n(R^m)^+ of codimension <= maxdeg + 1,
     graded by codimension, with the least m >= maxdeg + 2 whose parity
-    matches the action (``finsub.fncells``).  The bar-resolution
-    ceiling admits or refuses the job as :func:`bar_cochain_complex`
-    would."""
-    _admit(n, maxdeg, ceiling)
+    matches the action (``finsub.fncells``).  A codimension with more
+    than ``ceiling`` cells raises ``BudgetError``."""
+    if maxdeg < 0:
+        raise ValueError("maxdeg must be non-negative")
     m = duality_dimension(maxdeg, action.kind == SIGN)
-    return fn_cochains(n, m, maxdeg + 1)
+    return fn_cochains(n, m, maxdeg + 1, ceiling)
 
 
 def group_cohomology(n: int, action: CoefficientAction | str, r: int,
-                     ceiling: int = DEFAULT_BASIS_CEILING) -> HomologyGroup:
+                     ceiling: int = DEFAULT_CELL_CEILING) -> HomologyGroup:
     """H^r(S_n, M), read off the Fox-Neuwirth cells by duality
     (:func:`duality_cochains`); :func:`bar_cochain_complex` is the
     reference it is tested against."""
     if isinstance(action, str):
         action = CoefficientAction(action)
-    if r < 0:
-        raise ValueError("degree must be non-negative")
     return homology(duality_cochains(n, action, r, ceiling), through=r)[r]

@@ -56,9 +56,11 @@ from .simplicial import (
 from .snf import SparseIntMatrix
 
 DEFAULT_LEVEL_CEILING = 5_000_000  # level-table simplices per level
-# Non-degenerate cells per degree of the keyed chains.  The S^2 n=5 and
-# S^4 n=3 builds each took 1.6 KB of peak RSS per cell of their largest
-# degree, so one degree at this ceiling builds in about 0.8 GB.
+# Non-degenerate cells per degree, the one ceiling of every builder: the
+# keyed chains, the Fox-Neuwirth cells (``finsub.fncells``) and the bar
+# resolution (``finsub.groupcoh``).  The S^2 n=5 and S^4 n=3 keyed builds
+# each took 1.6 KB of peak RSS per cell of their largest degree, so one
+# keyed degree at this ceiling builds in about 0.8 GB.
 DEFAULT_CELL_CEILING = 500_000
 
 # basepoint rules of a key filter
@@ -77,7 +79,8 @@ Index = list[dict[tuple[int, ...], int]]  # per level: subset key -> simplex
 
 
 class BudgetError(RuntimeError):
-    """A construction would exceed the configured simplex-count ceiling."""
+    """A construction would exceed its configured ceiling: the one
+    refusal of every builder, which the CLI reports with exit 2."""
 
 
 def _level_count(m: int, n: int, based: bool) -> int:

@@ -67,6 +67,20 @@ def test_generaltwo_torus():
     assert all_match(claim("generaltwo", 2, space="torus"))
 
 
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_generaltwo_spheres(n, d):
+    reports = claim("generaltwo", n, d, budget_nd=max(8, n * d))
+    if n == 2 and d % 2:
+        # codimension d-1 is the node thm2 adjudicates: H_(d+1) of
+        # SP^2(S^d) is 0, where the configuration side has a Z
+        assert [r.verdict for r in reports] == ["match", "adjudicated"]
+        assert reports[1].params["r"] == d - 1
+        assert reports[1].expected["correspondence"] == "Z"
+        assert reports[1].computed == "0"
+    else:
+        assert all_match(reports) and len(reports) == 1
+
+
 def test_e1_collapse_small():
     assert all_match(claim("e1-collapse", 2, 2))
     assert all_match(claim("e1-collapse", 2, 3))
@@ -121,6 +135,9 @@ def test_torus_only_for_the_claims_that_take_a_space():
     for name in TORUS_CLAIMS:
         with pytest.raises(ParameterError, match="unknown space 'banana'"):
             claim(name, 1, 2, space="banana")
+        assert all_match(claim(name, 1, 2, space="torus"))
+        with pytest.raises(ParameterError, match="dimension 2, not -d 3"):
+            claim(name, 1, 3, space="torus")
 
 
 def test_lemma_quo_sphere_needs_d():

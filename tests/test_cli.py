@@ -542,13 +542,21 @@ def test_groupcoh_command(runner):
 
 
 def test_groupcoh_budget(runner):
-    # 23^2 = 529 fits, 23^3 = 12167 does not: degree 3 is named, not the
-    # degree 6 the one complex at --max-degree 5 would need
+    # --max-degree 5 takes the Fox-Neuwirth cells of UConf_4(R^8)^+ of
+    # codimension <= 6: 1, 3, 6, 10, 15, ... of them, so codimension 4 is
+    # the first over 10, refused as its 11th cell is enumerated
     res = runner.invoke(main, ["groupcoh", "-n", "4", "--max-degree", "5",
-                               "--ceiling", "1000"])
+                               "--ceiling", "10"])
     assert res.exit_code == 2
-    assert ("resource error: bar resolution for S_4 at degree 3 needs 12167 "
-            "basis tuples, over the ceiling of 1000") in res.output
+    assert ("resource error: Fox-Neuwirth chains pass 11 cells in "
+            "codimension 4, over the ceiling of 10") in res.output
+
+
+def test_groupcoh_past_the_bar_reach(runner):
+    # 21 cells, where the bar resolution would need 719^2 = 516961 tuples
+    res = runner.invoke(main, ["groupcoh", "-n", "6", "--max-degree", "1"])
+    assert res.exit_code == 0, res.output
+    assert groups_of(json.loads(res.output)) == {0: (1, ()), 1: (0, ())}
 
 
 @pytest.mark.parametrize("action", ["trivial", "sign"])
@@ -671,6 +679,18 @@ HELP_OPTIONS = {
 }
 
 
+def test_ceiling_help_is_one_text(runner):
+    texts = set()
+    for command in ("homology", "page", "verify", "groupcoh"):
+        res = runner.invoke(main, [command, "--help"])
+        assert res.exit_code == 0, res.output
+        entry = re.search(r"--ceiling CEILING\s+(.*?)(?:\n  -|\Z)",
+                          res.output, re.S)
+        texts.add(" ".join(entry.group(1).split()))
+    assert texts == {"non-degenerate cells allowed in any one degree "
+                     "[default: 500000]"}
+
+
 @pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
 def test_help_names_every_option(runner, command):
     res = runner.invoke(main, [command, "--help"])
@@ -708,6 +728,10 @@ def test_parse_errors_are_usage_errors(runner, args):
      "claim 'thm1' runs on spheres only"),
     (["verify", "lemma-quo", "-n", "1", "-d", "2", "--space", "banana"],
      "unknown space 'banana'"),
+    (["verify", "lemma-quo", "-n", "1", "-d", "7", "--space", "torus"],
+     "--space torus has dimension 2, not -d 7"),
+    (["verify", "generaltwo", "-n", "2", "-d", "3", "--space", "torus"],
+     "--space torus has dimension 2, not -d 3"),
 ])
 def test_out_of_range_parameters_are_usage_errors(runner, args, message):
     res = runner.invoke(main, args)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from finsub.groupcoh import (
     CoefficientAction,
     Permutation,
-    ResourceError,
     bar_cochain_complex,
     group_cohomology,
     symmetric_group,
 )
 from finsub.snf import SparseIntMatrix
+from finsub.subsetspace import BudgetError
 
 
 def test_permutation_basics():
@@ -92,6 +92,18 @@ def test_known_cohomology(n, action, r, expect):
     assert str(group_cohomology(n, action, r)) == expect
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_closed_forms_past_the_bar_reach(n):
+    # trivial: H^1 = Hom(S_n, Z) = 0, H^2 = Hom(S_n, Q/Z) = Z/2 and, for
+    # n >= 4, H^3 = Ext(H_2(S_n), Z) with Schur multiplier Z/2; sign:
+    # H^0 = 0 and H^1 = Z/2.  The bar resolution needs (n!-1)^(r+1)
+    # tuples here, over 5 * 10^5 already for S_6 in degree 1.
+    assert [str(group_cohomology(n, "trivial", r)) for r in range(4)] == \
+        ["Z", "0", "Z/2", "Z/2"]
+    assert [str(group_cohomology(n, "sign", r)) for r in range(2)] == \
+        ["0", "Z/2"]
+
+
 def test_positive_degrees_are_finite():
     for n in (2, 3):
         for action in ("trivial", "sign"):
@@ -102,7 +114,7 @@ def test_positive_degrees_are_finite():
 
 def test_budget_guard():
     # the first degree over the ceiling is named: 23^3 > 10^4
-    with pytest.raises(ResourceError, match="at degree 3 needs 12167 basis "
+    with pytest.raises(BudgetError, match="at degree 3 needs 12167 basis "
                        "tuples, over the ceiling of 10000"):
         bar_cochain_complex(4, CoefficientAction("trivial"), 4, ceiling=10_000)
 
