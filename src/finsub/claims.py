@@ -466,7 +466,7 @@ def claim_generaltwo(n: int, d: Optional[int], opts: dict,
         f"compactified configuration space in codimension < {dim - 1}"
         + (" and dim-1" if odd_top else ""),
         "quotient-model configuration homology",
-        expected, computed, _verdict(expected, computed))]
+        expected, computed, _verdict(expected, computed))] if rs else []
     if dim % 2 == 1 and n == 2:
         reports.append(_adjudicate(
             "generaltwo", {"n": n, "d": dim, "space": tag, "r": dim - 1},
