@@ -85,52 +85,65 @@ least m >= R+2 of the right parity: 20 cells for S_4 through degree 2,
 cohomology this way; its bar resolution is the reference.
 
 Budget.  The cells of each codimension are counted while they are
-enumerated, and the first codimension to pass ``ceiling`` cells raises
-``BudgetError``, as the keyed chains do per degree.
+enumerated, and the first codimension to pass ``ceiling`` raises
+``BudgetError``, as the keyed chains do per degree.  A cell counts once
+per separator, n-1 times (once for n = 1): its size, and the boundary
+work per cell, grow with n, so a plain count would admit n = 1000
+through codimension 2 with 499 500 cells of 999 separators each, about
+4 GB.  Counted by separators, the cells of one codimension took 8 to
+25 bytes per separator counted (tracemalloc, n = 4 to 1000), and the
+faces of a cell are assembled from its separators and the parameters
+of the points they merge (:func:`cell_boundary`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 from .homology import ChainComplex, HomologyGroup, homology
 from .snf import SparseIntMatrix
-from .subsetspace import DEFAULT_CELL_CEILING, BudgetError
+from .subsetspace import BudgetError
 
 
-def cells(n: int, m: int, codim: int,
-          ceiling: int = DEFAULT_CELL_CEILING) -> list[tuple[int, ...]]:
+def cells(n: int, m: int, codim: int, ceiling: int) -> list[tuple[int, ...]]:
     """Separator sequences in {1..m}^(n-1) of codimension
-    sum_j (s_j - 1) = codim, in lexicographic order; ``BudgetError``
-    as soon as there are more than ``ceiling`` of them."""
+    sum_j (s_j - 1) = codim, in lexicographic order, one successor at a
+    time.  A cell weighs its n-1 separators, and at least 1, against
+    ``ceiling``: ``BudgetError`` as soon as the cells enumerated weigh
+    more."""
+    slots, weight = n - 1, max(n - 1, 1)
     out: list[tuple[int, ...]] = []
+    if not 0 <= codim <= slots * (m - 1):
+        return out
+    extra = _packed(codim, slots, m)  # s_j - 1, the least sequence
+    while True:
+        out.append(tuple(e + 1 for e in extra))
+        if len(out) * weight > ceiling:
+            raise BudgetError(
+                f"Fox-Neuwirth chains pass {len(out)} cells in codimension "
+                f"{codim}; at {weight} per cell, one per separator, that is "
+                f"{len(out) * weight}, over the ceiling of {ceiling}")
+        # the successor: raise the last slot that can take one more from
+        # the slots after it, and pack what those keep to the right
+        tail = 0
+        for j in range(slots - 1, -1, -1):
+            if tail and extra[j] < m - 1:
+                extra[j:] = [extra[j] + 1] + _packed(tail - 1, slots - 1 - j, m)
+                break
+            tail += extra[j]
+        else:
+            return out
 
-    def extend(prefix: list[int], left: int, slots: int) -> None:
-        if slots == 0:
-            if left == 0:
-                out.append(tuple(prefix))
-                if len(out) > ceiling:
-                    raise BudgetError(
-                        f"Fox-Neuwirth chains pass {len(out)} cells in "
-                        f"codimension {codim}, over the ceiling of {ceiling}")
-            return
-        for extra in range(min(left, m - 1) + 1):
-            prefix.append(extra + 1)
-            extend(prefix, left - extra, slots - 1)
-            prefix.pop()
 
-    if codim >= 0:
-        extend([], codim, n - 1)
-    return out
-
-
-def _parameters(s: tuple[int, ...], m: int) -> list[tuple[int, int]]:
-    """The cell's parameters in depth-first block order, each named by
-    (first point of its block, coordinate): points are 0-based."""
-    params = [(0, c) for c in range(1, m + 1)]
-    for j, i in enumerate(s):
-        params.extend((j + 1, c) for c in range(i, m + 1))
-    return params
+def _packed(total: int, slots: int, m: int) -> list[int]:
+    """The lexicographically least list of ``slots`` entries in 0..m-1
+    summing to ``total``: full entries at the right end."""
+    full, part = divmod(total, m - 1) if m > 1 else (0, 0)
+    head = [0] * (slots - full)
+    if part:
+        head[-1] = part
+    return head + [m - 1] * full
 
 
 def _sub_blocks(s: tuple[int, ...], first: int, last: int, level: int
@@ -147,16 +160,26 @@ def _sub_blocks(s: tuple[int, ...], first: int, last: int, level: int
     return out
 
 
-def _inversions(keys: list[tuple[int, int]]) -> int:
-    return sum(1 for a in range(len(keys)) for b in range(a + 1, len(keys))
-               if keys[a] > keys[b])
+def _odd(keys: list[tuple[int, int]]) -> int:
+    """The parity of the inversion count of distinct ``keys``."""
+    later: list[tuple[int, int]] = []  # sorted
+    odd = 0
+    for key in reversed(keys):
+        below = bisect_left(later, key)  # later keys smaller than this one
+        odd ^= below & 1
+        later.insert(below, key)
+    return odd
 
 
 def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     """The cellular boundary of one cell: face -> incidence, zeros
-    dropped (the rule and its signs are in the module docstring)."""
+    dropped (the rule and its signs are in the module docstring).
+
+    A face merges the points a..b and moves only their parameters,
+    which sit together in the depth-first order between the unmoved
+    ones, so its sign needs only those: the work per face term is the
+    n-1 separators of the face plus the merged points' parameters."""
     n = len(s) + 1
-    params = _parameters(s, m)
     out: dict[tuple[int, ...], int] = {}
     for j, i in enumerate(s):
         if i == m:  # a collision lies at infinity
@@ -169,8 +192,11 @@ def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
             b += 1
         left = _sub_blocks(s, a, j, i + 1)
         right = _sub_blocks(s, j + 1, b, i + 1)
-        p = params.index((a, i)) + 1
-        rest = [t for t in params if t != (a, i)]
+        # (a, i) is parameter p of the cell, counted from 1: point 0 has
+        # m parameters, and point x > 0 those from s_(x-1) to m
+        p = (m + 1) * a - sum(s[:a]) + i
+        rest = [(x, c) for x in range(a, b + 1)
+                for c in range(s[x - 1] if x else 1, m + 1) if (x, c) != (a, i)]
         count = len(left) + len(right)
         for slots in combinations(range(count), len(left)):
             picked = set(slots)
@@ -190,10 +216,8 @@ def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
             face = s[:a] + tuple(seps) + s[b:]
             # parameters below the merge follow their points; the
             # merged block and its ancestors start at point a
-            keys = [(x, c) if not a <= x <= b
-                    else (moved[x], c) if c > i else (a, c)
-                    for x, c in rest]
-            sign = -1 if (p + 1 + _inversions(keys)) % 2 else 1
+            keys = [(moved[x], c) if c > i else (a, c) for x, c in rest]
+            sign = -1 if (p + 1 + _odd(keys)) % 2 else 1
             v = out.get(face, 0) + sign
             if v:
                 out[face] = v
@@ -202,8 +226,8 @@ def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def fn_cochains(n: int, m: int, top_codim: int,
-                ceiling: int = DEFAULT_CELL_CEILING) -> ChainComplex:
+def fn_cochains(n: int, m: int, top_codim: int, ceiling: int
+                ) -> ChainComplex:
     """The reduced cellular chains of UConf_n(R^m)^+ as a cochain
     complex graded by codimension, so that H^c of it is
     H~_(nm-c)(UConf_n(R^m)^+).
@@ -213,8 +237,8 @@ def fn_cochains(n: int, m: int, top_codim: int,
     codimension, (n-1)(m-1) being the last one with cells.
     ``basis[c]`` lists the separator sequences of codimension c in
     lexicographic order, and d.d = 0 is checked on every column.  A
-    codimension with more than ``ceiling`` cells is refused before any
-    boundary is assembled.
+    codimension whose cells weigh more than ``ceiling`` (see
+    :func:`cells`) is refused before any boundary is assembled.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
@@ -236,8 +260,7 @@ def fn_cochains(n: int, m: int, top_codim: int,
     return complex_
 
 
-def fn_homology(n: int, m: int, ceiling: int = DEFAULT_CELL_CEILING
-                ) -> dict[int, HomologyGroup]:
+def fn_homology(n: int, m: int, ceiling: int) -> dict[int, HomologyGroup]:
     """H~_k(UConf_n(R^m)^+) for every k in 0..nm, from all m^(n-1)
     cells.  Degrees below n+m-1, the lowest cell, are 0."""
     top_deg = n * m

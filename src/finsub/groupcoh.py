@@ -19,8 +19,9 @@ correct resolution; the basis grows like (n!-1)^r.
 
 Both paths take the one cell ceiling of ``finsub.subsetspace``
 (``DEFAULT_CELL_CEILING``, the CLI's ``--ceiling``), counted on the
-cells each one builds: the Fox-Neuwirth cells of each codimension, or
-the (n!-1)^r bar tuples of each degree r.  A job over it raises
+cells each one builds: the Fox-Neuwirth cells of each codimension,
+each counted once per separator (n-1 times), or the (n!-1)^r bar
+tuples of each degree r.  A job over it raises
 ``BudgetError`` naming the first codimension or degree over the
 ceiling, before any boundary is assembled.
 """
@@ -185,8 +186,9 @@ def duality_cochains(n: int, action: CoefficientAction, maxdeg: int,
     """A cochain complex whose H^r is H^r(S_n, M) for r <= maxdeg: the
     Fox-Neuwirth cells of UConf_n(R^m)^+ of codimension <= maxdeg + 1,
     graded by codimension, with the least m >= maxdeg + 2 whose parity
-    matches the action (``finsub.fncells``).  A codimension with more
-    than ``ceiling`` cells raises ``BudgetError``."""
+    matches the action (``finsub.fncells``).  A codimension whose cells
+    weigh more than ``ceiling``, n-1 separators per cell, raises
+    ``BudgetError``."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be non-negative")
     m = duality_dimension(maxdeg, action.kind == SIGN)

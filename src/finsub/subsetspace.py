@@ -57,10 +57,11 @@ from .snf import SparseIntMatrix
 
 DEFAULT_LEVEL_CEILING = 5_000_000  # level-table simplices per level
 # Non-degenerate cells per degree, the one ceiling of every builder: the
-# keyed chains, the Fox-Neuwirth cells (``finsub.fncells``) and the bar
-# resolution (``finsub.groupcoh``).  The S^2 n=5 and S^4 n=3 keyed builds
-# each took 1.6 KB of peak RSS per cell of their largest degree, so one
-# keyed degree at this ceiling builds in about 0.8 GB.
+# keyed chains, the Fox-Neuwirth cells (``finsub.fncells``, each counted
+# once per separator) and the bar resolution (``finsub.groupcoh``).  The
+# S^2 n=5 and S^4 n=3 keyed builds each took 1.6 KB of peak RSS per cell
+# of their largest degree, so one keyed degree at this ceiling builds in
+# about 0.8 GB.
 DEFAULT_CELL_CEILING = 500_000
 
 # basepoint rules of a key filter

@@ -543,13 +543,28 @@ def test_groupcoh_command(runner):
 
 def test_groupcoh_budget(runner):
     # --max-degree 5 takes the Fox-Neuwirth cells of UConf_4(R^8)^+ of
-    # codimension <= 6: 1, 3, 6, 10, 15, ... of them, so codimension 4 is
-    # the first over 10, refused as its 11th cell is enumerated
+    # codimension <= 6: 1, 3, 6, 10, 15, ... of them, 3 separators each,
+    # so codimension 4 is the first over 44, refused at its 15th cell
     res = runner.invoke(main, ["groupcoh", "-n", "4", "--max-degree", "5",
-                               "--ceiling", "10"])
+                               "--ceiling", "44"])
     assert res.exit_code == 2
-    assert ("resource error: Fox-Neuwirth chains pass 11 cells in "
-            "codimension 4, over the ceiling of 10") in res.output
+    assert ("resource error: Fox-Neuwirth chains pass 15 cells in "
+            "codimension 4; at 3 per cell, one per separator, that is 45, "
+            "over the ceiling of 44") in res.output
+
+
+def test_groupcoh_many_points(runner):
+    # a cell weighs its n-1 separators: at n = 100 through degree 1 the
+    # 4 950 cells of codimension 2 weigh 490 050 and run, at n = 101 the
+    # 5 050 weigh 505 000 and are refused, and n = 1000 is refused in
+    # codimension 1, at its 501st cell
+    res = runner.invoke(main, ["groupcoh", "-n", "100", "--max-degree", "1"])
+    assert res.exit_code == 0, res.output
+    assert groups_of(json.loads(res.output)) == {0: (1, ()), 1: (0, ())}
+    for n, codim in (("101", 2), ("1000", 1)):
+        res = runner.invoke(main, ["groupcoh", "-n", n, "--max-degree", "1"])
+        assert res.exit_code == 2
+        assert f"cells in codimension {codim}; at" in res.output
 
 
 def test_groupcoh_past_the_bar_reach(runner):

@@ -11,6 +11,7 @@ from finsub.fncells import fn_cochains
 from finsub.groupcoh import CoefficientAction, bar_cochain_complex
 from finsub.homology import ChainComplex
 from finsub.snf import SparseIntMatrix
+from finsub.subsetspace import DEFAULT_CELL_CEILING as CEILING
 from finsub.subsetspace import keyed_complex
 
 VARIANTS = ["exp", "based", "bar", "conf-bar", "conf-based"]
@@ -45,7 +46,7 @@ def test_validate_matches_reference_on_keyed_complexes(variant):
 
 def test_validate_matches_reference_on_bar_and_fox_neuwirth_complexes():
     complexes = list(_bar_complexes())
-    complexes += [fn_cochains(n, m, (n - 1) * (m - 1))
+    complexes += [fn_cochains(n, m, (n - 1) * (m - 1), CEILING)
                   for n, m in ((3, 3), (4, 3), (5, 2))]
     for c in complexes:
         assert c.validate() == reference.validate(c) == []
@@ -56,7 +57,8 @@ def test_validate_matches_reference_on_corrupted_complexes(seed):
     sound = [keyed_complex(x, n, "exp", reduced=True)
              for name, x, n in keyed_cases() if name.startswith("S^2")]
     sound += list(_bar_complexes())[2:6]
-    sound += [conjugated(fn_cochains(4, 3, 6), seed, 2), fn_cochains(5, 3, 8)]
+    sound += [conjugated(fn_cochains(4, 3, 6, CEILING), seed, 2),
+              fn_cochains(5, 3, 8, CEILING)]
     found = 0
     for i, c in enumerate(sound):
         bad = _corrupted(c, 1000 * seed + i, 1 + seed % 4)

@@ -22,6 +22,7 @@ from finsub.groupcoh import (
 )
 from finsub.homology import HomologyGroup, homology
 from finsub.simplicial import sphere_model
+from finsub.subsetspace import DEFAULT_CELL_CEILING as CEILING
 from finsub.subsetspace import BudgetError
 
 # every (n, m) with nm <= 12 whose keyed conf-bar side builds in about a
@@ -35,11 +36,23 @@ def test_cells_are_the_separator_sequences_by_codimension():
     for n, m in ((1, 3), (2, 4), (3, 3), (4, 2), (5, 3)):
         full = (n - 1) * (m - 1)
         for c in range(full + 2):
-            assert all(sum(i - 1 for i in s) == c for s in cells(n, m, c))
-        every = [s for c in range(full + 1) for s in cells(n, m, c)]
+            assert all(sum(i - 1 for i in s) == c
+                       for s in cells(n, m, c, CEILING))
+        every = [s for c in range(full + 1) for s in cells(n, m, c, CEILING)]
         assert len(every) == len(set(every)) == m ** (n - 1)
         assert every == sorted(every, key=lambda s: (sum(s), s))
         assert all(1 <= i <= m for s in every for i in s)
+
+
+def test_cells_of_many_points():
+    # enumerated without recursion, and refused by their separators: the
+    # 499 500 codimension-2 cells of n = 1000 points weigh 999 each
+    assert cells(1200, 3, 0, CEILING) == [(1,) * 1199]
+    assert cells(1200, 3, 1, 10 ** 7)[::1198] == [
+        (1,) * 1198 + (2,), (2,) + (1,) * 1198]
+    with pytest.raises(BudgetError, match="pass 501 cells in codimension 2; "
+                       "at 999 per cell"):
+        cells(1000, 3, 2, CEILING)
 
 
 def test_duality_dimension():
@@ -50,7 +63,7 @@ def test_duality_dimension():
 def test_faces_are_cells_one_degree_down():
     for n, m in ((3, 3), (4, 3), (5, 2), (4, 4)):
         for c in range((n - 1) * (m - 1)):
-            for s in cells(n, m, c):
+            for s in cells(n, m, c, CEILING):
                 for face, v in cell_boundary(s, m).items():
                     assert v and len(face) == n - 1
                     assert all(1 <= i <= m for i in face)
@@ -61,7 +74,7 @@ def test_faces_are_cells_one_degree_down():
 def test_groups_match_keyed_conf_bar(n, m):
     keyed = _groups(sphere_model(m, n * m + 1), n, "conf-bar",
                     {"ceiling": 10 ** 7}, reduced=True)
-    fn = fn_homology(n, m)
+    fn = fn_homology(n, m, CEILING)
     assert sorted(fn) == list(range(n * m + 1))
     assert [fn[k] for k in range(n * m + 1)] == keyed
 
@@ -78,33 +91,38 @@ def test_duality_matches_bar_resolution(n, maxdeg, action):
 
 def test_duality_cochains_admit_by_cells():
     # every codimension the duality path builds for S_n, n <= 8, through
-    # degree 6: a ceiling of its cell count admits it, one less refuses it
+    # degree 6: a ceiling of its cells' weight, n-1 separators per cell
+    # and at least 1, admits it, and one less refuses it
     built = {}  # (n, m) -> cell count of each codimension built
     for n in range(1, 9):
+        weight = max(n - 1, 1)
         for maxdeg in range(7):
             for sign in (False, True):
                 m = duality_dimension(maxdeg, sign)
                 counts = built.setdefault((n, m), [])
                 for c in range(len(counts), maxdeg + 2):
-                    counts.append(len(cells(n, m, c)))
-                    assert len(cells(n, m, c, ceiling=counts[c])) == counts[c]
+                    counts.append(len(cells(n, m, c, CEILING)))
+                    most = weight * counts[c]
+                    assert len(cells(n, m, c, ceiling=most)) == counts[c]
                     if counts[c]:  # an empty codimension is never refused
                         with pytest.raises(BudgetError, match=(
-                                f"pass {counts[c]} cells in codimension {c}, "
-                                f"over the ceiling of {counts[c] - 1}$")):
-                            cells(n, m, c, ceiling=counts[c] - 1)
+                                f"pass {counts[c]} cells in codimension {c}; "
+                                f"at {weight} per cell, one per separator, "
+                                f"that is {most}, over the ceiling of "
+                                f"{most - 1}$")):
+                            cells(n, m, c, ceiling=most - 1)
                 # the job is refused at the first codimension over the
                 # ceiling, and nothing the bar-tuple admission took (the
                 # least ceiling >= 1 with (n!-1)^r tuples in every degree
                 # r <= maxdeg + 1) is refused
-                most = max(counts[:maxdeg + 2])
+                most = weight * max(counts[:maxdeg + 2])
                 act = CoefficientAction("sign" if sign else "trivial")
                 with pytest.raises(BudgetError, match=(
-                        f"codimension {counts.index(most)}, over the ceiling "
-                        f"of {most - 1}$")):
+                        f"codimension {counts.index(most // weight)}; .* "
+                        f"over the ceiling of {most - 1}$")):
                     duality_cochains(n, act, maxdeg, ceiling=most - 1)
                 assert most <= max(1, (factorial(n) - 1) ** (maxdeg + 1))
-    assert duality_cochains(3, CoefficientAction("sign"), 2, ceiling=4).dims \
+    assert duality_cochains(3, CoefficientAction("sign"), 2, ceiling=8).dims \
         == [1, 2, 3, 4]
     act = CoefficientAction("trivial")
     for n, maxdeg, message in ((0, 1, "need n >= 1"),
@@ -135,7 +153,7 @@ def _rp_cohomology(j, k, twisted):
 def test_two_points_match_projective_space(m):
     # UConf_2(R^m) = R^(m+1) x RP^(m-1), whose orientation character is
     # sign^m: H~_(2m-j)(UConf_2(R^m)^+) = H^j(RP^(m-1); Z), twisted for m odd
-    fn = fn_homology(2, m)
+    fn = fn_homology(2, m, CEILING)
     for k in range(2 * m + 1):
         assert fn[k] == _rp_cohomology(2 * m - k, m - 1, m % 2 == 1), (m, k)
 
@@ -146,18 +164,19 @@ def test_windows_give_the_full_groups(n, m):
     # duality_cochains reads H^(c-1) and below off the window of
     # codimension <= c; every such window gives the full complex's groups
     full_codim = (n - 1) * (m - 1)
-    full = homology(fn_cochains(n, m, full_codim), through=full_codim)
+    full = homology(fn_cochains(n, m, full_codim, CEILING),
+                    through=full_codim)
     for c in range(1, full_codim + 2):
-        window = homology(fn_cochains(n, m, c), through=c - 1)
+        window = homology(fn_cochains(n, m, c, CEILING), through=c - 1)
         assert window == full[:c], c
 
 
 def test_windows_build_only_the_cells_they_read():
     # the windows groupcoh builds: 20 cells for S_4 through degree 2 and
     # 15 for S_5 through degree 1
-    assert fn_cochains(4, 4, 3).dims == [1, 3, 6, 10]
-    assert fn_cochains(5, 3, 2).dims == [1, 4, 10]
-    assert fn_cochains(1, 5, 3).dims == [1, 0, 0, 0]
+    assert fn_cochains(4, 4, 3, CEILING).dims == [1, 3, 6, 10]
+    assert fn_cochains(5, 3, 2, CEILING).dims == [1, 4, 10]
+    assert fn_cochains(1, 5, 3, CEILING).dims == [1, 0, 0, 0]
 
 
 def test_every_column_is_checked(monkeypatch):
@@ -176,5 +195,5 @@ def test_every_column_is_checked(monkeypatch):
 
     monkeypatch.setattr(fncells, "cell_boundary", corrupt)
     with pytest.raises(RuntimeError, match="double differential"):
-        fn_cochains(4, 3, 6)
+        fn_cochains(4, 3, 6, CEILING)
     assert flipped
