@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import fncells_reference as reference
 from finsub import fncells
 from finsub.claims import _groups
 from finsub.fncells import (
@@ -53,6 +54,18 @@ def test_cells_of_many_points():
     with pytest.raises(BudgetError, match="pass 501 cells in codimension 2; "
                        "at 999 per cell"):
         cells(1000, 3, 2, CEILING)
+
+
+@pytest.mark.parametrize("n,m", [(1, 4), (2, 7), (3, 6), (4, 5), (5, 4),
+                                 (6, 3), (7, 3), (9, 2)])
+def test_cells_and_faces_match_the_whole_list_reference(n, m):
+    # every cell and every face term, its sign included, equals the
+    # recursive enumeration and the sign over all nm parameters
+    for c in range((n - 1) * (m - 1) + 2):
+        found = cells(n, m, c, CEILING)
+        assert found == reference.cells(n, m, c)
+        for s in found:
+            assert cell_boundary(s, m) == reference.cell_boundary(s, m), s
 
 
 def test_duality_dimension():
