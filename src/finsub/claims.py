@@ -53,7 +53,7 @@ class VerificationReport:
         self.wall_time = wall_time
         self.detail = detail
 
-    def to_json(self, include_timing: bool = False) -> dict:
+    def to_json(self) -> dict:
         out = {
             "claim": self.claim,
             "params": self.params,
@@ -65,8 +65,6 @@ class VerificationReport:
         }
         if self.detail is not None:
             out["detail"] = self.detail
-        if include_timing:
-            out["wall_time_s"] = round(self.wall_time, 3)
         return out
 
     def __str__(self) -> str:
@@ -531,13 +529,13 @@ def run_claim(claim: str, n: Optional[int], d: Optional[int], *,
     if d is not None and d < 1:
         raise ParameterError("-d must be >= 1")
     opts = {"ceiling": ceiling, "budget_nd": budget_nd}
-    t0 = time.time()
+    t0 = time.perf_counter()
     fn = CLAIMS[claim]
     if claim in TORUS_CLAIMS:
         reports = fn(n, d, opts, space=space)
     else:
         reports = fn(n, d, opts)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     for rep in reports:
         rep.wall_time = elapsed / len(reports)
     return reports

@@ -30,10 +30,9 @@ from .groupcoh import CoefficientAction, duality_cochains
 from .homology import ChainComplex, homology, homology_to_json
 from .simplicial import (
     BasedSimplicialSet,
-    SimplexRef,
-    SimplicialSet,
     SpaceFormatError,
     load_space,
+    restrict,
     space_hash,
     sphere_model,
     torus_model,
@@ -136,13 +135,7 @@ def _resolve_space(space: str, d: Optional[int], n: int, trunc: Optional[int]
         raise ParameterError(f"--trunc {trunc} exceeds the space file's "
                              f"truncation {loaded.trunc}")
     if trunc is not None and trunc < loaded.trunc:
-        xs = loaded.space
-        cut = SimplicialSet(
-            trunc, xs.levels[:trunc + 1],
-            [xs.faces[k] if k <= trunc else None for k in range(trunc + 1)],
-            [xs.degeneracies[k] if k < trunc else None
-             for k in range(trunc + 1)])
-        loaded = BasedSimplicialSet(cut, SimplexRef(0, loaded.basepoint.index))
+        loaded = restrict(loaded, [range(m) for m in loaded.levels[:trunc + 1]])[0]
     return loaded, f"file:{path}", None
 
 
@@ -214,7 +207,7 @@ def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
         print(rep)
         print()
     payload = {"claim": claim,
-               "reports": [r.to_json(include_timing=False) for r in reports]}
+               "reports": [r.to_json() for r in reports]}
     if out:
         _emit(payload, out)
     if any(r.verdict == "mismatch" for r in reports):

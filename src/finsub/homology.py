@@ -671,14 +671,13 @@ def chain_map_matrix(f: SimplicialMap, k: int, src: ChainComplex,
 
 def induced_map(f: SimplicialMap, k: int,
                 source_complex: Optional[ChainComplex] = None,
-                target_complex: Optional[ChainComplex] = None,
-                source_reduced: bool = False,
-                target_reduced: bool = False) -> HomologyMapDescription:
+                target_complex: Optional[ChainComplex] = None
+                ) -> HomologyMapDescription:
     """Map induced on degree-k homology by a simplicial map."""
-    src = source_complex or normalized_complex(f.source, reduced=source_reduced,
-                                               maxdeg=min(k + 1, f.source.trunc))
-    tgt = target_complex or normalized_complex(f.target, reduced=target_reduced,
-                                               maxdeg=min(k + 1, f.target.trunc))
+    src = source_complex or normalized_complex(
+        f.source, maxdeg=min(k + 1, f.source.trunc))
+    tgt = target_complex or normalized_complex(
+        f.target, maxdeg=min(k + 1, f.target.trunc))
     fmat = chain_map_matrix(f, k, src, tgt)
     src_basis = homology_basis(src, k)
     tgt_basis = homology_basis(tgt, k)

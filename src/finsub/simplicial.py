@@ -8,7 +8,7 @@ maps are plain integer lists.
 
 Builders: :func:`sphere_model` (the d-simplex with its boundary
 collapsed), :func:`torus_model`, :func:`point_model`, plus generic
-:func:`product` and :func:`quotient`.
+:func:`product`, :func:`quotient` and :func:`restrict`.
 """
 
 from __future__ import annotations
@@ -526,6 +526,46 @@ def quotient(x: SpaceLike, a: SimplicialMap) -> tuple[BasedSimplicialSet, Simpli
     based = BasedSimplicialSet(q, SimplexRef(0, 0))
     qmap = SimplicialMap(x, based, new_of)
     return based, qmap
+
+
+def restrict(x: BasedSimplicialSet, keep: list
+             ) -> tuple[BasedSimplicialSet, SimplicialMap]:
+    """The simplicial subset of ``x`` on the simplices ``keep[k]`` of each
+    level k = 0..len(keep)-1, with its inclusion into ``x``.
+
+    Kept simplices keep their order in ``x``, and the basepoint stays the
+    basepoint; fewer levels than ``x`` has truncate.  A keep that lacks
+    the basepoint, names a simplex ``x`` does not have, or is not closed
+    under the faces and degeneracies of its levels raises ``ValueError``.
+    """
+    xs = underlying(x)
+    trunc = len(keep) - 1
+    if not 0 <= trunc <= xs.trunc:
+        raise ValueError(f"restrict: keep needs 1..{xs.trunc + 1} levels, "
+                         f"has {len(keep)}")
+    tables = [sorted(set(ks)) for ks in keep]
+    for k, tab in enumerate(tables):
+        if tab and not 0 <= tab[0] <= tab[-1] < xs.levels[k]:
+            raise ValueError(f"restrict: keep at level {k} is out of range")
+    pos = [{s: i for i, s in enumerate(tab)} for tab in tables]
+    if x.basepoint.index not in pos[0]:
+        raise ValueError("restrict: keep lacks the basepoint")
+
+    def moved(maps, k, lev):
+        try:
+            return [[pos[lev][mp[s]] for s in tables[k]] for mp in maps]
+        except KeyError as exc:
+            raise ValueError(
+                f"restrict: keep is not closed: level-{lev} simplex "
+                f"{exc.args[0]}, a face or degeneracy of a kept level-{k} "
+                f"simplex, is dropped") from None
+
+    faces = [None] + [moved(xs.faces[k], k, k - 1) for k in range(1, trunc + 1)]
+    degeneracies = [moved(xs.degeneracies[k], k, k + 1)
+                    for k in range(trunc)] + [None]
+    sub = SimplicialSet(trunc, [len(tab) for tab in tables], faces, degeneracies)
+    based = BasedSimplicialSet(sub, SimplexRef(0, pos[0][x.basepoint.index]))
+    return based, SimplicialMap(based, x, tables)
 
 
 def nondegenerate(space: SpaceLike, k: int) -> list[SimplexRef]:

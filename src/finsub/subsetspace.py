@@ -15,9 +15,6 @@ basepoint or must avoid it.
     "conf-bar"    size n,      avoiding the basepoint    (keyed only)
     "conf-based"  size n+1,    containing the basepoint  (keyed only)
 
-Stage k of ``tower(x, n, variant)`` takes sizes 1..k; the keyed chains
-of :func:`keyed_complex` take all five variants.
-
 A filter whose keys must avoid the basepoint, or whose minimum size is
 above 1, is not closed under faces.  Its space is the quotient of the
 subset space by everything outside the filter: index 0 of each level is
@@ -27,9 +24,14 @@ exp(x, n) / exp_based(x, n), and "conf-bar" and "conf-based" are the
 successive quotients bar_n / bar_(n-1) and based_(n+1) / based_n, the
 one-point compactified configuration spaces.
 
-Subset keys are sorted index tuples; each level table lists its keys
-lexicographically (after the collapsed basepoint, if any), which makes
-all constructions deterministic.
+Subset keys are sorted index tuples.  Each levelwise call lists one
+table, every key of 1..n elements of each level in lexicographic order,
+and reads the rest off it: ``exp_based`` is its restriction
+(:func:`simplicial.restrict`) to the keys holding the basepoint, "bar"
+is the quotient of the table by that restriction, and stage k of
+``tower(x, n, variant)`` is the top stage restricted to keys of at most
+k elements.  Faces never grow keys, so each restriction is closed.  The
+keyed chains of :func:`keyed_complex` take all five variants.
 
 Homology needs only the non-degenerate simplices, and :func:`keyed_complex`
 builds their normalized chains without any level table.  With J(x) the
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Optional
 
 from .homology import ChainComplex, _restrict, _submatrix
 from .simplicial import (
@@ -51,17 +52,18 @@ from .simplicial import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
+    quotient,
+    restrict,
     underlying,
 )
 from .snf import SparseIntMatrix
 
-DEFAULT_LEVEL_CEILING = 5_000_000  # level-table simplices per level
 # Non-degenerate cells per degree, the one ceiling of every builder: the
 # keyed chains, the Fox-Neuwirth cells (``finsub.fncells``, each counted
-# once per separator) and the bar resolution (``finsub.groupcoh``).  The
-# S^2 n=5 and S^4 n=3 keyed builds each took 1.6 KB of peak RSS per cell
-# of their largest degree, so one keyed degree at this ceiling builds in
-# about 0.8 GB.
+# once per separator) and the bar resolution (``finsub.groupcoh``); the
+# levelwise tables count every subset of a level.  The S^2 n=5 and S^4
+# n=3 keyed builds each took 1.6 KB of peak RSS per cell of their largest
+# degree, so one keyed degree at this ceiling builds in about 0.8 GB.
 DEFAULT_CELL_CEILING = 500_000
 
 # basepoint rules of a key filter
@@ -76,147 +78,91 @@ _FILTERS = {
     "conf-based": lambda n: (n + 1, n + 1, CONTAINS),
 }
 
-Index = list[dict[tuple[int, ...], int]]  # per level: subset key -> simplex
-
 
 class BudgetError(RuntimeError):
     """A construction would exceed its configured ceiling: the one
     refusal of every builder, which the CLI reports with exit 2."""
 
 
-def _level_count(m: int, n: int, based: bool) -> int:
-    if based:
-        return sum(comb(m - 1, j) for j in range(min(n - 1, m - 1) + 1))
-    return sum(comb(m, j) for j in range(1, min(n, m) + 1))
+def _table(x: BasedSimplicialSet, n: int, trunc, ceiling: int
+           ) -> tuple[BasedSimplicialSet, list[list[tuple[int, ...]]]]:
+    """exp(x, n) through level ``trunc`` (default: all of x), with its
+    keys: every subset of 1..n elements of each level, sorted.
 
-
-def _check_budget(x, n: int, trunc: int, based: bool, ceiling: int) -> None:
-    for k in range(trunc + 1):
-        count = _level_count(x.level_size(k), n, based)
-        if count > ceiling:
-            kind = "based subset" if based else "subset"
-            raise BudgetError(
-                f"{kind} space with n={n} needs {count} simplices at level {k}, "
-                f"over the ceiling of {ceiling}; raise the budget or lower trunc")
-
-
-def _keys(m: int, bp: int, lo: int, hi: int, rule: str) -> list[tuple[int, ...]]:
-    """Sorted subsets of range(m) with lo..hi elements passing the rule."""
-    if rule == ANY:
-        keys = [s for j in range(lo, hi + 1) for s in combinations(range(m), j)]
-    else:
-        others = [i for i in range(m) if i != bp]
-        if rule == CONTAINS:
-            keys = [tuple(sorted((bp,) + rest)) for j in range(lo, hi + 1)
-                    for rest in combinations(others, j - 1)]
-        else:
-            keys = [s for j in range(lo, hi + 1) for s in combinations(others, j)]
-    keys.sort()
-    return keys
-
-
-def _build(x: BasedSimplicialSet, lo: int, hi: int, rule: str, trunc: int,
-           ceiling: int) -> tuple[BasedSimplicialSet, Index]:
-    """The level tables of subset keys with lo..hi elements passing
-    ``rule``; ``lo`` is 1 (the filters of "exp", "based" and "bar").
-
-    The ceiling counts the table of every subset of size at most hi
-    (only those containing the basepoint under CONTAINS), however many
-    keys the filter keeps.
+    Each level's count, sum of C(m, j) over j = 1..n, must be at most
+    ``ceiling`` before any key is listed.
     """
-    _check_budget(x, hi, trunc, rule == CONTAINS, ceiling)
-    xs = underlying(x)
-    collapse = rule == AVOIDS
-    offset = 1 if collapse else 0
-    keys = [_keys(xs.levels[k], x.basepoint_at(k), lo, hi, rule)
-            for k in range(trunc + 1)]
-    index = [{s: i for i, s in enumerate(ks, offset)} for ks in keys]
-    levels = [len(ks) + offset for ks in keys]
-    faces = [None] * (trunc + 1)
-    degeneracies = [None] * (trunc + 1)
-    for k in range(1, trunc + 1):
-        below = index[k - 1]
-        maps = []
-        for fx in xs.faces[k]:
-            if collapse:  # a face image outside the filter is the basepoint
-                found = [below.get(tuple(sorted({fx[e] for e in s})), 0)
-                         for s in keys[k]]
-            else:
-                found = [below[tuple(sorted({fx[e] for e in s}))] for s in keys[k]]
-            maps.append([0] * offset + found)
-        faces[k] = maps
-    for k in range(trunc):
-        above = index[k + 1]
-        degeneracies[k] = [
-            [0] * offset + [above[tuple(sorted(sx[e] for e in s))] for s in keys[k]]
-            for sx in xs.degeneracies[k]]
-    space = SimplicialSet(trunc, levels, faces, degeneracies)
-    bp0 = 0 if collapse else index[0][(x.basepoint.index,)]
-    return BasedSimplicialSet(space, SimplexRef(0, bp0)), index
-
-
-def _inclusion(src: BasedSimplicialSet, src_index: Index,
-               dst: BasedSimplicialSet, dst_index: Index) -> SimplicialMap:
-    """Sends each key of ``src`` to the same key of ``dst``; a collapsed
-    basepoint (index 0) goes to the collapsed basepoint of ``dst``."""
-    maps = []
-    for k, keys in enumerate(src_index):
-        mp = [0] * src.level_size(k)
-        for s, i in keys.items():
-            mp[i] = dst_index[k][s]
-        maps.append(mp)
-    return SimplicialMap(src, dst, maps)
-
-
-def _resolve_trunc(x: BasedSimplicialSet, trunc) -> int:
+    if n < 1:
+        raise ValueError("subset spaces need n >= 1")
     if trunc is None:
-        return x.trunc
-    if trunc > x.trunc:
+        trunc = x.trunc
+    elif trunc > x.trunc:
         raise ValueError(f"trunc {trunc} exceeds underlying truncation {x.trunc}")
-    return trunc
+    xs = underlying(x)
+    for k in range(trunc + 1):
+        count = sum(comb(xs.levels[k], j) for j in range(1, n + 1))
+        if count > ceiling:
+            raise BudgetError(
+                f"subset space with n={n} needs {count} simplices at level {k}, "
+                f"over the ceiling of {ceiling}; raise the budget or lower trunc")
+    keys = [sorted(s for j in range(1, n + 1) for s in combinations(range(m), j))
+            for m in xs.levels[:trunc + 1]]
+    index = [{s: i for i, s in enumerate(ks)} for ks in keys]
+    faces = [None] + [
+        [[index[k - 1][tuple(sorted({fx[e] for e in s}))] for s in keys[k]]
+         for fx in xs.faces[k]] for k in range(1, trunc + 1)]
+    degeneracies = [
+        [[index[k + 1][tuple(sorted(sx[e] for e in s))] for s in keys[k]]
+         for sx in xs.degeneracies[k]] for k in range(trunc)] + [None]
+    space = SimplicialSet(trunc, [len(ks) for ks in keys], faces, degeneracies)
+    bp = SimplexRef(0, index[0][(x.basepoint.index,)])
+    return BasedSimplicialSet(space, bp), keys
+
+
+def _based(x: BasedSimplicialSet, table: BasedSimplicialSet, keys
+           ) -> tuple[BasedSimplicialSet, SimplicialMap]:
+    """The restriction of ``table`` to the keys holding x's basepoint:
+    closed under faces since every face of the totally degenerate
+    basepoint simplex is again one."""
+    return restrict(table, [[i for i, s in enumerate(ks) if x.basepoint_at(k) in s]
+                            for k, ks in enumerate(keys)])
 
 
 def exp(x: BasedSimplicialSet, n: int, trunc=None, *,
-        ceiling: int = DEFAULT_LEVEL_CEILING) -> BasedSimplicialSet:
+        ceiling: int = DEFAULT_CELL_CEILING) -> BasedSimplicialSet:
     """Subset space of at most n points, based at the basepoint singleton.
 
     For n=1 the result equals x.
     """
-    if n < 1:
-        raise ValueError("subset spaces need n >= 1")
-    trunc = _resolve_trunc(x, trunc)
-    return _build(x, *_FILTERS["exp"](n), trunc, ceiling)[0]
+    return _table(x, n, trunc, ceiling)[0]
 
 
 def exp_based(x: BasedSimplicialSet, n: int, trunc=None, *,
-              ceiling: int = DEFAULT_LEVEL_CEILING
+              ceiling: int = DEFAULT_CELL_CEILING
               ) -> tuple[BasedSimplicialSet, SimplicialMap]:
     """Subsets containing the basepoint, with the inclusion into exp(x, n).
 
-    Closed under faces since every face of the totally degenerate
-    basepoint simplex is again one.
+    ``ceiling`` counts the table of exp(x, n), every subset of size at
+    most n.
     """
-    if n < 1:
-        raise ValueError("subset spaces need n >= 1")
-    trunc = _resolve_trunc(x, trunc)
-    based, based_index = _build(x, *_FILTERS["based"](n), trunc, ceiling)
-    full, full_index = _build(x, *_FILTERS["exp"](n), trunc, ceiling)
-    return based, _inclusion(based, based_index, full, full_index)
+    return _based(x, *_table(x, n, trunc, ceiling))
 
 
 class FiltrationTower:
     """Nested spaces 1..n with basepoint-preserving inclusions.
 
-    spaces[i] holds stage i+1; inclusions[i] maps stage i+1 into stage
-    i+2.  The composite inclusion between any two stages is available
-    through :meth:`inclusion`.
+    spaces[i] holds stage i+1, and kept[i][k] lists, in order, the
+    level-k simplices of the top stage that stage i+1 keeps.
+    inclusions[i] maps stage i+1 into stage i+2; :meth:`inclusion` reads
+    the inclusion between any two stages off ``kept``.
     """
 
     def __init__(self, variant: str, spaces: list[BasedSimplicialSet],
-                 inclusions: Optional[list[SimplicialMap]] = None):
+                 kept: list[list[list[int]]]):
         self.variant = variant
         self.spaces = spaces
-        self.inclusions = [] if inclusions is None else inclusions
+        self.kept = kept
+        self.inclusions = [self.inclusion(i, i + 1) for i in range(1, self.n)]
 
     @property
     def n(self) -> int:
@@ -227,37 +173,49 @@ class FiltrationTower:
         return self.spaces[k - 1]
 
     def inclusion(self, i: int, j: int) -> SimplicialMap:
-        """Composite inclusion of stage i into stage j (1-indexed, i <= j)."""
+        """Inclusion of stage i into stage j (1-indexed, i <= j)."""
         if not 1 <= i <= j <= self.n:
             raise ValueError("stages out of range")
-        if i == j:
-            from .simplicial import identity_map
-            return identity_map(self.spaces[i - 1])
-        m = self.inclusions[i - 1]
-        for t in range(i, j - 1):
-            m = m.compose(self.inclusions[t])
-        return m
+        maps = []
+        for lower, upper in zip(self.kept[i - 1], self.kept[j - 1]):
+            at = {s: p for p, s in enumerate(upper)}
+            maps.append([at[s] for s in lower])
+        return SimplicialMap(self.spaces[i - 1], self.spaces[j - 1], maps)
 
 
 def tower(x: BasedSimplicialSet, n: int, variant: str = "bar", trunc=None, *,
-          ceiling: int = DEFAULT_LEVEL_CEILING) -> FiltrationTower:
+          ceiling: int = DEFAULT_CELL_CEILING) -> FiltrationTower:
     """Filtration by number of points, in the requested variant.
 
-    "exp": exp_1 x in exp_2 x in ... ; "based": the basepoint-containing
-    chain; "bar": the chain of quotients exp_k(x) / exp_based(x, k), whose
-    successive cofibers are the compactified configuration spaces.  Each inclusion
-    sends a subset key to the same key one stage up.
+    The top stage is exp(x, n) for "exp", exp_based(x, n) for "based" and
+    their quotient exp(x, n) / exp_based(x, n) for "bar"; stage k < n is
+    its restriction to keys of at most k elements (and the collapsed
+    basepoint), so the successive cofibers of the bar tower are the
+    compactified configuration spaces.  Each inclusion sends a subset key
+    to the same key.  ``ceiling`` counts the table of exp(x, n).
     """
-    if n < 1:
-        raise ValueError("towers need n >= 1")
     if variant not in ("exp", "based", "bar"):
         raise ValueError(f"unknown tower variant {variant!r}")
-    trunc = _resolve_trunc(x, trunc)
-    stages = [_build(x, *_FILTERS[variant](k), trunc, ceiling)
-              for k in range(1, n + 1)]
-    inclusions = [_inclusion(*lower, *upper)
-                  for lower, upper in zip(stages, stages[1:])]
-    return FiltrationTower(variant, [space for space, _ in stages], inclusions)
+    table, keys = _table(x, n, trunc, ceiling)
+    # the key size of each top-stage simplex; 0 for a collapsed basepoint
+    if variant == "exp":
+        top, sizes = table, [[len(s) for s in ks] for ks in keys]
+    else:
+        based, incl = _based(x, table, keys)
+        if variant == "based":
+            top = based
+            sizes = [[len(keys[k][s]) for s in mp] for k, mp in enumerate(incl.maps)]
+        else:
+            top, qmap = quotient(table, incl)
+            sizes = [[0] * m for m in top.levels]
+            for k, mp in enumerate(qmap.maps):
+                for s, q in enumerate(mp):
+                    sizes[k][q] = len(keys[k][s]) if q else 0
+    stages = [restrict(top, [[s for s, size in enumerate(sz) if size <= k]
+                             for sz in sizes]) for k in range(1, n)]
+    return FiltrationTower(
+        variant, [space for space, _ in stages] + [top],
+        [incl.maps for _, incl in stages] + [[list(range(m)) for m in top.levels]])
 
 
 # ----------------------------------------------------------------------

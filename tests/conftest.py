@@ -65,8 +65,8 @@ def conf_reference(x, n, model):
 
 def filtered_from_tower(t):
     """The points-count filtration built the long way, from a levelwise
-    tower: a basis element's level is the least stage whose composed
-    inclusion image contains it; the quotient variants take chains
+    tower: a basis element's level is the least stage whose inclusion
+    into the top stage hits it; the quotient variants take chains
     relative to the basepoint."""
     top = t.spaces[-1]
     trunc = top.trunc

@@ -124,7 +124,7 @@ def test_connecting_builds_no_level_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a levelwise subset space was built")
 
-    for name in ("exp", "exp_based", "tower", "_build"):
+    for name in ("exp", "exp_based", "tower", "_table"):
         monkeypatch.setattr(subsetspace, name, refuse)
     for n in (2, 3, 4):
         assert all_match(claim("connecting", n, 2))

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from conftest import simplex_model
 from finsub.simplicial import (
     BasedSimplicialSet,
     SimplexRef,
@@ -16,6 +17,7 @@ from finsub.simplicial import (
     point_model,
     product,
     quotient,
+    restrict,
     save_space,
     space_hash,
     sphere_model,
@@ -166,6 +168,75 @@ def test_quotient_rejects_non_closed_image():
                                 [underlying(c).degeneracy(1, 0, edge)]])
     with pytest.raises(ValueError, match="not closed"):
         quotient(c, bad)
+
+
+def test_restrict_keeps_order_basepoint_and_truncates():
+    t2 = torus_model(3)
+    whole, incl = restrict(t2, [range(m) for m in t2.levels])
+    assert whole == t2
+    assert incl.maps == identity_map(t2).maps
+    cut, incl = restrict(t2, [range(m) for m in t2.levels[:3]])
+    assert cut == torus_model(2)
+    assert incl.is_valid() and incl.trunc == 2
+    # the basepoint's degeneracies alone: a point, at their positions
+    s2 = sphere_model(2, 4)
+    pt, incl = restrict(s2, [[s2.basepoint_at(k)] for k in range(5)])
+    assert underlying(pt) == underlying(point_model(4))
+    assert incl.maps == [[s2.basepoint_at(k)] for k in range(5)]
+    # the edge from vertex 0 to vertex 1 of a 2-simplex, given unsorted
+    x = simplex_model(2, 2)
+    keep = _closure(x, {1: {1}})
+    sub, incl = restrict(x, [ks[::-1] for ks in keep])
+    assert incl.maps == keep and incl.is_valid()
+    assert sub.levels == [2, 3, 4] and sub.basepoint == SimplexRef(0, 0)
+    assert validate(sub).ok
+
+
+def _closure(x, seeds):
+    """Index lists of the smallest subcomplex of x holding ``seeds``
+    (level -> simplices), closed under faces and degeneracies."""
+    xs = underlying(x)
+    chosen = [set(seeds.get(k, ())) for k in range(xs.trunc + 1)]
+    changed = True
+    while changed:
+        changed = False
+        for k in range(xs.trunc + 1):
+            near = [(xs.faces[k], k - 1)] if k else []
+            if k < xs.trunc:
+                near.append((xs.degeneracies[k], k + 1))
+            for maps, lev in near:
+                for mp in maps:
+                    new = {mp[s] for s in chosen[k]} - chosen[lev]
+                    if new:
+                        chosen[lev] |= new
+                        changed = True
+    return [sorted(c) for c in chosen]
+
+
+def test_restrict_refuses_keeps_that_are_not_subspaces():
+    # level 1 of the 2-simplex lists the vertex pairs (0,0), (0,1), (0,2),
+    # (1,1), (1,2), (2,2)
+    x = simplex_model(2, 2)
+    closed = _closure(x, {1: {4}})  # the edge from 1 to 2
+    assert closed[0] == [1, 2]
+    with pytest.raises(ValueError, match="lacks the basepoint"):
+        restrict(x, closed)
+    # the edge from 0 to 2 without its vertex 2: a face is dropped
+    keep = _closure(x, {1: {2}})
+    keep[0].remove(2)
+    with pytest.raises(ValueError, match="not closed: level-0 simplex 2"):
+        restrict(x, keep)
+    # the circle's edge without one of its degeneracies
+    c = sphere_model(1, 2)
+    keep = [range(m) for m in c.levels]
+    keep[2] = [0, 1]
+    with pytest.raises(ValueError, match="not closed: level-2 simplex 2"):
+        restrict(c, keep)
+    with pytest.raises(ValueError, match="levels"):
+        restrict(c, [range(m) for m in c.levels] + [[0]])
+    for bad in (-1, c.level_size(1)):
+        with pytest.raises(ValueError, match="level 1 is out of range"):
+            restrict(c, [[0], [0, 1, bad], range(c.level_size(2))])
 
 
 def test_map_composition_and_identity():

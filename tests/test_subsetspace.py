@@ -11,8 +11,10 @@ from conftest import (
     filtered_from_tower,
     keyed_cases,
     random_based_spaces,
+    time_limit,
 )
 from finsub.simplicial import (
+    identity_map,
     sphere_model,
     torus_model,
     underlying,
@@ -37,6 +39,11 @@ from finsub.homology import (
 )
 from finsub.spectral import filtered_complex
 from homology_reference import connecting_block, connecting_complexes
+
+
+BASES = {"S^1": sphere_model(1, 4), "S^2": sphere_model(2, 5),
+         "S^3": sphere_model(3, 5), "T^2": torus_model(3),
+         **random_based_spaces(4)}
 
 
 def test_exp_rejects_n_zero():
@@ -134,12 +141,39 @@ def test_tower_inclusions_validate():
         assert validate(space).ok
 
 
-@pytest.mark.parametrize("variant", ["exp", "based", "bar"])
-def test_tower_composition_functorial(variant):
-    tw = tower(sphere_model(1, 4), 3, variant)
-    direct = tw.inclusion(1, 3)
-    composed = tw.inclusions[0].compose(tw.inclusions[1])
-    assert direct.maps == composed.maps
+@pytest.fixture(scope="module", params=["exp", "based", "bar"])
+def grid_towers(request):
+    """The 4-point towers of BASES in one variant, shared by the tests
+    that read them (pytest groups those tests by variant)."""
+    return {name: tower(x, 4, request.param) for name, x in BASES.items()}
+
+
+def test_tower_composition_functorial(grid_towers):
+    # inclusion(i, j) is read off the kept simplices; it must be the
+    # composite of the consecutive inclusions, the identity when i = j
+    for name, tw in sorted(grid_towers.items()):
+        for i in range(1, 5):
+            composed = identity_map(tw.stage(i))
+            for j in range(i, 5):
+                if j > i:
+                    composed = composed.compose(tw.inclusions[j - 2])
+                direct = tw.inclusion(i, j)
+                assert (direct.source, direct.target) == (tw.stage(i), tw.stage(j))
+                assert direct.maps == composed.maps, (name, i, j)
+
+
+def test_tower_stages_are_smaller_towers(grid_towers):
+    # stage k of an n-tower is restricted from the top stage; it must be
+    # the top stage of the k-tower, and exp(x, k) or exp_based(x, k)
+    for name, tw in sorted(grid_towers.items()):
+        x, variant = BASES[name], tw.variant
+        alone = {"exp": lambda k: exp(x, k),
+                 "based": lambda k: exp_based(x, k)[0]}.get(variant)
+        for k in range(1, 5):
+            if k < 4:
+                assert tw.stage(k) == tower(x, k, variant).stage(k), (name, k)
+            if alone:
+                assert tw.stage(k) == alone(k), (name, k)
 
 
 @pytest.mark.parametrize("variant", ["exp", "based", "bar"])
@@ -172,17 +206,31 @@ def test_budget_guard():
         exp(sphere_model(2, 9), 4, ceiling=1000)
 
 
+def test_based_tables_are_admitted_on_the_full_count():
+    # level 4 of the circle has 5 simplices: 15 subsets of at most 2, of
+    # which 5 hold the basepoint
+    c = sphere_model(1, 4)
+    assert exp_based(c, 2, ceiling=15)[0].level_size(4) == 5
+    with pytest.raises(BudgetError, match="15 simplices at level 4"):
+        exp_based(c, 2, ceiling=14)
+    with pytest.raises(BudgetError, match="15 simplices at level 4"):
+        tower(c, 2, "based", ceiling=14)
+
+
+def test_default_ceiling_refuses_before_listing_keys():
+    # 37 simplices at level 9 have 510 415 subsets of at most 5 elements
+    # (4 216 422 at level 11), over the default cell ceiling
+    with time_limit(2):
+        with pytest.raises(BudgetError, match="510415 simplices at level 9"):
+            exp(sphere_model(2, 11), 5)
+
+
 def test_trunc_validation():
     with pytest.raises(ValueError):
         exp(sphere_model(1, 3), 2, trunc=5)
 
 
 # -- key filters against the quotient constructions they replace -------------
-
-BASES = {"S^1": sphere_model(1, 4), "S^2": sphere_model(2, 5),
-         "S^3": sphere_model(3, 5), "T^2": torus_model(3),
-         **random_based_spaces(4)}
-
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(BASES))
