@@ -7,6 +7,10 @@ with compactified configuration spaces, or a second model of the same
 space).  Claims whose expectations conflict internally are adjudicated:
 the report carries both candidate predictions and the computed truth,
 and never fails the run.
+
+:data:`CLAIMS` is the matrix: each claim with the n, d and space it
+admits.  :func:`run_claim` checks them, and the n*d budget, before any
+claim runs.
 """
 
 from __future__ import annotations
@@ -91,13 +95,6 @@ def _sphere_groups(m: int, through: int) -> list[HomologyGroup]:
     return out
 
 
-def _check_nd(n: int, d: int, budget_nd: int) -> None:
-    if n * d > budget_nd:
-        raise BudgetError(
-            f"n*d = {n * d} exceeds the budget of {budget_nd}; "
-            f"re-run with a higher --budget-nd if you mean it")
-
-
 def _groups(x: BasedSimplicialSet, n: int, variant: str, opts: dict,
             reduced: bool = False, coeffs: str = "Z") -> list[HomologyGroup]:
     """Homology of a subset-space variant in its trusted degrees (below
@@ -110,32 +107,19 @@ def _verdict(expected, computed) -> str:
     return MATCH if expected == computed else MISMATCH
 
 
-def _space(claim: str, n: int, d: Optional[int], opts: dict, space: str
-           ) -> tuple[BasedSimplicialSet, int, str]:
-    """(base, dimension, tag) of a claim that takes a space: the torus,
-    whose dimension 2 is the only ``d`` it takes, or the sphere S^d
-    within the n*d budget."""
-    if n < 1:
-        raise ParameterError(f"{claim} needs n >= 1")
-    if space == "torus":
-        if d not in (None, 2):
-            raise ParameterError(f"--space torus has dimension 2, not -d {d}")
-        return torus_model(2 * n + 1), 2, "torus"
-    if d is None:
-        raise ParameterError(f"{claim} on spheres needs d")
-    _check_nd(n, d, opts["budget_nd"])
-    return sphere_model(d, n * d + 1), d, f"S^{d}"
+def _base(n: int, d: int, opts: dict) -> tuple[BasedSimplicialSet, str]:
+    """(base, tag) of a claim that takes a space: the torus (d = 2) or
+    S^d, truncated at n*d + 1."""
+    if opts["space"] == "torus":
+        return torus_model(n * d + 1), "torus"
+    return sphere_model(d, n * d + 1), f"S^{d}"
 
 
 # ----------------------------------------------------------------------
 # claims
 # ----------------------------------------------------------------------
 
-def claim_circle(n: int, d: Optional[int], opts: dict) -> list[VerificationReport]:
-    if d not in (None, 1):
-        raise ParameterError("the circle claim is about d=1")
-    if n < 2:
-        raise ParameterError("circle claim needs n >= 2")
+def claim_circle(n: int, d: int, opts: dict) -> list[VerificationReport]:
     m = n if n % 2 else n - 1
     computed = _groups(sphere_model(1, n + 1), n, "exp", opts)
     expected = _sphere_groups(m, n)
@@ -147,29 +131,21 @@ def claim_circle(n: int, d: Optional[int], opts: dict) -> list[VerificationRepor
         _strs(expected), _strs(computed), _verdict(expected, computed))]
 
 
-def claim_tuffley_s2(n: int, d: Optional[int], opts: dict) -> list[VerificationReport]:
-    if d not in (None, 2):
-        raise ParameterError("the tuffley-s2 claim is about d=2")
-    if n < 2:
-        raise ParameterError("tuffley-s2 needs n >= 2")
-    _check_nd(n, 2, opts["budget_nd"])
+def claim_tuffley_s2(n: int, d: int, opts: dict) -> list[VerificationReport]:
     computed = _groups(sphere_model(2, 2 * n + 1), n, "exp", opts)
     expected = [HomologyGroup(0)] * (2 * n + 1)
     expected[0] = HomologyGroup(1)
     expected[2 * n] = HomologyGroup(1)
     torsion = (n - 1,) if n >= 3 else ()
     expected[2 * n - 2] = HomologyGroup(1, torsion)
+    tops = (2 * n, 2 * n - 1, 2 * n - 2)
     reports = [VerificationReport(
         "tuffley-s2", {"n": n, "d": 2},
         f"top three homology groups of the subset space of <= {n} points on "
         f"S^2: Z, 0, Z + Z/{n - 1}",
         "surface subset-space homology table",
-        {str(2 * n): str(expected[2 * n]),
-         str(2 * n - 1): str(expected[2 * n - 1]),
-         str(2 * n - 2): str(expected[2 * n - 2])},
-        {str(2 * n): str(computed[2 * n]),
-         str(2 * n - 1): str(computed[2 * n - 1]),
-         str(2 * n - 2): str(computed[2 * n - 2])},
+        {str(k): str(expected[k]) for k in tops},
+        {str(k): str(computed[k]) for k in tops},
         _verdict(expected[2 * n - 2:], computed[2 * n - 2:2 * n + 1]))]
     other = {k: computed[k].rank for k in range(1, 2 * n)
              if k not in (2 * n - 2, 2 * n - 1)}
@@ -196,11 +172,6 @@ def _thm1_expected(n: int, d: int) -> list[int]:
 
 
 def claim_thm1(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    if n < 2 or d < 1:
-        raise ParameterError("thm1 needs n >= 2 and d >= 1")
-    if d == 1:
-        raise ParameterError("for d=1 use the circle claim (exact homotopy type)")
-    _check_nd(n, d, opts["budget_nd"])
     computed = [g.rank for g in _groups(sphere_model(d, n * d + 1), n, "exp",
                                          opts, coeffs="Q")]
     expected = _thm1_expected(n, d)
@@ -234,9 +205,6 @@ def _adjudicate(claim: str, params: dict, statement: str, provenance: str,
 
 
 def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    if n < 2 or d < 2:
-        raise ParameterError("thm2 needs n >= 2 and d >= 2")
-    _check_nd(n, d, opts["budget_nd"])
     action = CoefficientAction("trivial" if d % 2 == 0 else "sign")
     # homology of exp_n S^d in degrees nd-r for r < d needs trusted degrees
     # down to nd-d+1, so trunc nd+1 covers them all
@@ -268,11 +236,6 @@ def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
 
 
 def claim_thm2a_partial(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    if n < 3:
-        raise ParameterError("thm2a-partial needs n >= 3")
-    if d < 2:
-        raise ParameterError("thm2a-partial needs d >= 2")
-    _check_nd(n, d, opts["budget_nd"])
     deg = n * d - d
     base = sphere_model(d, deg + 1)
     h = _groups(base, n, "exp", opts)[deg]
@@ -301,13 +264,12 @@ def claim_thm2a_partial(n: int, d: int, opts: dict) -> list[VerificationReport]:
         expected, computed, MATCH if ok else MISMATCH)]
 
 
-def claim_lemma_quo(n: int, d: Optional[int], opts: dict,
-                    space: str = "sphere") -> list[VerificationReport]:
-    base, dim, tag = _space("lemma-quo", n, d, opts, space)
+def claim_lemma_quo(n: int, d: int, opts: dict) -> list[VerificationReport]:
+    base, tag = _base(n, d, opts)
     ha = _groups(base, n, "conf-based", opts, reduced=True)
     hb = _groups(base, n, "conf-bar", opts, reduced=True)
     return [VerificationReport(
-        "lemma-quo", {"n": n, "d": dim, "space": tag},
+        "lemma-quo", {"n": n, "d": d, "space": tag},
         f"the two quotient models of the compactified {n}-point configuration "
         f"space of {tag} minus a point have identical reduced homology",
         "independent construction of the same space",
@@ -315,9 +277,6 @@ def claim_lemma_quo(n: int, d: Optional[int], opts: dict,
 
 
 def claim_connectivity(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    if n < 1 or d < 1:
-        raise ParameterError("connectivity needs n >= 1 and d >= 1")
-    _check_nd(n, d, opts["budget_nd"])
     bound = n + d - 3  # (m + n - 2)-connected with m = d - 1
     trunc = min(n * d + 1, max(bound + 2, 1))
     groups = _groups(sphere_model(d, trunc), n, "exp", opts, reduced=True)
@@ -332,13 +291,9 @@ def claim_connectivity(n: int, d: int, opts: dict) -> list[VerificationReport]:
         MATCH if ok else MISMATCH)]
 
 
-def claim_connecting(n: int, d: Optional[int], opts: dict) -> list[VerificationReport]:
-    d = 2 if d is None else d
+def claim_connecting(n: int, d: int, opts: dict) -> list[VerificationReport]:
     if d % 2:
         raise ParameterError("the connecting claim concerns even d")
-    if n < 2:
-        raise ParameterError("connecting needs n >= 2")
-    _check_nd(n, d, opts["budget_nd"])
     k = n * d - d + 1
     src, tgt, block = keyed_connecting(sphere_model(d, k + 1), n, k,
                                        ceiling=opts["ceiling"])
@@ -360,24 +315,19 @@ def claim_connecting(n: int, d: Optional[int], opts: dict) -> list[VerificationR
 
 
 def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    if n < 1 or d < 1:
-        raise ParameterError("e1-collapse needs n >= 1 and d >= 1")
-    _check_nd(n, d, opts["budget_nd"])
     base = sphere_model(d, n * d + 1)
     f = filtered_complex(base, n, "bar", ceiling=opts["ceiling"])
     seq = pages(f)
     p1, pinf = seq[0], seq[-1]
     reports = []
     e1_expected = {}
-    e1_computed = {}
     for p in range(1, n + 1):
         betti = [g.rank for g in _groups(base, p, "conf-bar", opts,
                                          reduced=True, coeffs="Q")]
         for m, r in enumerate(betti):
             if r:
                 e1_expected[f"({p},{m - p})"] = r
-    for (p, q), dim in sorted(p1.dims.items()):
-        e1_computed[f"({p},{q})"] = dim
+    e1_computed = {f"({p},{q})": dim for (p, q), dim in sorted(p1.dims.items())}
     reports.append(VerificationReport(
         "e1-collapse", {"n": n, "d": d},
         "first-page dimensions equal the reduced rational homology of the "
@@ -415,13 +365,7 @@ def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
     return reports
 
 
-def claim_groupcoh_xcheck(n: int, d: Optional[int], opts: dict) -> list[VerificationReport]:
-    d = 3 if d is None else d
-    if d != 3:
-        raise ParameterError("groupcoh-xcheck compares at d=3")
-    if n not in (2, 3):
-        raise ParameterError("groupcoh-xcheck covers n in {2, 3}")
-    _check_nd(n, d, opts["budget_nd"])
+def claim_groupcoh_xcheck(n: int, d: int, opts: dict) -> list[VerificationReport]:
     h = _groups(sphere_model(3, 3 * n + 1), n, "conf-bar", opts, reduced=True)
     cohomology = homology(bar_cochain_complex(n, CoefficientAction("sign"), 2,
                                               opts["ceiling"]), through=2)
@@ -446,39 +390,35 @@ def claim_groupcoh_xcheck(n: int, d: Optional[int], opts: dict) -> list[Verifica
     return reports
 
 
-def claim_generaltwo(n: int, d: Optional[int], opts: dict,
-                     space: str = "torus") -> list[VerificationReport]:
-    base, dim, tag = _space("generaltwo", n, d, opts, space)
-    # codimension dim-1 for odd dim is checked too, except at n = 2,
-    # where thm2 adjudicates it: H_(dim+1) of SP^2(S^dim) is 0 and the
+def claim_generaltwo(n: int, d: int, opts: dict) -> list[VerificationReport]:
+    base, tag = _base(n, d, opts)
+    # codimension d-1 for odd d is checked too, except at n = 2, where
+    # thm2 adjudicates it: H_(d+1) of SP^2(S^d) is 0 and the
     # configuration side has a Z
-    odd_top = dim % 2 == 1 and n != 2
-    rs = range(dim if odd_top else dim - 1)
+    odd_top = d % 2 == 1 and n != 2
+    rs = range(d if odd_top else d - 1)
     h_exp = _groups(base, n, "exp", opts)
     h_cn = _groups(base, n, "conf-bar", opts, reduced=True)
-    expected = {str(n * dim - r): str(h_cn[n * dim - r]) for r in rs}
-    computed = {str(n * dim - r): str(h_exp[n * dim - r]) for r in rs}
+    expected = {str(n * d - r): str(h_cn[n * d - r]) for r in rs}
+    computed = {str(n * d - r): str(h_exp[n * d - r]) for r in rs}
     reports = [VerificationReport(
-        "generaltwo", {"n": n, "d": dim, "space": tag},
+        "generaltwo", {"n": n, "d": d, "space": tag},
         f"top homology of the subset space of {tag} agrees with the "
-        f"compactified configuration space in codimension < {dim - 1}"
+        f"compactified configuration space in codimension < {d - 1}"
         + (" and dim-1" if odd_top else ""),
         "quotient-model configuration homology",
         expected, computed, _verdict(expected, computed))] if rs else []
-    if dim % 2 == 1 and n == 2:
+    if d % 2 == 1 and n == 2:
         reports.append(_adjudicate(
-            "generaltwo", {"n": n, "d": dim, "space": tag, "r": dim - 1},
-            f"H_{dim + 1} of the subset space of {tag} equals that of the "
+            "generaltwo", {"n": n, "d": d, "space": tag, "r": d - 1},
+            f"H_{d + 1} of the subset space of {tag} equals that of the "
             "compactified configuration space",
             "adjudicated between the configuration-space correspondence and "
-            "the rational shape", h_cn[dim + 1], h_exp[dim + 1]))
+            "the rational shape", h_cn[d + 1], h_exp[d + 1]))
     return reports
 
 
 def claim_fn_conf(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    if n < 1 or d < 1:
-        raise ParameterError("fn-conf needs n >= 1 and d >= 1")
-    _check_nd(n, d, opts["budget_nd"])
     keyed = _groups(sphere_model(d, n * d + 1), n, "conf-bar", opts,
                     reduced=True)
     cells = d ** (n - 1)
@@ -493,48 +433,91 @@ def claim_fn_conf(n: int, d: int, opts: dict) -> list[VerificationReport]:
         for k, expected in enumerate(keyed)]
 
 
-CLAIMS: dict[str, Callable] = {
-    "thm1": claim_thm1,
-    "thm2": claim_thm2,
-    "thm2a-partial": claim_thm2a_partial,
-    "tuffley-s2": claim_tuffley_s2,
-    "circle": claim_circle,
-    "lemma-quo": claim_lemma_quo,
-    "connectivity": claim_connectivity,
-    "connecting": claim_connecting,
-    "e1-collapse": claim_e1_collapse,
-    "groupcoh-xcheck": claim_groupcoh_xcheck,
-    "generaltwo": claim_generaltwo,
-    "fn-conf": claim_fn_conf,
+class Claim:
+    """A claim of the verification matrix and its domain.
+
+    ``n`` and ``d`` are (least, most) pairs, most None for no upper end.
+    ``default_d`` is taken when -d is left out; None makes -d required.
+    ``torus`` admits ``--space torus``, whose dimension 2 is then the
+    only d.  ``run(n, d, opts)`` gets the admitted n and d and the
+    options ``ceiling`` and ``space``.
+    """
+
+    def __init__(self,
+                 run: Callable[[int, int, dict], list[VerificationReport]],
+                 n: tuple[int, Optional[int]], d: tuple[int, Optional[int]],
+                 default_d: Optional[int] = None, torus: bool = False):
+        self.run = run
+        self.n = n
+        self.d = d
+        self.default_d = default_d
+        self.torus = torus
+
+
+CLAIMS: dict[str, Claim] = {
+    "thm1": Claim(claim_thm1, (2, None), (2, None)),
+    "thm2": Claim(claim_thm2, (2, None), (2, None)),
+    "thm2a-partial": Claim(claim_thm2a_partial, (3, None), (2, None)),
+    "tuffley-s2": Claim(claim_tuffley_s2, (2, None), (2, 2), 2),
+    "circle": Claim(claim_circle, (2, None), (1, 1), 1),
+    "lemma-quo": Claim(claim_lemma_quo, (1, None), (1, None), torus=True),
+    "connectivity": Claim(claim_connectivity, (1, None), (1, None)),
+    "connecting": Claim(claim_connecting, (2, None), (2, None), 2),
+    "e1-collapse": Claim(claim_e1_collapse, (1, None), (1, None)),
+    "groupcoh-xcheck": Claim(claim_groupcoh_xcheck, (2, 3), (3, 3), 3),
+    "generaltwo": Claim(claim_generaltwo, (1, None), (1, None), torus=True),
+    "fn-conf": Claim(claim_fn_conf, (1, None), (1, None)),
 }
-TORUS_CLAIMS = ("lemma-quo", "generaltwo")  # the claims that take a space
+
+
+def _admit(claim: str, flag: str, value: int,
+           domain: tuple[int, Optional[int]]) -> None:
+    """Refuses a value of ``flag`` outside a (least, most) domain."""
+    least, most = domain
+    if least <= value <= (value if most is None else most):
+        return
+    span = (f">= {least}" if most is None else
+            str(least) if least == most else f"from {least} to {most}")
+    raise ParameterError(f"claim {claim!r}: {flag} must be {span}")
 
 
 def run_claim(claim: str, n: Optional[int], d: Optional[int], *,
               ceiling: int, budget_nd: int = DEFAULT_BUDGET_ND,
               space: str = "sphere") -> list[VerificationReport]:
+    """Runs a claim of :data:`CLAIMS` once n, d and the space are in its
+    domain and n times the space's dimension is within ``budget_nd``;
+    each report carries an equal share of the wall time."""
+    if budget_nd < 0:
+        raise ParameterError("--budget-nd must be >= 0")
     if claim not in CLAIMS:
         raise ParameterError(f"unknown claim {claim!r}; choose from "
-                         f"{', '.join(sorted(CLAIMS))}")
+                             f"{', '.join(sorted(CLAIMS))}")
+    entry = CLAIMS[claim]
     if space not in ("sphere", "torus"):
         raise ParameterError(f"unknown space {space!r}: use sphere or torus")
-    if space == "torus" and claim not in TORUS_CLAIMS:
+    if space == "torus" and not entry.torus:
+        takers = " and ".join(k for k, c in CLAIMS.items() if c.torus)
         raise ParameterError(f"claim {claim!r} runs on spheres only; --space "
-                             f"torus is for {' and '.join(TORUS_CLAIMS)}")
+                             f"torus is for {takers}")
     if n is None:
         raise ParameterError(f"claim {claim!r} needs -n")
-    if d is None and claim in ("thm1", "thm2", "thm2a-partial", "connectivity",
-                               "e1-collapse", "fn-conf"):
-        raise ParameterError(f"claim {claim!r} needs -d")
-    if d is not None and d < 1:
-        raise ParameterError("-d must be >= 1")
-    opts = {"ceiling": ceiling, "budget_nd": budget_nd}
-    t0 = time.perf_counter()
-    fn = CLAIMS[claim]
-    if claim in TORUS_CLAIMS:
-        reports = fn(n, d, opts, space=space)
+    _admit(claim, "-n", n, entry.n)
+    if space == "torus":
+        if d not in (None, 2):
+            raise ParameterError(f"--space torus has dimension 2, not -d {d}")
+        d = 2
+    elif d is None:
+        if entry.default_d is None:
+            raise ParameterError(f"claim {claim!r} needs -d")
+        d = entry.default_d
     else:
-        reports = fn(n, d, opts)
+        _admit(claim, "-d", d, entry.d)
+    if n * d > budget_nd:
+        raise BudgetError(
+            f"n*d = {n * d} exceeds the budget of {budget_nd}; "
+            f"re-run with a higher --budget-nd if you mean it")
+    t0 = time.perf_counter()
+    reports = entry.run(n, d, {"ceiling": ceiling, "space": space})
     elapsed = time.perf_counter() - t0
     for rep in reports:
         rep.wall_time = elapsed / len(reports)

@@ -199,8 +199,6 @@ def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
     Exit 0 when every check matches (adjudicated reports never fail),
     exit 1 on any mismatch.
     """
-    if budget_nd < 0:
-        raise ParameterError("--budget-nd must be >= 0")
     reports = run_claim(claim, n, d, ceiling=ceiling, budget_nd=budget_nd,
                         space=space)
     for rep in reports:

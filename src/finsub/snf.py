@@ -5,9 +5,9 @@ no modular shortcuts.  The entry points are
 
 * :func:`smith_normal_form` -- invariant factors of an integer matrix;
 * :func:`diagonalize` -- a diagonalization ``U @ M @ V = D``, with the
-  invariant factors on the diagonal on request, that tracks the column
-  transform V and its inverse; a row transform is the transposed V of
-  the transpose;
+  invariant factors on the diagonal, that tracks the column transform V
+  and its inverse; a row transform is the transposed V of the
+  transpose;
 * :func:`kernel_lattice` -- a basis of the integer kernel with
   coordinate rows for it, which is what homology presentations need;
   given a bound on the rank, its row stream stops once the bound is
@@ -248,8 +248,8 @@ class SnfResult:
     """Diagonal factors of ``M``, with the column transform V of a
     diagonalization ``U @ M @ V = D`` when it was tracked.
 
-    ``factors`` lists the nonzero diagonal entries (positions 0..rank-1).
-    When ``chain`` was requested they are the invariant factors.  The
+    ``factors`` lists the nonzero diagonal entries (positions 0..rank-1);
+    from :func:`diagonalize` they are the invariant factors.  The
     columns of V beyond the rank form a basis of the kernel lattice.  A
     row transform U is never tracked: it is the transposed V of ``M``'s
     transpose.
@@ -737,17 +737,19 @@ def rank(m: SparseIntMatrix) -> int:
     return _untracked_rank(m)[1]
 
 
-def diagonalize(m: SparseIntMatrix, chain: bool = False) -> SnfResult:
+def diagonalize(m: SparseIntMatrix) -> SnfResult:
     """Diagonalization ``U @ M @ V = D`` with V and V^-1 tracked.
 
-    With ``chain=True`` the diagonal carries the invariant factors; V
-    stays aligned with them, which is what generator extraction requires
-    (a post-hoc numeric gcd/lcm fix would not be).  The row transform of
-    ``M`` is the transposed V of ``diagonalize(M.transpose())``.
+    The diagonal carries the invariant factors; V stays aligned with
+    them, which is what generator extraction requires (a post-hoc
+    numeric gcd/lcm fix would not be).  Making the diagonal a divisor
+    chain combines pivot columns of V, and pivot rows of V^-1, only:
+    the kernel columns of V and their rows of V^-1 are those of the
+    elimination.  The row transform of ``M`` is the transposed V of
+    ``diagonalize(M.transpose())``.
     """
     work = _Elimination(m, True).run()
-    if chain:
-        work.enforce_chain()
+    work.enforce_chain()
     return work.result()
 
 

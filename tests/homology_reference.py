@@ -83,7 +83,7 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
                     del acc[col]
         for col, v in acc.items():
             b.set(i, col, v)
-    res2 = diagonalize(b.transpose(), chain=True)
+    res2 = diagonalize(b.transpose())
     factors = res2.factors
     s = len(factors)
     uinv_cols = res2.Vinv.row_dicts()

@@ -1,16 +1,16 @@
 """Benchmark outputs as a tier-1 check.
 
-The ``library`` job and ``finsub verify connecting -n 4 -d 2`` run the
-relative complexes, connecting maps and LES checks of
-``finsub.homology``.  Each runs here in a fresh interpreter, as
-``perfbench/run.py`` runs it, and its output digest must equal the one
-in ``perfbench/reference.json``, computed by ``run.py``'s own digest
-functions.  So output drift fails the tests, not only the benchmark.
+Every job of the ``WORKLOADS`` of ``perfbench/run.py`` -- each CLI
+command once, and the ``library`` job -- runs here in a fresh
+interpreter through ``perfbench/launch.py``, with ``run.job_env()`` and
+no cache directory, as ``run.py`` runs it.  Its exit code and output
+digest must equal those in ``perfbench/reference.json``, computed by
+``run.py``'s own digest functions.  So output drift fails the tests, not
+only the benchmark.
 """
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +22,7 @@ BENCH = ROOT / "perfbench"
 SEED = 1
 
 
-@pytest.fixture(scope="module")
-def bench_run():
+def _load_run():
     """``perfbench/run.py`` as a module (it imports ``layers`` from its
     own directory)."""
     sys.path.insert(0, str(BENCH))
@@ -38,28 +37,42 @@ def bench_run():
     return module
 
 
-def _launch(args):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    return subprocess.run([sys.executable, str(BENCH / "launch.py")] + args,
-                          env=env, cwd=ROOT, capture_output=True, text=True,
+RUN = _load_run()
+REFERENCE = json.loads(RUN.REFERENCE.read_text())
+# one of each job: the rerun workload repeats its commands
+JOBS = {job.key: job for jobs, _ in RUN.WORKLOADS.values() for job in jobs}
+CLI_JOBS = [job for job in JOBS.values() if job.output != "library"]
+
+
+def _launch(job, out):
+    argv = [a.replace(RUN.OUT, str(out)).replace(RUN.SEED, str(SEED))
+            for a in job.argv]
+    return subprocess.run([sys.executable, str(BENCH / "launch.py")] + argv,
+                          env=RUN.job_env(), cwd=ROOT, capture_output=True,
                           timeout=300)
 
 
-def test_library_job_matches_reference(bench_run, tmp_path):
+def test_every_reference_entry_is_a_job():
+    assert sorted(JOBS) == sorted(REFERENCE)
+    assert len(CLI_JOBS) == 13
+
+
+def test_library_job_matches_reference(tmp_path):
     out = tmp_path / "library.json"
-    done = _launch(["library", "--seed", str(SEED), "--out", str(out)])
-    want = json.loads(bench_run.REFERENCE.read_text())["library"]
-    assert done.returncode == want["exit"], done.stderr
+    done = _launch(JOBS["library"], out)
+    want = REFERENCE["library"]
+    assert done.returncode == want["exit"], done.stderr.decode()
     # None when a LES verdict is not exact
-    assert bench_run.library_digest(json.loads(out.read_text()), SEED) \
+    assert RUN.library_digest(json.loads(out.read_text()), SEED) \
         == want["sha256"]
 
 
-def test_verify_connecting_matches_reference(bench_run, tmp_path):
-    command = "verify connecting -n 4 -d 2"
-    out = tmp_path / "connecting.json"
-    done = _launch(["cli"] + command.split() + ["--out", str(out)])
-    want = json.loads(bench_run.REFERENCE.read_text())[f"finsub {command}"]
-    assert done.returncode == want["exit"], done.stderr
-    assert bench_run.digest(out.read_bytes()) == want["sha256"]
+@pytest.mark.parametrize("job", CLI_JOBS, ids=[
+    job.key.removeprefix("finsub ").replace(" ", "_") for job in CLI_JOBS])
+def test_cli_job_matches_reference(job, tmp_path):
+    out = tmp_path / "job.out"
+    done = _launch(job, out)
+    want = REFERENCE[job.key]
+    assert done.returncode == want["exit"], done.stderr.decode()
+    data = done.stdout if job.output == "stdout" else out.read_bytes()
+    assert RUN.digest(data) == want["sha256"]

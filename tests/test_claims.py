@@ -2,8 +2,13 @@
 
 import pytest
 
-from finsub.claims import CLAIMS, TORUS_CLAIMS, ParameterError, run_claim
+from cli_runner import CliRunner
+from conftest import time_limit
+from finsub.claims import CLAIMS, ParameterError, run_claim
+from finsub.cli import main
 from finsub.subsetspace import DEFAULT_CELL_CEILING, BudgetError
+
+TORUS_CLAIMS = sorted(name for name, entry in CLAIMS.items() if entry.torus)
 
 
 def claim(name, n, d=None, space="sphere", budget_nd=8):
@@ -131,6 +136,7 @@ def test_connecting_builds_no_level_tables(monkeypatch):
 
 
 def test_torus_only_for_the_claims_that_take_a_space():
+    assert TORUS_CLAIMS == ["generaltwo", "lemma-quo"]
     for name in sorted(set(CLAIMS) - set(TORUS_CLAIMS)):
         with pytest.raises(ParameterError, match="runs on spheres only"):
             claim(name, 2, 2, space="torus")
@@ -188,3 +194,53 @@ def test_fn_conf_reports_every_degree():
         claim("fn-conf", 3)
     with pytest.raises(BudgetError):
         claim("fn-conf", 3, 3)
+
+
+def _out_of_domain(name):
+    """(arguments, kind) of runs just outside the domain of a claim in
+    CLAIMS: n and d each one below the least and one above the most,
+    and n*dim one over the budget, on the sphere and, where admitted,
+    the torus."""
+    entry = CLAIMS[name]
+    (n, most_n), (d, most_d) = entry.n, entry.d
+    runs = [(f"-n {n - 1} -d {d}", "usage"), (f"-n {n} -d {d - 1}", "usage")]
+    if most_n is not None:
+        runs.append((f"-n {most_n + 1} -d {d}", "usage"))
+    if most_d is not None:
+        runs.append((f"-n {n} -d {most_d + 1}", "usage"))
+    runs.append((f"-n {n} -d {d} --budget-nd {n * d - 1}", "resource"))
+    if entry.torus:
+        runs.append((f"-n {n} --space torus --budget-nd {2 * n - 1}",
+                     "resource"))
+    return [(args.split(), kind) for args, kind in runs]
+
+
+@pytest.mark.parametrize("name", sorted(CLAIMS))
+def test_out_of_domain_runs_exit_2_before_the_claim_runs(monkeypatch, name):
+    def refuse(n, d, opts):
+        raise AssertionError(f"{name} ran with n={n}, d={d}")
+
+    monkeypatch.setattr(CLAIMS[name], "run", refuse)
+    for args, kind in _out_of_domain(name):
+        res = CliRunner().invoke(main, ["verify", name] + args)
+        assert res.exit_code == 2, (args, res.output, res.exception)
+        errors = [line for line in res.output.splitlines()
+                  if line.startswith("Error: ")]
+        if kind == "usage":
+            assert len(errors) == 1 and f"claim {name!r}" in errors[0], args
+        else:
+            assert not errors and "resource error: n*d = " in res.output, args
+
+
+@pytest.mark.parametrize("args, nd", [
+    ("lemma-quo -n 5 --space torus", 10),
+    ("generaltwo -n 5 --space torus", 10),
+    ("circle -n 9", 9),
+], ids=["lemma-quo-torus", "generaltwo-torus", "circle"])
+def test_budget_covers_the_torus_and_the_circle(args, nd):
+    # n*dim, with dim 2 on the torus and 1 on the circle, is refused
+    # before any chains are built; these runs take minutes otherwise
+    with time_limit(5):
+        res = CliRunner().invoke(main, ["verify"] + args.split())
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert f"resource error: n*d = {nd} exceeds the budget of 8" in res.output

@@ -504,7 +504,8 @@ def test_verify_mismatch_exit_code(runner, monkeypatch):
         return [claims.VerificationReport(
             "fake", {"n": n}, "forced mismatch", "test", 1, 2, "mismatch")]
 
-    monkeypatch.setitem(claims.CLAIMS, "fake", fake)
+    monkeypatch.setitem(claims.CLAIMS, "fake",
+                        claims.Claim(fake, (1, None), (1, None), 1))
     res = runner.invoke(main, ["verify", "fake", "-n", "1"])
     assert res.exit_code == 1
     assert "FAIL" in res.output

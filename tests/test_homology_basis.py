@@ -178,7 +178,7 @@ def assert_transposed_stage(b):
     """The chain factors of b^T equal the reference's chain factors of b
     with a tracked row transform, and V^T.b, V the column transform of
     b^T, has no nonzero row past the rank."""
-    res = snf.diagonalize(b.transpose(), chain=True)
+    res = snf.diagonalize(b.transpose())
     old = snf_reference.diagonalize(b, True, False, chain=True)
     assert res.factors == old.factors
     vtb = res.V.transpose().mul(b)
@@ -190,9 +190,9 @@ def incoming_images(monkeypatch, c, degrees):
     seen = []
     diagonalize = homology_module.diagonalize
 
-    def record(m, chain=False):
+    def record(m):
         seen.append(m.transpose())
-        return diagonalize(m, chain)
+        return diagonalize(m)
 
     monkeypatch.setattr(homology_module, "diagonalize", record)
     for k in degrees:

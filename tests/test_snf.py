@@ -160,23 +160,10 @@ def test_chain_transform_is_unimodular():
         nc = rng.randint(1, 6)
         dense = random_dense(rng, nr, nc, density=0.8)
         m = SparseIntMatrix.from_dense(dense)
-        res = diagonalize(m, chain=True)
+        res = diagonalize(m)
         assert res.factors == minors_gcd_factors(dense)
         assert unimodular(res.V)
-        check_tracked(m, res, chain=True)
-
-
-def test_diagonalize_without_chain_tracks_inverses():
-    rng = random.Random(3)
-    for _ in range(40):
-        dense = random_dense(rng, rng.randint(1, 5), rng.randint(2, 6))
-        m = SparseIntMatrix.from_dense(dense)
-        res = diagonalize(m)
-        # M @ V has zero columns beyond the rank
-        mv = m.mul(res.V)
-        for j in range(res.rank, m.cols):
-            assert not mv.column(j)
-        assert res.V.mul(res.Vinv) == SparseIntMatrix.identity(m.cols)
+        check_tracked(m, res)
 
 
 def test_kernel_basis_spans_and_saturates():
@@ -216,9 +203,9 @@ def test_no_unit_entries_matrix():
         minors_gcd_factors(dense)
     m = SparseIntMatrix.from_dense(dense)
     assert smith_normal_form(m).factors == minors_gcd_factors(dense)
-    res = diagonalize(m, chain=True)
+    res = diagonalize(m)
     assert res.factors == minors_gcd_factors(dense)
-    check_tracked(m, res, chain=True)
+    check_tracked(m, res)
 
 
 def test_transforms_on_heavy_torsion():
@@ -233,9 +220,30 @@ def test_transforms_on_heavy_torsion():
         d = [[factors[i] if i == j else 0 for j in range(n)] for i in range(n)]
         m = _matmul(_matmul(left, d), right)
         sm = SparseIntMatrix.from_dense(m)
-        res = diagonalize(sm, chain=True)
+        res = diagonalize(sm)
         assert res.factors == factors
-        check_tracked(sm, res, chain=True)
+        check_tracked(sm, res)
+
+
+def test_chaining_keeps_the_kernel_columns_and_their_inverse_rows():
+    # kernel_lattice reads only the columns of V past the rank and the
+    # rows of V^-1 past it; making the diagonal a divisor chain must
+    # leave both as the elimination left them
+    rng = random.Random(2718)
+    fixed = 0
+    for factors in ([2, 3], [4, 6, 10], [2, 2, 3, 9], [6, 10, 15]):
+        for extra in (0, 1, 3):
+            n = len(factors) + extra
+            m = conjugated_torsion(rng, factors, n, n + 1)
+            plain = _Elimination(m, True).run()
+            unchained = plain.result()
+            res = diagonalize(m)
+            fixed += sorted(unchained.factors) != res.factors
+            assert [unchained.V.column(j) for j in range(res.rank, m.cols)] \
+                == [res.V.column(j) for j in range(res.rank, m.cols)]
+            assert unchained.Vinv.row_dicts()[res.rank:] \
+                == res.Vinv.row_dicts()[res.rank:]
+    assert fixed  # some diagonals did need the gcd/lcm fix
 
 
 def _random_unimodular(rng, n, steps=12):
@@ -270,22 +278,21 @@ try:
         assert factors == minors_gcd_factors(dense) == elimination_alone(m)
         assert len(factors) == rank(m)
         assert smith_normal_form(m).factors == factors
-        res = diagonalize(m, chain=True)
+        res = diagonalize(m)
         assert res.factors == factors
-        check_tracked(m, res, chain=True)
+        check_tracked(m, res)
 except ImportError:  # pragma: no cover
     pass
 
 
 # -- differential: the engines this one replaced -----------------------------------
 
-def check_tracked(m, res, chain):
-    """Positive factors, divisible in turn when ``chain``; V inverted by
-    Vinv; the columns of M @ V beyond the rank vanish."""
+def check_tracked(m, res):
+    """Positive factors, each dividing the next; V inverted by Vinv; the
+    columns of M @ V beyond the rank vanish."""
     assert all(f > 0 for f in res.factors)
-    if chain:
-        for a, b in zip(res.factors, res.factors[1:]):
-            assert b % a == 0
+    for a, b in zip(res.factors, res.factors[1:]):
+        assert b % a == 0
     assert res.V.mul(res.Vinv) == SparseIntMatrix.identity(m.cols)
     mv = m.mul(res.V)
     assert all(not mv.column(j) for j in range(res.rank, m.cols))
@@ -316,9 +323,8 @@ def elimination_alone(m):
 def assert_matches_reference(m, tracked=True):
     """Factors and rank equal the reference's and those of
     ``_Elimination`` alone; unless ``tracked`` is off (for large
-    matrices), so do the reference's rank and tracked factors, and the
-    tracked diagonalization passes ``check_tracked`` with and without
-    ``chain``."""
+    matrices), so do the reference's rank and chained tracked factors,
+    and the tracked diagonalization passes ``check_tracked``."""
     want = reference.invariant_factors(m)
     assert invariant_factors(m) == want == elimination_alone(m)
     assert rank(m) == len(want)
@@ -328,13 +334,10 @@ def assert_matches_reference(m, tracked=True):
         return
     assert reference.rank(m) == len(want)
     assert smith_normal_form(m).factors == want
-    for chain in (False, True):
-        res = diagonalize(m, chain=chain)
-        old = reference.diagonalize(m, False, True, chain)
-        assert res.rank == old.rank == len(want)
-        check_tracked(m, res, chain)
-        if chain:
-            assert res.factors == old.factors == want
+    res = diagonalize(m)
+    old = reference.diagonalize(m, False, True, chain=True)
+    assert res.factors == old.factors == want
+    check_tracked(m, res)
 
 
 def random_reference_cases():
