@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from .fncells import fn_homology
+from .fncells import bar_chains, exp_chains, fn_homology
 from .groupcoh import CoefficientAction, bar_cochain_complex
 from .homology import (
     ChainComplex,
@@ -418,19 +418,49 @@ def claim_generaltwo(n: int, d: int, opts: dict) -> list[VerificationReport]:
     return reports
 
 
+def _fn_reports(claim: str, n: int, d: int, keyed: list[HomologyGroup],
+                fn, statement: Callable[[int], str], provenance: str
+                ) -> list[VerificationReport]:
+    """One report per degree k of the keyed groups: the Fox-Neuwirth
+    group fn[k] against keyed[k]."""
+    return [VerificationReport(
+        claim, {"n": n, "d": d, "degree": k}, statement(k), provenance,
+        str(expected), str(fn[k]), _verdict(expected, fn[k]))
+        for k, expected in enumerate(keyed)]
+
+
 def claim_fn_conf(n: int, d: int, opts: dict) -> list[VerificationReport]:
     keyed = _groups(sphere_model(d, n * d + 1), n, "conf-bar", opts,
                     reduced=True)
     cells = d ** (n - 1)
-    fn = fn_homology(n, d, opts["ceiling"])
-    return [VerificationReport(
-        "fn-conf", {"n": n, "d": d, "degree": k},
-        f"reduced H_{k} of the compactified {n}-point configuration space "
-        f"of R^{d} from its {cells} Fox-Neuwirth cells equals the keyed "
-        f"conf-bar model's",
-        f"keyed conf-bar chains of S^{d}, reduced",
-        str(expected), str(fn[k]), _verdict(expected, fn[k]))
-        for k, expected in enumerate(keyed)]
+    return _fn_reports(
+        "fn-conf", n, d, keyed, fn_homology(n, d, opts["ceiling"]),
+        lambda k: f"reduced H_{k} of the compactified {n}-point "
+        f"configuration space of R^{d} from its {cells} Fox-Neuwirth "
+        f"cells equals the keyed conf-bar model's",
+        f"keyed conf-bar chains of S^{d}, reduced")
+
+
+def claim_fn_bar(n: int, d: int, opts: dict) -> list[VerificationReport]:
+    keyed = _groups(sphere_model(d, n * d + 1), n, "bar", opts, reduced=True)
+    chains = bar_chains(n, d, opts["ceiling"])
+    return _fn_reports(
+        "fn-bar", n, d, keyed, homology(chains),
+        lambda k: f"reduced H_{k} of the space of at most {n} points of "
+        f"R^{d}, compactified, from its {sum(chains.dims)} Fox-Neuwirth "
+        f"cells equals the keyed bar model's",
+        f"keyed bar chains of S^{d}, reduced")
+
+
+def claim_fn_exp(n: int, d: int, opts: dict) -> list[VerificationReport]:
+    keyed = _groups(sphere_model(d, n * d + 1), n, "exp", opts)
+    chains = exp_chains(n, d, opts["ceiling"])
+    return _fn_reports(
+        "fn-exp", n, d, keyed, homology(chains),
+        lambda k: f"H_{k} of the space of at most {n} points of S^{d} from "
+        f"its {sum(chains.dims)} Fox-Neuwirth cells equals the keyed exp "
+        f"model's",
+        f"keyed exp chains of S^{d}")
 
 
 class Claim:
@@ -467,6 +497,8 @@ CLAIMS: dict[str, Claim] = {
     "groupcoh-xcheck": Claim(claim_groupcoh_xcheck, (2, 3), (3, 3), 3),
     "generaltwo": Claim(claim_generaltwo, (1, None), (1, None), torus=True),
     "fn-conf": Claim(claim_fn_conf, (1, None), (1, None)),
+    "fn-bar": Claim(claim_fn_bar, (1, None), (1, None)),
+    "fn-exp": Claim(claim_fn_exp, (1, None), (1, None)),
 }
 
 

@@ -1,6 +1,8 @@
 """Command-line surface.
 
-Subcommands: ``homology`` (build a space and compute its homology),
+Subcommands: ``homology`` (build a space and compute its homology:
+spheres from Fox-Neuwirth cells, the torus and space files from keyed
+chains),
 ``verify`` (run a named claim from the verification matrix), ``groupcoh``
 (symmetric group cohomology), ``page`` (spectral-sequence pages of a
 filtration), ``cache`` (boundary-matrix cache management).
@@ -27,7 +29,8 @@ from . import __version__
 from . import cache as cache_mod
 from .claims import DEFAULT_BUDGET_ND, ParameterError, run_claim
 from .groupcoh import CoefficientAction, duality_cochains
-from .homology import ChainComplex, homology, homology_to_json
+from .fncells import bar_chains, exp_chains, fn_homology
+from .homology import ChainComplex, HomologyGroup, homology, homology_to_json
 from .simplicial import (
     BasedSimplicialSet,
     SpaceFormatError,
@@ -96,6 +99,14 @@ def _no_trusted_degree(trunc: int) -> ParameterError:
                           "degree; --trunc must be >= 1")
 
 
+def _sphere_dimension(d: Optional[int]) -> None:
+    """Refuse a sphere without a dimension, or of dimension below 1."""
+    if d is None:
+        raise ParameterError("--space sphere needs --d")
+    if d < 1:
+        raise ParameterError("--d must be >= 1")
+
+
 def _resolve_space(space: str, d: Optional[int], n: int, trunc: Optional[int]
                    ) -> tuple[BasedSimplicialSet, str, Optional[int]]:
     """Returns (based space, tag, dimension-if-known), refusing a space
@@ -105,10 +116,7 @@ def _resolve_space(space: str, d: Optional[int], n: int, trunc: Optional[int]
     if trunc is not None and trunc < 1:  # degree trunc is never trusted
         raise _no_trusted_degree(trunc)
     if space == "sphere":
-        if d is None:
-            raise ParameterError("--space sphere needs --d")
-        if d < 1:
-            raise ParameterError("--d must be >= 1")
+        _sphere_dimension(d)
         base = sphere_model(d, trunc if trunc is not None else n * d + 1)
         return base, "sphere", d
     if space == "torus":
@@ -156,6 +164,22 @@ def _cached_complex(cache: cache_mod.BoundaryCache, key: str, top: int,
     return None if complex_.validate() else complex_
 
 
+def _sphere_homology(d: int, n: int, construction: str, coeffs: str,
+                   upto: int, ceiling: int) -> list[HomologyGroup]:
+    """The groups of a sphere construction in degrees 0..upto, from
+    Fox-Neuwirth cells (``finsub.fncells``): all of exp_n(S^d) is built,
+    so every degree is exact, and degrees above nd are 0."""
+    top = n * d
+    if construction == "conf":  # both --model choices are this space
+        fn = fn_homology(n, d, ceiling, coeffs)
+        groups = [fn[k] for k in range(min(upto, top) + 1)]
+    else:
+        complex_ = (bar_chains(n, d, ceiling) if construction == "bar" else
+                    exp_chains(n, d, ceiling, based=construction == "based"))
+        groups = homology(complex_, coeffs, through=min(upto, top))
+    return groups + [HomologyGroup(0)] * (upto - top)
+
+
 def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
                  out, cache_dir, ceiling):
     """Homology of a subset-space construction over a base space."""
@@ -163,8 +187,36 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
         raise ParameterError("--n must be >= 1")
     if max_degree is not None and max_degree < 0:
         raise ParameterError("--max-degree must be >= 0")
-    base, tag, dim = _resolve_space(space, d, n, trunc)
     reduced = construction in ("bar", "conf")
+    if space == "sphere":
+        if trunc is not None and trunc < 1:  # degree trunc is never trusted
+            raise _no_trusted_degree(trunc)
+        _sphere_dimension(d)
+        # the cells need no truncation: --trunc only picks the degrees
+        trusted = (n * d + 1 if trunc is None else trunc) - 1
+        upto = trusted if max_degree is None else min(max_degree, trusted)
+        tag, dim = "sphere", d
+        groups = _sphere_homology(d, n, construction, coeffs, upto, ceiling)
+    else:
+        base, tag, dim = _resolve_space(space, d, n, trunc)
+        complex_ = _keyed_chains(base, n, construction, model, reduced,
+                                 cache_dir, ceiling)
+        trusted = complex_.top_degree - 1  # degree trunc is never trusted
+        upto = trusted if max_degree is None else min(max_degree, trusted)
+        groups = homology(complex_, coeffs, through=upto)
+    payload = homology_to_json(
+        groups, space=tag, construction=construction, n=n, d=dim,
+        reduced=reduced, coeffs=coeffs)
+    if construction == "conf":
+        payload["model"] = model
+    _emit(payload, out)
+
+
+def _keyed_chains(base: BasedSimplicialSet, n: int, construction: str,
+                  model: str, reduced: bool, cache_dir: Optional[str],
+                  ceiling: int) -> ChainComplex:
+    """The keyed chains of a torus or space-file construction, read from
+    and written to the boundary cache when ``cache_dir`` is given."""
     cache = key = complex_ = None
     if cache_dir:  # only a cache hashes, so other jobs never load hashlib
         cache = cache_mod.BoundaryCache(cache_dir)
@@ -183,14 +235,7 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
         if cache:
             for k, m in enumerate(complex_.boundary):
                 cache.put(key, k, m)
-    trusted = complex_.top_degree - 1  # degree trunc is never trusted
-    upto = trusted if max_degree is None else min(max_degree, trusted)
-    payload = homology_to_json(
-        homology(complex_, coeffs, through=upto), space=tag,
-        construction=construction, n=n, d=dim, reduced=reduced, coeffs=coeffs)
-    if construction == "conf":
-        payload["model"] = model
-    _emit(payload, out)
+    return complex_
 
 
 def cmd_verify(claim, n, d, space, budget_nd, ceiling, out):
@@ -305,9 +350,12 @@ def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
     option("--max-degree", type=int,
            help="report homology through this degree (default: trusted range)")
     option("--trunc", type=int,
-           help="truncation level of the base space (default n*d+1)")
+           help="truncation level of the base space, which on a sphere "
+           "only picks the degrees reported, those below it (default n*d+1)")
     out(option)
-    cache_dir(option, f"boundary-matrix cache (or ${cache_mod.ENV_VAR})")
+    cache_dir(option, "boundary-matrix cache of the keyed chains of torus "
+              f"and file: spaces (or ${cache_mod.ENV_VAR}); sphere jobs read "
+              "Fox-Neuwirth cells and never use it")
     ceiling(option)
 
     option = command(cmd_verify, "verify", "[OPTIONS] CLAIM")

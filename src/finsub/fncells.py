@@ -84,16 +84,73 @@ least m >= R+2 of the right parity: 20 cells for S_4 through degree 2,
 15 for S_5 through degree 1.  ``finsub.groupcoh`` reads group
 cohomology this way; its bar resolution is the reference.
 
-Budget.  The cells of each codimension are counted while they are
-enumerated, and the first codimension to pass ``ceiling`` raises
-``BudgetError``, as the keyed chains do per degree.  A cell counts once
-per separator, n-1 times (once for n = 1): its size, and the boundary
-work per cell, grow with n, so a plain count would admit n = 1000
-through codimension 2 with 499 500 cells of 999 separators each, about
-4 GB.  Counted by separators, the cells of one codimension took 8 to
-25 bytes per separator counted (tracemalloc, n = 4 to 1000), and the
-faces of a cell are assembled from its separators and the parameters
-of the points they merge (:func:`cell_boundary`).
+Budget.  A cell counts once per separator, n-1 times (once for
+n = 1): its size, and the boundary work per cell, grow with n, so a
+plain count would admit n = 1000 through codimension 2 with 499 500
+cells of 999 separators each, about 4 GB.  Counted by separators, the
+cells of one codimension took 8 to 25 bytes per separator counted
+(tracemalloc, n = 4 to 1000), and the faces of a cell are assembled
+from its separators and the parameters of the points they merge
+(:func:`cell_boundary`).  :func:`fn_cochains` counts the cells of all
+the codimensions it builds against one ``ceiling``, while they are
+enumerated, and raises ``BudgetError`` in the first codimension that
+takes the running count over it; so a window of many codimensions is
+bounded by its whole size, not by its largest codimension.
+
+The bar space and exp_n(S^m).  S^m = R^m u {inf}, and the subsets of at
+most n points of R^m are the union of the configuration spaces of
+k = 1..n points, so the cells above, for every k, are the cells of
+bar_n = exp_(<=n)(R^m)^+, the basepoint again at infinity
+(:func:`bar_chains`).  Grade them by dimension km - sum_j (s_j - 1).
+A separator s_j = m, which lies at infinity in UConf_k(R^m)^+, is now
+a face: points j and j+1 agree in coordinates 1..m-1 and collide in
+coordinate m, leaving a (k-1)-point cell, s with s_j removed.
+
+Collision sign.  Point j+1 has the one parameter t_q, its coordinate
+m, at position q = (m+1)(j+1) - sum(s_0..s_j) + m of the cell's list,
+and point j's coordinate m is t_(q-1).  Put u = t_q - t_(q-1): then
+dt_(q-1) ^ dt_q = dt_(q-1) ^ du, and moving du to the front costs
+(-1)^(q-1), so the cell is (-1)^(q-1) du ^ (the list without t_q).
+That list is already the face's depth-first order: the merged point
+keeps point j's parameters, and every later point keeps its own.  The
+outward normal of u > 0 is -du, so the incidence is (-1)^q.  (Three
+points in a line, s_j = s_(j+1) = m, collide in two ways into the same
+face, at positions q and q+1, and the two terms cancel.)
+
+The space of at most n points of S^m adds the subsets that hold inf
+(:func:`exp_chains`).  Give each cell of k = 1..n-1 points a "marked"
+copy, the same points together with inf: it has the dimension,
+parameters and orientation of its points, and the 0-cell {inf} is the
+marked copy of no points.  Merges and collisions of a marked cell's
+points give marked faces with the same incidences.  A point can also
+escape to inf, which gives a marked face from an unmarked or a marked
+cell.  That is a face of codimension one only when the point has one
+parameter of its own, its coordinate m, and it is then the first or
+the last point of a level-m block a..b (s_a = ... = s_(b-1) = m) of at
+least two points, sent to -inf or +inf in coordinate m; any other
+point that leaves takes two or more parameters with it, or a whole
+block with it.
+
+Escape sign.  Let t_q be the escaping coordinate.  The remaining list,
+t_q left out, is again the face's order: when point a leaves, point
+a+1 takes over the block's shared parameters and gives its coordinate
+m in place of t_q.  The cell is (-1)^(q-1) dt_q ^ (rest).  At -inf put
+u = -1/t_q, so dt_q = du/u^2, a positive multiple of du, and the
+outward normal of u > 0 is -du: the incidence is (-1)^q, with q the
+position of (a, m).  At +inf put u = 1/t_q, so dt_q is a positive
+multiple of -du, and the incidence is (-1)^(q-1), with q the position
+of (b, m).  A lone point of S^1 (m = 1, k = 1) escapes both ways into
+{inf} with opposite signs, so blocks of one point are left out: they
+give no term.  Nothing raises the number of points, inf counted, so
+exp_(n-1)(S^m) is a subcomplex, and so are the marked cells, which are
+the subsets of at most n points that hold inf (``based=True``).
+There are 1 + sum_(k<=n) m^(k-1) + sum_(k<n) m^(k-1) cells: 23 for S^2
+n=4, against 1 039 keyed cells; bar_4 has 15, against 970.
+
+These chains are built in every degree 0..nm, by dimension, and each
+degree is counted against ``ceiling`` as its cells are enumerated, a
+cell of k points at max(k-1, 1) and {inf} at 1; the first degree over
+it raises ``BudgetError``.  d.d = 0 is checked on every column.
 """
 
 from __future__ import annotations
@@ -106,12 +163,13 @@ from .snf import SparseIntMatrix
 from .subsetspace import BudgetError
 
 
-def cells(n: int, m: int, codim: int, ceiling: int) -> list[tuple[int, ...]]:
+def cells(n: int, m: int, codim: int, ceiling: int, spent: int = 0
+          ) -> list[tuple[int, ...]]:
     """Separator sequences in {1..m}^(n-1) of codimension
     sum_j (s_j - 1) = codim, in lexicographic order, one successor at a
     time.  A cell weighs its n-1 separators, and at least 1, against
-    ``ceiling``: ``BudgetError`` as soon as the cells enumerated weigh
-    more."""
+    ``ceiling``, after the weight ``spent`` on cells counted before
+    them: ``BudgetError`` as soon as the two weigh more."""
     slots, weight = n - 1, max(n - 1, 1)
     out: list[tuple[int, ...]] = []
     if not 0 <= codim <= slots * (m - 1):
@@ -119,11 +177,13 @@ def cells(n: int, m: int, codim: int, ceiling: int) -> list[tuple[int, ...]]:
     extra = _packed(codim, slots, m)  # s_j - 1, the least sequence
     while True:
         out.append(tuple(e + 1 for e in extra))
-        if len(out) * weight > ceiling:
+        if spent + len(out) * weight > ceiling:
+            total = (f", and {spent + len(out) * weight} with the cells "
+                     f"counted before them" if spent else "")
             raise BudgetError(
                 f"Fox-Neuwirth chains pass {len(out)} cells in codimension "
                 f"{codim}; at {weight} per cell, one per separator, that is "
-                f"{len(out) * weight}, over the ceiling of {ceiling}")
+                f"{len(out) * weight}{total}, over the ceiling of {ceiling}")
         # the successor: raise the last slot that can take one more from
         # the slots after it, and pack what those keep to the right
         tail = 0
@@ -226,6 +286,56 @@ def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     return out
 
 
+def _position(s: tuple[int, ...], m: int, x: int, c: int) -> int:
+    """The position, counted from 1, of point x's coordinate c in the
+    depth-first parameter list: point 0 has m parameters, and point
+    x > 0 those from s_(x-1) to m."""
+    return (m + 1) * x - sum(s[:x]) + c
+
+
+def _add(out: dict, face: tuple[int, ...], v: int) -> None:
+    v += out.get(face, 0)
+    if v:
+        out[face] = v
+    else:
+        del out[face]
+
+
+def collision_faces(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
+    """The faces of one cell of k points where two points collide: one
+    per separator s_j = m, the cell with s_j removed, at incidence
+    (-1)^q (derived in the module docstring), zeros dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    for j, i in enumerate(s):
+        if i == m:
+            q = _position(s, m, j + 1, m)
+            _add(out, s[:j] + s[j + 1:], -1 if q % 2 else 1)
+    return out
+
+
+def escape_faces(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
+    """The faces of one cell where a point escapes to infinity: the first
+    point a of each level-m block a..b of two or more points, at
+    incidence (-1)^q, and the last point b, at (-1)^(q-1), q being the
+    position of the escaping coordinate m (module docstring).  A face
+    drops the escaping point's separator; it is a marked cell, and
+    zeros are dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    j = 0
+    while j < len(s):
+        if s[j] < m:
+            j += 1
+            continue
+        a = j
+        while j < len(s) and s[j] == m:
+            j += 1
+        q = _position(s, m, a, m)  # point a leaves for -inf
+        _add(out, s[:a] + s[a + 1:], -1 if q % 2 else 1)
+        q = _position(s, m, j, m)  # point b = j leaves for +inf
+        _add(out, s[:j - 1] + s[j:], 1 if q % 2 else -1)
+    return out
+
+
 def fn_cochains(n: int, m: int, top_codim: int, ceiling: int
                 ) -> ChainComplex:
     """The reduced cellular chains of UConf_n(R^m)^+ as a cochain
@@ -236,15 +346,20 @@ def fn_cochains(n: int, m: int, top_codim: int, ceiling: int
     c < top_codim, and for c = top_codim too when no cell has a higher
     codimension, (n-1)(m-1) being the last one with cells.
     ``basis[c]`` lists the separator sequences of codimension c in
-    lexicographic order, and d.d = 0 is checked on every column.  A
-    codimension whose cells weigh more than ``ceiling`` (see
-    :func:`cells`) is refused before any boundary is assembled.
+    lexicographic order, and d.d = 0 is checked on every column.  The
+    cells of codimensions 0..``top_codim`` together weigh at most
+    ``ceiling`` (see :func:`cells`); the codimension that takes them
+    over it is refused before any boundary is assembled.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if top_codim < 0:
         raise ValueError("top_codim must be >= 0")
-    basis = [cells(n, m, c, ceiling) for c in range(top_codim + 1)]
+    basis: list[list[tuple[int, ...]]] = []
+    spent = 0
+    for c in range(top_codim + 1):
+        basis.append(cells(n, m, c, ceiling, spent))
+        spent += len(basis[-1]) * max(n - 1, 1)
     dims = [len(b) for b in basis]
     boundary = [SparseIntMatrix(dims[0], 0)]
     for c in range(1, top_codim + 1):
@@ -260,14 +375,95 @@ def fn_cochains(n: int, m: int, top_codim: int, ceiling: int
     return complex_
 
 
-def fn_homology(n: int, m: int, ceiling: int) -> dict[int, HomologyGroup]:
+def fn_homology(n: int, m: int, ceiling: int, coeffs: str = "Z"
+                ) -> dict[int, HomologyGroup]:
     """H~_k(UConf_n(R^m)^+) for every k in 0..nm, from all m^(n-1)
-    cells.  Degrees below n+m-1, the lowest cell, are 0."""
+    cells, with ``coeffs`` "Z" or "Q" (ranks only).  Degrees below
+    n+m-1, the lowest cell, are 0."""
     top_deg = n * m
     full = (n - 1) * (m - 1)
-    groups = homology(fn_cochains(n, m, full, ceiling), through=full)
+    groups = homology(fn_cochains(n, m, full, ceiling), coeffs, through=full)
     return {k: groups[top_deg - k] if top_deg - k <= full else HomologyGroup(0)
             for k in range(top_deg + 1)}
+
+
+# the 0-cell {inf}: the marked copy of no points
+INFINITY = (None, True)
+
+
+def bar_chains(n: int, m: int, ceiling: int) -> ChainComplex:
+    """The reduced cellular chains of bar_n = exp_(<=n)(R^m)^+, graded
+    by dimension, degrees 0..nm: the cells of k = 1..n points, with
+    their merge and collision faces.  ``basis[D]`` lists the cells of
+    dimension D as pairs (s, False), s a separator sequence of
+    len(s) + 1 points.  Each degree's cells weigh at most ``ceiling``
+    (module docstring)."""
+    return _chains(n, m, (False,), ceiling, f"bar_{n}(S^{m})")
+
+
+def exp_chains(n: int, m: int, ceiling: int, based: bool = False
+               ) -> ChainComplex:
+    """The cellular chains of exp_n(S^m), the space of at most n points
+    of S^m, graded by dimension, degrees 0..nm: the cells of k = 1..n
+    points, the marked cells of k = 0..n-1 points, which hold inf too,
+    and their merge, collision and escape faces.  ``based`` keeps the
+    marked cells alone, the subcomplex of the subsets holding inf.
+    ``basis[D]`` lists pairs (s, marked), and :data:`INFINITY` for
+    {inf}.  Each degree's cells weigh at most ``ceiling`` (module
+    docstring)."""
+    if based:
+        return _chains(n, m, (True,), ceiling, f"based_{n}(S^{m})")
+    return _chains(n, m, (False, True), ceiling, f"exp_{n}(S^{m})")
+
+
+def _chains(n: int, m: int, kinds: tuple[bool, ...], ceiling: int,
+            name: str) -> ChainComplex:
+    """The chains on the unmarked cells (False in ``kinds``) of 1..n
+    points and the marked cells (True) of 0..n-1 points, degree by
+    degree; escapes are faces only where marked cells are."""
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    escapes = True in kinds
+    top = n * m
+    basis: list[list] = []
+    for dim in range(top + 1):
+        found: list = [INFINITY] if escapes and dim == 0 else []
+        spent = len(found)
+        if spent > ceiling:
+            raise BudgetError(f"{name}, degree 0: the 0-cell {{inf}} weighs "
+                              f"1, over the ceiling of {ceiling}")
+        for marked in kinds:
+            for k in range(1, n + 1 - marked):
+                try:
+                    group = cells(k, m, k * m - dim, ceiling, spent)
+                except BudgetError as exc:
+                    raise BudgetError(
+                        f"{name}, degree {dim}, {'marked ' if marked else ''}"
+                        f"cells of {k} points: {exc}") from None
+                spent += len(group) * max(k - 1, 1)
+                found.extend((s, marked) for s in group)
+        basis.append(found)
+    dims = [len(b) for b in basis]
+    boundary = [SparseIntMatrix(0, dims[0])]
+    for dim in range(1, top + 1):
+        index = {cell: r for r, cell in enumerate(basis[dim - 1])}
+        mat = SparseIntMatrix(dims[dim - 1], dims[dim])
+        faces: dict = {}  # a marked copy has its points' merges and collisions
+        for col, (s, marked) in enumerate(basis[dim]):
+            column = mat.column(col)
+            if s is None:
+                continue
+            if s not in faces:
+                faces[s] = cell_boundary(s, m)
+                faces[s].update(collision_faces(s, m))
+            for face, v in faces[s].items():
+                column[index[face, marked]] = v
+            for face, v in (escape_faces(s, m).items() if escapes else ()):
+                mat.add(index[face, True], col, v)  # may meet a collision
+        boundary.append(mat)
+    complex_ = ChainComplex(dims, boundary, basis=basis)
+    complex_.assert_valid()
+    return complex_
 
 
 def duality_dimension(maxdeg: int, sign: bool) -> int:

@@ -196,6 +196,22 @@ def test_fn_conf_reports_every_degree():
         claim("fn-conf", 3, 3)
 
 
+@pytest.mark.parametrize("name, groups", [
+    ("fn-bar", {5: "Z/2", 7: "Z + Z/3", 8: "Z/2"}),
+    ("fn-exp", {0: "Z", 5: "Z/2 + Z/2", 7: "Z + Z/3", 8: "Z/2"}),
+])
+def test_fn_sphere_claims_report_every_degree(name, groups):
+    reports = claim(name, 3, 3, budget_nd=9)
+    assert [r.params["degree"] for r in reports] == list(range(10))
+    assert all_match(reports)
+    assert {r.params["degree"]: r.computed for r in reports
+            if r.computed != "0"} == groups
+    with pytest.raises(ValueError, match="needs -d"):
+        claim(name, 3)
+    with pytest.raises(BudgetError):
+        claim(name, 3, 3)
+
+
 def _out_of_domain(name):
     """(arguments, kind) of runs just outside the domain of a claim in
     CLAIMS: n and d each one below the least and one above the most,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cli_runner import CliRunner
+from conftest import time_limit
 
 from finsub.cli import main
 from finsub.simplicial import save_space, sphere_model
@@ -148,8 +149,8 @@ def test_unwritable_out_is_refused_before_any_work(runner, monkeypatch, tmp_path
         raise AssertionError("the job ran before --out was checked")
 
     cli_module = importlib.import_module("finsub.cli")
-    for name in ("keyed_complex", "run_claim", "duality_cochains",
-                 "filtered_complex"):
+    for name in ("keyed_complex", "exp_chains", "run_claim",
+                 "duality_cochains", "filtered_complex"):
         monkeypatch.setattr(cli_module, name, no_work)
     out = tmp_path / "missing" / "x.json" if where == "no such folder" else tmp_path
     res = runner.invoke(main, args + ["--out", str(out)])
@@ -185,10 +186,18 @@ def test_homology_rejects_unbased_file(runner, tmp_path):
 
 
 def test_homology_budget_breach(runner):
-    res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "2",
-                               "--n", "4", "--ceiling", "100"])
+    # the Fox-Neuwirth cells of exp_4(S^2) weigh 13 in degree 6, the most
+    # of any degree: 2 for the 3-point cell, 3 for each of the three
+    # 4-point cells, and 2 for the marked 3-point cell, counted last
+    args = ["homology", "--space", "sphere", "--d", "2", "--n", "4",
+            "--ceiling"]
+    assert runner.invoke(main, args + ["13"]).exit_code == 0
+    res = runner.invoke(main, args + ["12"])
     assert res.exit_code == 2
-    assert "resource error" in res.output
+    assert ("resource error: exp_4(S^2), degree 6, marked cells of 3 points: "
+            "Fox-Neuwirth chains pass 1 cells in codimension 0; at 2 per "
+            "cell, one per separator, that is 2, and 13 with the cells "
+            "counted before them, over the ceiling of 12") in res.output
 
 
 def test_homology_from_file(runner, tmp_path):
@@ -292,7 +301,7 @@ def test_torus_takes_d_two(runner, command):
 
 def test_homology_cache_roundtrip(runner, tmp_path):
     cache_dir = tmp_path / "cache"
-    args = ["homology", "--space", "sphere", "--d", "2", "--n", "2",
+    args = ["homology", "--space", "torus", "--n", "2",
             "--cache-dir", str(cache_dir)]
     res1 = runner.invoke(main, args)
     assert res1.exit_code == 0, res1.output
@@ -308,7 +317,7 @@ def test_homology_cache_roundtrip(runner, tmp_path):
 
 def test_homology_tampered_cache_entry_is_recomputed(runner, tmp_path):
     cache_dir = tmp_path / "cache"
-    args = ["homology", "--space", "sphere", "--d", "2", "--n", "2",
+    args = ["homology", "--space", "torus", "--n", "2",
             "--cache-dir", str(cache_dir)]
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
@@ -331,7 +340,7 @@ def test_homology_tampered_cache_entry_is_recomputed(runner, tmp_path):
 def test_cache_clear_and_stats_touch_only_cache_files(runner, tmp_path,
                                                      monkeypatch):
     from finsub import cache as cache_mod
-    args = ["homology", "--space", "sphere", "--d", "2", "--n", "2",
+    args = ["homology", "--space", "torus", "--n", "2",
             "--cache-dir", str(tmp_path)]
     assert runner.invoke(main, args).exit_code == 0
     entries = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
@@ -381,7 +390,7 @@ def test_malformed_cache_entry_is_a_miss(tmp_path, data):
 @pytest.mark.parametrize("data", MALFORMED_ENTRIES.values(),
                          ids=MALFORMED_ENTRIES.keys())
 def test_homology_recomputes_a_malformed_cache_entry(runner, tmp_path, data):
-    args = ["homology", "--space", "sphere", "--d", "2", "--n", "2",
+    args = ["homology", "--space", "torus", "--n", "2",
             "--cache-dir", str(tmp_path)]
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
@@ -396,12 +405,40 @@ def test_homology_recomputes_a_malformed_cache_entry(runner, tmp_path, data):
 
 def test_homology_cache_keys_are_pinned(runner, tmp_path):
     # entries written by earlier releases must still hit
-    key = "b9ee58d589750d8ff9894565666b4d96c9013ebf633cdbb7c9a2a37a6742ebb7"
-    res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "2",
-                               "--n", "2", "--cache-dir", str(tmp_path)])
+    key = "856af28c45a19bd6baa74dbe3ee538cc3dd502270eadd7c75b78084f41ab62a6"
+    res = runner.invoke(main, ["homology", "--space", "torus", "--n", "2",
+                               "--cache-dir", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         [f"{key}-d{k}.json" for k in range(6)]
+
+
+@pytest.mark.parametrize("construction, model", [
+    ("expn", "based"), ("based", "based"), ("bar", "based"), ("conf", "based"),
+    ("conf", "bar")])
+def test_sphere_homology_builds_no_keyed_chains(runner, monkeypatch, tmp_path,
+                                                construction, model):
+    # a sphere job reads the Fox-Neuwirth cells: no sphere model, no keyed
+    # chains and no cache, even with a cache directory; a torus job still
+    # builds keyed chains through the cache
+    def keyed(*args, **kwargs):
+        raise AssertionError("keyed path")
+
+    cli_module = importlib.import_module("finsub.cli")
+    for name in ("keyed_complex", "sphere_model"):
+        monkeypatch.setattr(cli_module, name, keyed)
+    monkeypatch.setattr(cli_module.cache_mod, "BoundaryCache", keyed)
+    res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "3",
+                               "--n", "3", "--construction", construction,
+                               "--model", model, "--cache-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert not list(tmp_path.iterdir())
+    for cache in ([], ["--cache-dir", str(tmp_path)]):
+        res = runner.invoke(main, ["homology", "--space", "torus", "--n", "2",
+                                   "--construction", construction,
+                                   "--model", model] + cache)
+        assert isinstance(res.exception, AssertionError)
+        assert str(res.exception) == "keyed path"
 
 
 def _fresh_interpreter(script, *args):
@@ -427,10 +464,13 @@ def _loads_hashlib(*jobs):
 
 
 def test_jobs_without_a_cache_never_load_hashlib(tmp_path):
-    jobs = ["groupcoh -n 3 --max-degree 1",
-            "homology --space sphere --d 2 --n 2"]
+    # a sphere job builds no keyed chains, so a cache directory leaves it
+    # without hashlib too
+    sphere = "homology --space sphere --d 2 --n 2"
+    jobs = ["groupcoh -n 3 --max-degree 1", sphere,
+            f"{sphere} --cache-dir {tmp_path}", "homology --space torus --n 2"]
     assert not _loads_hashlib(*jobs)
-    assert _loads_hashlib(*jobs, f"{jobs[1]} --cache-dir {tmp_path}")
+    assert _loads_hashlib(*jobs, f"{jobs[-1]} --cache-dir {tmp_path}")
 
 
 def test_cache_needs_dir(runner, monkeypatch):
@@ -440,8 +480,7 @@ def test_cache_needs_dir(runner, monkeypatch):
 
 def test_cache_dir_from_environment(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("FINSUB_CACHE_DIR", str(tmp_path / "envcache"))
-    res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "1",
-                               "--n", "2"])
+    res = runner.invoke(main, ["homology", "--space", "torus", "--n", "2"])
     assert res.exit_code == 0, res.output
     stats = runner.invoke(main, ["cache", "stats"])
     assert json.loads(stats.output)["entries"] > 0
@@ -460,8 +499,9 @@ def test_cache_dir_that_names_a_file_is_a_usage_error(runner, monkeypatch,
     def no_work(*args, **kwargs):
         raise AssertionError("the job ran before --cache-dir was checked")
 
-    monkeypatch.setattr(importlib.import_module("finsub.cli"), "keyed_complex",
-                        no_work)
+    cli_module = importlib.import_module("finsub.cli")
+    for name in ("keyed_complex", "exp_chains"):
+        monkeypatch.setattr(cli_module, name, no_work)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a cache\n")
     cache_dir = blocker if where == "a file" else blocker / "cache"
@@ -545,13 +585,15 @@ def test_groupcoh_command(runner):
 def test_groupcoh_budget(runner):
     # --max-degree 5 takes the Fox-Neuwirth cells of UConf_4(R^8)^+ of
     # codimension <= 6: 1, 3, 6, 10, 15, ... of them, 3 separators each,
-    # so codimension 4 is the first over 44, refused at its 15th cell
+    # counted together: codimensions 0..2 weigh 30, so codimension 3 is
+    # refused at its 5th cell
     res = runner.invoke(main, ["groupcoh", "-n", "4", "--max-degree", "5",
                                "--ceiling", "44"])
     assert res.exit_code == 2
-    assert ("resource error: Fox-Neuwirth chains pass 15 cells in "
-            "codimension 4; at 3 per cell, one per separator, that is 45, "
-            "over the ceiling of 44") in res.output
+    assert ("resource error: Fox-Neuwirth chains pass 5 cells in "
+            "codimension 3; at 3 per cell, one per separator, that is 15, "
+            "and 45 with the cells counted before them, over the ceiling "
+            "of 44") in res.output
 
 
 def test_groupcoh_many_points(runner):
@@ -566,6 +608,23 @@ def test_groupcoh_many_points(runner):
         res = runner.invoke(main, ["groupcoh", "-n", n, "--max-degree", "1"])
         assert res.exit_code == 2
         assert f"cells in codimension {codim}; at" in res.output
+
+
+def test_groupcoh_ceiling_counts_every_codimension(runner):
+    # S_9 through degree 7 (sign) takes the cells of UConf_9(R^9)^+ of
+    # codimension <= 8: 12 870 cells of 8 separators, 102 960 together,
+    # though no codimension weighs more than 51 480.  Counted together
+    # they are refused at once; one codimension at a time they were
+    # admitted, and elimination then ran for about 26 s
+    args = ["groupcoh", "-n", "9", "--max-degree", "7", "--action", "sign",
+            "--ceiling", "100000"]
+    with time_limit(1):
+        res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert ("resource error: Fox-Neuwirth chains pass 6066 cells in "
+            "codimension 8; at 8 per cell, one per separator, that is "
+            "48528, and 100008 with the cells counted before them, over "
+            "the ceiling of 100000") in res.output
 
 
 def test_groupcoh_past_the_bar_reach(runner):
@@ -606,15 +665,15 @@ def test_page_json_shape(runner):
 
 
 def test_homology_ceiling_counts_nondegenerate_cells(runner):
-    # the subset space of <= 3 points on S^2 has 1, 0, 2, 7, 22, 30, 15, 0
-    # non-degenerate cells in degrees 0..7, far fewer than its level tables
-    args = ["homology", "--space", "sphere", "--d", "2", "--n", "3",
-            "--ceiling"]
+    # the keyed subset space of <= 2 points on the torus has 1, 9, 26, 30,
+    # 12, 0 non-degenerate cells in degrees 0..5, far fewer than its level
+    # tables
+    args = ["homology", "--space", "torus", "--n", "2", "--ceiling"]
     assert runner.invoke(main, args + ["30"]).exit_code == 0
     res = runner.invoke(main, args + ["29"])
     assert res.exit_code == 2
     assert "resource error" in res.output
-    assert "degree 5" in res.output
+    assert "degree 3" in res.output
 
 
 def test_verify_connecting_ceiling_counts_nondegenerate_cells(runner):
@@ -636,8 +695,7 @@ def test_homology_lost_key_is_an_engine_fault(runner, monkeypatch):
         return keys[:-1] if k == 3 else keys
 
     monkeypatch.setattr(subsetspace, "_level_keys", lossy)
-    res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "2",
-                               "--n", "2"])
+    res = runner.invoke(main, ["homology", "--space", "torus", "--n", "2"])
     assert res.exit_code != 2
     assert "Usage" not in res.output and "Error:" not in res.output
     assert isinstance(res.exception, RuntimeError)
@@ -777,9 +835,10 @@ def test_launcher_call_with_a_program_name(capsys):
 
 
 @pytest.mark.parametrize("args, target", [
-    (["homology", "--space", "sphere", "--d", "2", "--n", "2"], "keyed_complex"),
+    (["homology", "--space", "torus", "--n", "2"], "keyed_complex"),
     (["verify", "thm2", "-n", "2", "-d", "2"], "run_claim"),
     (["page", "--space", "sphere", "--d", "2", "--n", "2"], "filtered_complex"),
+    (["homology", "--space", "sphere", "--d", "2", "--n", "2"], "exp_chains"),
 ])
 def test_engine_value_error_is_not_a_usage_error(runner, monkeypatch, args,
                                                   target):

@@ -105,7 +105,8 @@ def test_duality_matches_bar_resolution(n, maxdeg, action):
 def test_duality_cochains_admit_by_cells():
     # every codimension the duality path builds for S_n, n <= 8, through
     # degree 6: a ceiling of its cells' weight, n-1 separators per cell
-    # and at least 1, admits it, and one less refuses it
+    # and at least 1, admits it, and one less refuses it; a whole window
+    # is admitted by the weight of all its codimensions
     built = {}  # (n, m) -> cell count of each codimension built
     for n in range(1, 9):
         weight = max(n - 1, 1)
@@ -124,18 +125,26 @@ def test_duality_cochains_admit_by_cells():
                                 f"that is {most}, over the ceiling of "
                                 f"{most - 1}$")):
                             cells(n, m, c, ceiling=most - 1)
-                # the job is refused at the first codimension over the
-                # ceiling, and nothing the bar-tuple admission took (the
-                # least ceiling >= 1 with (n!-1)^r tuples in every degree
-                # r <= maxdeg + 1) is refused
-                most = weight * max(counts[:maxdeg + 2])
+                # the job's codimensions 0..maxdeg+1 are counted
+                # together: their whole weight admits it (built through
+                # degree 3), and one less refuses it in the codimension
+                # that passes the ceiling; the window never weighs more
+                # than the bar tuples of degrees 0..maxdeg+1
+                window = counts[:maxdeg + 2]
+                total = weight * sum(window)
                 act = CoefficientAction("sign" if sign else "trivial")
+                if maxdeg <= 3:
+                    assert duality_cochains(n, act, maxdeg,
+                                            ceiling=total).dims == window
+                last = max(c for c in range(maxdeg + 2) if window[c])
                 with pytest.raises(BudgetError, match=(
-                        f"codimension {counts.index(most // weight)}; .* "
-                        f"over the ceiling of {most - 1}$")):
-                    duality_cochains(n, act, maxdeg, ceiling=most - 1)
-                assert most <= max(1, (factorial(n) - 1) ** (maxdeg + 1))
-    assert duality_cochains(3, CoefficientAction("sign"), 2, ceiling=8).dims \
+                        f"codimension {last}; .* over the ceiling of "
+                        f"{total - 1}$")):
+                    duality_cochains(n, act, maxdeg, ceiling=total - 1)
+                assert total <= sum((factorial(n) - 1) ** r
+                                    for r in range(maxdeg + 2))
+    # 10 cells of 2 separators
+    assert duality_cochains(3, CoefficientAction("sign"), 2, ceiling=20).dims \
         == [1, 2, 3, 4]
     act = CoefficientAction("trivial")
     for n, maxdeg, message in ((0, 1, "need n >= 1"),
