@@ -8,6 +8,11 @@ space).  Claims whose expectations conflict internally are adjudicated:
 the report carries both candidate predictions and the computed truth,
 and never fails the run.
 
+A claim on S^d computes from its Fox-Neuwirth cells (``finsub.fncells``)
+unless the keyed model of ``finsub.subsetspace`` is its subject:
+``fn-conf``, ``fn-bar`` and ``fn-exp`` compare it with the cells, and
+``lemma-quo`` compares its two quotient models.  The torus is keyed.
+
 :data:`CLAIMS` is the matrix: each claim with the n, d and space it
 admits.  :func:`run_claim` checks them, and the n*d budget, before any
 claim runs.
@@ -18,18 +23,19 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from .fncells import bar_chains, exp_chains, fn_homology
+from .fncells import bar_chains, exp_chains, points, sphere_homology
 from .groupcoh import CoefficientAction, bar_cochain_complex
 from .homology import (
-    ChainComplex,
     HomologyGroup,
+    _restrict,
+    _submatrix,
     homology,
     zigzag_free_index,
     zigzag_map,
 )
 from .simplicial import BasedSimplicialSet, sphere_model, torus_model
-from .spectral import filtered_complex, pages
-from .subsetspace import BudgetError, keyed_complex, keyed_connecting
+from .spectral import filtration, pages
+from .subsetspace import BudgetError, keyed_complex
 
 DEFAULT_BUDGET_ND = 8
 
@@ -96,11 +102,12 @@ def _sphere_groups(m: int, through: int) -> list[HomologyGroup]:
 
 
 def _groups(x: BasedSimplicialSet, n: int, variant: str, opts: dict,
-            reduced: bool = False, coeffs: str = "Z") -> list[HomologyGroup]:
+            reduced: bool = False) -> list[HomologyGroup]:
     """Homology of a subset-space variant in its trusted degrees (below
-    the truncation of x), from the keyed chains."""
+    the truncation of x), from the keyed chains: the torus, ``lemma-quo``
+    and the keyed side of the ``fn-*`` claims."""
     c = keyed_complex(x, n, variant, reduced=reduced, ceiling=opts["ceiling"])
-    return homology(c, coeffs, through=max(c.top_degree - 1, 0))
+    return homology(c, through=max(c.top_degree - 1, 0))
 
 
 def _verdict(expected, computed) -> str:
@@ -108,8 +115,8 @@ def _verdict(expected, computed) -> str:
 
 
 def _base(n: int, d: int, opts: dict) -> tuple[BasedSimplicialSet, str]:
-    """(base, tag) of a claim that takes a space: the torus (d = 2) or
-    S^d, truncated at n*d + 1."""
+    """(base, tag) of a keyed claim that takes a space: the torus (d = 2)
+    or S^d, truncated at n*d + 1."""
     if opts["space"] == "torus":
         return torus_model(n * d + 1), "torus"
     return sphere_model(d, n * d + 1), f"S^{d}"
@@ -121,7 +128,7 @@ def _base(n: int, d: int, opts: dict) -> tuple[BasedSimplicialSet, str]:
 
 def claim_circle(n: int, d: int, opts: dict) -> list[VerificationReport]:
     m = n if n % 2 else n - 1
-    computed = _groups(sphere_model(1, n + 1), n, "exp", opts)
+    computed = sphere_homology(n, 1, "expn", opts["ceiling"])
     expected = _sphere_groups(m, n)
     return [VerificationReport(
         "circle", {"n": n, "d": 1},
@@ -132,7 +139,7 @@ def claim_circle(n: int, d: int, opts: dict) -> list[VerificationReport]:
 
 
 def claim_tuffley_s2(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    computed = _groups(sphere_model(2, 2 * n + 1), n, "exp", opts)
+    computed = sphere_homology(n, 2, "expn", opts["ceiling"])
     expected = [HomologyGroup(0)] * (2 * n + 1)
     expected[0] = HomologyGroup(1)
     expected[2 * n] = HomologyGroup(1)
@@ -172,8 +179,8 @@ def _thm1_expected(n: int, d: int) -> list[int]:
 
 
 def claim_thm1(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    computed = [g.rank for g in _groups(sphere_model(d, n * d + 1), n, "exp",
-                                         opts, coeffs="Q")]
+    computed = [g.rank for g in sphere_homology(n, d, "expn", opts["ceiling"],
+                                                "Q")]
     expected = _thm1_expected(n, d)
     shape = (f"S^{n * d} v S^{(n - 1) * d}" if d % 2 == 0
              else f"S^{((n + 1) // 2) * (d + 1) - 1}")
@@ -206,9 +213,7 @@ def _adjudicate(claim: str, params: dict, statement: str, provenance: str,
 
 def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
     action = CoefficientAction("trivial" if d % 2 == 0 else "sign")
-    # homology of exp_n S^d in degrees nd-r for r < d needs trusted degrees
-    # down to nd-d+1, so trunc nd+1 covers them all
-    computed_all = _groups(sphere_model(d, n * d + 1), n, "exp", opts)
+    computed_all = sphere_homology(n, d, "expn", opts["ceiling"])
     cohomology = homology(bar_cochain_complex(n, action, d - 1,
                                               opts["ceiling"]), through=d - 1)
     reports = []
@@ -237,9 +242,8 @@ def claim_thm2(n: int, d: int, opts: dict) -> list[VerificationReport]:
 
 def claim_thm2a_partial(n: int, d: int, opts: dict) -> list[VerificationReport]:
     deg = n * d - d
-    base = sphere_model(d, deg + 1)
-    h = _groups(base, n, "exp", opts)[deg]
-    hc = _groups(base, n, "conf-bar", opts, reduced=True)[deg]
+    h = sphere_homology(n, d, "expn", opts["ceiling"])[deg]
+    hc = sphere_homology(n, d, "conf", opts["ceiling"])[deg]
     if d % 2 == 0:
         ok = (h.rank == hc.rank + 1 and
               h.torsion_order() == (n - 1) * hc.torsion_order())
@@ -277,11 +281,11 @@ def claim_lemma_quo(n: int, d: int, opts: dict) -> list[VerificationReport]:
 
 
 def claim_connectivity(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    bound = n + d - 3  # (m + n - 2)-connected with m = d - 1
-    trunc = min(n * d + 1, max(bound + 2, 1))
-    groups = _groups(sphere_model(d, trunc), n, "exp", opts, reduced=True)
-    checked = {k: str(groups[k]) for k in range(0, bound + 1) if k < len(groups)}
-    ok = all(groups[k].trivial for k in range(0, bound + 1) if k < len(groups))
+    bound = n + d - 3  # (m + n - 2)-connected with m = d - 1; below nd
+    groups = sphere_homology(n, d, "expn", opts["ceiling"])
+    groups[0] = HomologyGroup(groups[0].rank - 1)  # reduced: H_0 is free
+    checked = {k: str(groups[k]) for k in range(bound + 1)}
+    ok = all(groups[k].trivial for k in range(bound + 1))
     return [VerificationReport(
         "connectivity", {"n": n, "d": d},
         f"reduced homology of the subset space of <= {n} points on S^{d} "
@@ -295,8 +299,13 @@ def claim_connecting(n: int, d: int, opts: dict) -> list[VerificationReport]:
     if d % 2:
         raise ParameterError("the connecting claim concerns even d")
     k = n * d - d + 1
-    src, tgt, block = keyed_connecting(sphere_model(d, k + 1), n, k,
-                                       ceiling=opts["ceiling"])
+    bar = bar_chains(n, d, opts["ceiling"])
+    # the cells of n points span bar_n / bar_(n-1), those of n-1 points
+    # bar_(n-1) / bar_(n-2), and the block joins them
+    cols, rows = ([[i for i, cell in enumerate(basis) if points(cell) == p]
+                   for basis in bar.basis] for p in (n, n - 1))
+    src, tgt = _restrict(bar, cols), _restrict(bar, rows)
+    block = _submatrix(bar.boundary[k], rows[k - 1], cols[k])
     if n <= 3:
         desc = zigzag_map(src, tgt, block, k)
         computed = abs(desc.free_matrix[0][0]) if desc.free_matrix else 0
@@ -315,15 +324,14 @@ def claim_connecting(n: int, d: int, opts: dict) -> list[VerificationReport]:
 
 
 def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    base = sphere_model(d, n * d + 1)
-    f = filtered_complex(base, n, "bar", ceiling=opts["ceiling"])
-    seq = pages(f)
+    bar = bar_chains(n, d, opts["ceiling"])
+    seq = pages(filtration(bar, points, n))
     p1, pinf = seq[0], seq[-1]
     reports = []
     e1_expected = {}
     for p in range(1, n + 1):
-        betti = [g.rank for g in _groups(base, p, "conf-bar", opts,
-                                         reduced=True, coeffs="Q")]
+        betti = [g.rank for g in sphere_homology(p, d, "conf", opts["ceiling"],
+                                                 "Q")]
         for m, r in enumerate(betti):
             if r:
                 e1_expected[f"({p},{m - p})"] = r
@@ -350,23 +358,19 @@ def claim_e1_collapse(n: int, d: int, opts: dict) -> list[VerificationReport]:
         expected_inf, computed_inf,
         _verdict(expected_inf, computed_inf)))
     pinf_totals = pinf.total_dims()
-    totals = [pinf_totals.get(m, 0) for m in range(f.top_degree + 1)]
-    # the chains of f are relative to the basepoint: their homology is
-    # the reduced homology of the top stage
-    betti_top = [g.rank for g in homology(ChainComplex(f.dims, f.boundary),
-                                          "Q", through=f.top_degree - 1)]
-    ok = totals[:len(betti_top)] == betti_top
+    betti_top = [g.rank for g in homology(bar, "Q")]  # every degree 0..nd
+    totals = [pinf_totals.get(m, 0) for m in range(len(betti_top))]
     reports.append(VerificationReport(
         "e1-collapse", {"n": n, "d": d},
         "limit-page totals equal the reduced rational Betti numbers of the "
         "top filtration stage",
         "direct homology of the top stage",
-        betti_top, totals[:len(betti_top)], MATCH if ok else MISMATCH))
+        betti_top, totals, _verdict(betti_top, totals)))
     return reports
 
 
 def claim_groupcoh_xcheck(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    h = _groups(sphere_model(3, 3 * n + 1), n, "conf-bar", opts, reduced=True)
+    h = sphere_homology(n, 3, "conf", opts["ceiling"])
     cohomology = homology(bar_cochain_complex(n, CoefficientAction("sign"), 2,
                                               opts["ceiling"]), through=2)
     reports = []
@@ -391,14 +395,19 @@ def claim_groupcoh_xcheck(n: int, d: int, opts: dict) -> list[VerificationReport
 
 
 def claim_generaltwo(n: int, d: int, opts: dict) -> list[VerificationReport]:
-    base, tag = _base(n, d, opts)
+    if opts["space"] == "torus":
+        base, tag = _base(n, d, opts)
+        h_exp = _groups(base, n, "exp", opts)
+        h_cn = _groups(base, n, "conf-bar", opts, reduced=True)
+    else:
+        tag = f"S^{d}"
+        h_exp = sphere_homology(n, d, "expn", opts["ceiling"])
+        h_cn = sphere_homology(n, d, "conf", opts["ceiling"])
     # codimension d-1 for odd d is checked too, except at n = 2, where
     # thm2 adjudicates it: H_(d+1) of SP^2(S^d) is 0 and the
     # configuration side has a Z
     odd_top = d % 2 == 1 and n != 2
     rs = range(d if odd_top else d - 1)
-    h_exp = _groups(base, n, "exp", opts)
-    h_cn = _groups(base, n, "conf-bar", opts, reduced=True)
     expected = {str(n * d - r): str(h_cn[n * d - r]) for r in rs}
     computed = {str(n * d - r): str(h_exp[n * d - r]) for r in rs}
     reports = [VerificationReport(
@@ -434,7 +443,7 @@ def claim_fn_conf(n: int, d: int, opts: dict) -> list[VerificationReport]:
                     reduced=True)
     cells = d ** (n - 1)
     return _fn_reports(
-        "fn-conf", n, d, keyed, fn_homology(n, d, opts["ceiling"]),
+        "fn-conf", n, d, keyed, sphere_homology(n, d, "conf", opts["ceiling"]),
         lambda k: f"reduced H_{k} of the compactified {n}-point "
         f"configuration space of R^{d} from its {cells} Fox-Neuwirth "
         f"cells equals the keyed conf-bar model's",

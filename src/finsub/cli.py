@@ -1,11 +1,13 @@
 """Command-line surface.
 
-Subcommands: ``homology`` (build a space and compute its homology:
-spheres from Fox-Neuwirth cells, the torus and space files from keyed
-chains),
+Subcommands: ``homology`` (build a space and compute its homology),
 ``verify`` (run a named claim from the verification matrix), ``groupcoh``
 (symmetric group cohomology), ``page`` (spectral-sequence pages of a
-filtration), ``cache`` (boundary-matrix cache management).
+filtration), ``cache`` (boundary-matrix cache management).  A job picks
+its model from the space alone: ``homology`` and ``page`` on a sphere
+read its Fox-Neuwirth cells (``finsub.fncells``), and on the torus or a
+space file its keyed chains (``finsub.subsetspace``); for ``verify``
+see ``finsub.claims``.
 
 Exit codes: 0 on success / all-match, 1 on any mismatch, 2 on usage
 errors and resource refusals.  A usage error prints a ``Usage:`` line and
@@ -29,18 +31,17 @@ from . import __version__
 from . import cache as cache_mod
 from .claims import DEFAULT_BUDGET_ND, ParameterError, run_claim
 from .groupcoh import CoefficientAction, duality_cochains
-from .fncells import bar_chains, exp_chains, fn_homology
-from .homology import ChainComplex, HomologyGroup, homology, homology_to_json
+from .fncells import INFINITY, bar_chains, exp_chains, points, sphere_homology
+from .homology import ChainComplex, homology, homology_to_json
 from .simplicial import (
     BasedSimplicialSet,
     SpaceFormatError,
     load_space,
     restrict,
     space_hash,
-    sphere_model,
     torus_model,
 )
-from .spectral import filtered_complex, pages
+from .spectral import filtered_complex, filtration, pages
 from .subsetspace import DEFAULT_CELL_CEILING, BudgetError, keyed_complex
 
 CONSTRUCTIONS = ("expn", "based", "bar", "conf")
@@ -99,26 +100,25 @@ def _no_trusted_degree(trunc: int) -> ParameterError:
                           "degree; --trunc must be >= 1")
 
 
-def _sphere_dimension(d: Optional[int]) -> None:
-    """Refuse a sphere without a dimension, or of dimension below 1."""
+def _sphere_front(d: Optional[int], n: int, trunc: Optional[int]
+                  ) -> tuple[int, str, int]:
+    """Returns (truncation level, tag, dimension) of a sphere job, the
+    level n*d+1 unless ``trunc`` is given, refusing a sphere without a
+    dimension or of dimension below 1.  The Fox-Neuwirth cells need no
+    truncation: it only picks the degrees reported."""
     if d is None:
         raise ParameterError("--space sphere needs --d")
     if d < 1:
         raise ParameterError("--d must be >= 1")
+    return n * d + 1 if trunc is None else trunc, "sphere", d
 
 
 def _resolve_space(space: str, d: Optional[int], n: int, trunc: Optional[int]
                    ) -> tuple[BasedSimplicialSet, str, Optional[int]]:
-    """Returns (based space, tag, dimension-if-known), refusing a space
-    whose truncation leaves no trusted degree and a ``d`` that is not the
-    space's dimension.  Sphere and torus models are truncated at n*dim+1
-    unless ``trunc`` is given."""
-    if trunc is not None and trunc < 1:  # degree trunc is never trusted
-        raise _no_trusted_degree(trunc)
-    if space == "sphere":
-        _sphere_dimension(d)
-        base = sphere_model(d, trunc if trunc is not None else n * d + 1)
-        return base, "sphere", d
+    """Returns (based space, tag, dimension-if-known) of the torus or a
+    space file, refusing a space file whose truncation leaves no trusted
+    degree and a ``d`` that is not the space's dimension.  The torus
+    model is truncated at 2n+1 unless ``trunc`` is given."""
     if space == "torus":
         if d is not None and d != 2:
             raise ParameterError(f"--space torus has dimension 2, not --d {d}")
@@ -164,22 +164,6 @@ def _cached_complex(cache: cache_mod.BoundaryCache, key: str, top: int,
     return None if complex_.validate() else complex_
 
 
-def _sphere_homology(d: int, n: int, construction: str, coeffs: str,
-                   upto: int, ceiling: int) -> list[HomologyGroup]:
-    """The groups of a sphere construction in degrees 0..upto, from
-    Fox-Neuwirth cells (``finsub.fncells``): all of exp_n(S^d) is built,
-    so every degree is exact, and degrees above nd are 0."""
-    top = n * d
-    if construction == "conf":  # both --model choices are this space
-        fn = fn_homology(n, d, ceiling, coeffs)
-        groups = [fn[k] for k in range(min(upto, top) + 1)]
-    else:
-        complex_ = (bar_chains(n, d, ceiling) if construction == "bar" else
-                    exp_chains(n, d, ceiling, based=construction == "based"))
-        groups = homology(complex_, coeffs, through=min(upto, top))
-    return groups + [HomologyGroup(0)] * (upto - top)
-
-
 def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
                  out, cache_dir, ceiling):
     """Homology of a subset-space construction over a base space."""
@@ -189,14 +173,11 @@ def cmd_homology(space, d, n, construction, model, coeffs, max_degree, trunc,
         raise ParameterError("--max-degree must be >= 0")
     reduced = construction in ("bar", "conf")
     if space == "sphere":
-        if trunc is not None and trunc < 1:  # degree trunc is never trusted
-            raise _no_trusted_degree(trunc)
-        _sphere_dimension(d)
-        # the cells need no truncation: --trunc only picks the degrees
-        trusted = (n * d + 1 if trunc is None else trunc) - 1
+        top, tag, dim = _sphere_front(d, n, trunc)
+        trusted = top - 1  # degree trunc is never trusted
         upto = trusted if max_degree is None else min(max_degree, trusted)
-        tag, dim = "sphere", d
-        groups = _sphere_homology(d, n, construction, coeffs, upto, ceiling)
+        # both --model choices of conf are the one space of the cells
+        groups = sphere_homology(n, d, construction, ceiling, coeffs, upto)
     else:
         base, tag, dim = _resolve_space(space, d, n, trunc)
         complex_ = _keyed_chains(base, n, construction, model, reduced,
@@ -275,16 +256,36 @@ def cmd_page(space, d, n, variant, trunc, ceiling, out):
     """Spectral-sequence pages of the points-count filtration."""
     if n < 1:
         raise ParameterError("--n must be >= 1")
-    base, tag, dim = _resolve_space(space, d, n, trunc)
-    f = filtered_complex(base, n, variant, ceiling=ceiling)
+    if space == "sphere":
+        # pages of degrees 0..top, as the keyed chains of
+        # sphere_model(d, top) gave them, whose degree nd + 1 is empty;
+        # bar has no basepoint cell, and based is relative to {inf}
+        top, tag, dim = _sphere_front(d, n, trunc)
+        chains = (bar_chains(n, d, ceiling) if variant == "bar" else
+                  exp_chains(n, d, ceiling, based=variant == "based"))
+        f = filtration(chains, points, n,
+                       INFINITY if variant == "based" else None)
+    else:
+        base, tag, dim = _resolve_space(space, d, n, trunc)
+        f = filtered_complex(base, n, variant, ceiling=ceiling)
+        top = f.top_degree
     seq = pages(f)
     totals = seq[-1].total_dims()
     payload = {
         "space": tag, "d": dim, "n": n, "variant": variant,
-        "pages": [p.to_json() for p in seq],
-        "einfty_totals": [totals.get(m, 0) for m in range(f.top_degree + 1)],
+        "pages": [_through(p.to_json(), top) for p in seq],
+        "einfty_totals": [totals.get(m, 0) for m in range(top + 1)],
     }
     _emit(payload, out)
+
+
+def _through(page: dict, top: int) -> dict:
+    """A page's JSON with the entries, and the differentials leaving
+    them, of total degree at most ``top``."""
+    page["entries"] = [e for e in page["entries"] if e["p"] + e["q"] <= top]
+    page["differentials"] = [x for x in page["differentials"]
+                             if sum(x["from"]) <= top]
+    return page
 
 
 def cmd_cache(action, cache_dir):
@@ -328,8 +329,10 @@ def _parser(prog: str) -> tuple[_Parser, dict[str, _Parser]]:
 
     def ceiling(option):
         option("--ceiling", type=int, default=DEFAULT_CELL_CEILING,
-               help="non-degenerate cells allowed in any one degree "
-               "[default: %(default)s]")
+               help="non-degenerate cells allowed in any one degree, a "
+               "Fox-Neuwirth cell counting once per separator (at least "
+               "once); groupcoh and configuration spaces of spheres count "
+               "all their codimensions together [default: %(default)s]")
 
     def cache_dir(option, help=None):
         option("--cache-dir", metavar="PATH",
@@ -412,6 +415,9 @@ def main(argv: Optional[list[str]] = None,
     try:
         if kwargs.get("ceiling", 0) < 0:
             raise ParameterError("--ceiling must be >= 0")
+        trunc = kwargs.get("trunc")
+        if trunc is not None and trunc < 1:  # degree trunc is never trusted
+            raise _no_trusted_degree(trunc)
         if kwargs.get("out") is not None:
             _writable_out(kwargs["out"])
         if kwargs.get("cache_dir"):

@@ -157,6 +157,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations
+from typing import Optional
 
 from .homology import ChainComplex, HomologyGroup, homology
 from .snf import SparseIntMatrix
@@ -252,9 +253,7 @@ def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
             b += 1
         left = _sub_blocks(s, a, j, i + 1)
         right = _sub_blocks(s, j + 1, b, i + 1)
-        # (a, i) is parameter p of the cell, counted from 1: point 0 has
-        # m parameters, and point x > 0 those from s_(x-1) to m
-        p = (m + 1) * a - sum(s[:a]) + i
+        p = _position(s, m, a, i)  # of B's coordinate i
         rest = [(x, c) for x in range(a, b + 1)
                 for c in range(s[x - 1] if x else 1, m + 1) if (x, c) != (a, i)]
         count = len(left) + len(right)
@@ -277,12 +276,7 @@ def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
             # parameters below the merge follow their points; the
             # merged block and its ancestors start at point a
             keys = [(moved[x], c) if c > i else (a, c) for x, c in rest]
-            sign = -1 if (p + 1 + _odd(keys)) % 2 else 1
-            v = out.get(face, 0) + sign
-            if v:
-                out[face] = v
-            else:
-                del out[face]
+            _add(out, face, -1 if (p + 1 + _odd(keys)) % 2 else 1)
     return out
 
 
@@ -375,20 +369,40 @@ def fn_cochains(n: int, m: int, top_codim: int, ceiling: int
     return complex_
 
 
-def fn_homology(n: int, m: int, ceiling: int, coeffs: str = "Z"
-                ) -> dict[int, HomologyGroup]:
-    """H~_k(UConf_n(R^m)^+) for every k in 0..nm, from all m^(n-1)
-    cells, with ``coeffs`` "Z" or "Q" (ranks only).  Degrees below
-    n+m-1, the lowest cell, are 0."""
-    top_deg = n * m
-    full = (n - 1) * (m - 1)
-    groups = homology(fn_cochains(n, m, full, ceiling), coeffs, through=full)
-    return {k: groups[top_deg - k] if top_deg - k <= full else HomologyGroup(0)
-            for k in range(top_deg + 1)}
-
-
 # the 0-cell {inf}: the marked copy of no points
 INFINITY = (None, True)
+
+
+def points(cell) -> int:
+    """The points-count filtration level of a basis entry (s, marked)
+    of :func:`bar_chains` or :func:`exp_chains`: its points, inf
+    counted, len(s) + 1 + marked, and 1 for :data:`INFINITY`.  No face
+    raises it, so the entries of level <= k span bar_k and
+    exp_k(S^m)."""
+    return 1 if cell == INFINITY else len(cell[0]) + 1 + cell[1]
+
+
+def sphere_homology(n: int, m: int, construction: str, ceiling: int,
+                    coeffs: str = "Z", upto: Optional[int] = None
+                    ) -> list[HomologyGroup]:
+    """The groups of a construction on S^m in degrees 0..``upto``
+    (default nm), with ``coeffs`` "Z" or "Q" (ranks only): "expn" and
+    "based" from :func:`exp_chains`, "bar" (reduced) from
+    :func:`bar_chains` and "conf", H~_k(UConf_n(R^m)^+), as H^(nm-k) of
+    all m^(n-1) cells of :func:`fn_cochains`.  All the cells are built,
+    so every degree is exact, and degrees above nm are 0."""
+    top = n * m
+    upto = top if upto is None else upto
+    if construction == "conf":
+        full = (n - 1) * (m - 1)  # the last codimension with cells
+        coh = homology(fn_cochains(n, m, full, ceiling), coeffs, through=full)
+        groups = [coh[top - k] if top - k <= full else HomologyGroup(0)
+                  for k in range(min(upto, top) + 1)]
+    else:
+        complex_ = (bar_chains(n, m, ceiling) if construction == "bar" else
+                    exp_chains(n, m, ceiling, based=construction == "based"))
+        groups = homology(complex_, coeffs, through=min(upto, top))
+    return groups + [HomologyGroup(0)] * (upto - top)
 
 
 def bar_chains(n: int, m: int, ceiling: int) -> ChainComplex:

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from collections import Counter
 from math import gcd
-from typing import Optional
+from typing import Callable, Optional
 
+from .homology import ChainComplex, _restrict
 from .simplicial import BasedSimplicialSet
 from .snf import SparseIntMatrix, _addmul
 from .subsetspace import DEFAULT_CELL_CEILING, keyed_complex
@@ -321,9 +322,29 @@ def einfty_totals(f: FilteredComplex) -> list[int]:
     return [totals.get(m, 0) for m in range(f.top_degree + 1)]
 
 
+def filtration(complex_: ChainComplex, points: Callable[[object], int],
+               n: int, base: object = None) -> FilteredComplex:
+    """``complex_`` filtered by ``points``, the level 0..n of each basis
+    entry, and taken relative to its degree-0 entry ``base`` when one is
+    given: a key's level is its size (:func:`filtered_complex`), a
+    Fox-Neuwirth cell's its points (``finsub.fncells.points``).  No
+    boundary entry may raise the level."""
+    if base is not None:
+        complex_ = _restrict(complex_, [[i for i, e in enumerate(basis)
+                                         if k or e != base]
+                                        for k, basis in enumerate(complex_.basis)])
+    filt = [[points(entry) for entry in basis] for basis in complex_.basis]
+    f = FilteredComplex(complex_.dims, complex_.boundary, filt, n)
+    bad = f.monotonicity_violations()
+    if bad:
+        raise AssertionError(f"filtration not respected by boundary: {bad[:3]}")
+    return f
+
+
 def filtered_complex(x: BasedSimplicialSet, n: int, variant: str = "bar", *,
                      ceiling: int = DEFAULT_CELL_CEILING) -> FilteredComplex:
-    """The points-count filtration of a subset-space variant's chains.
+    """The points-count filtration of a subset-space variant's keyed
+    chains.
 
     A basis key's level is its size.  For the quotient variants ("bar"
     and "based") the chains are taken relative to the basepoint, so the
@@ -331,11 +352,6 @@ def filtered_complex(x: BasedSimplicialSet, n: int, variant: str = "bar", *,
     """
     if variant not in ("exp", "based", "bar"):
         raise ValueError(f"unknown filtration variant {variant!r}")
-    complex_ = keyed_complex(x, n, variant, relative=variant != "exp",
-                             ceiling=ceiling)
-    filt = [[len(key) for key in keys] for keys in complex_.basis]
-    f = FilteredComplex(complex_.dims, complex_.boundary, filt, n)
-    bad = f.monotonicity_violations()
-    if bad:
-        raise AssertionError(f"filtration not respected by boundary: {bad[:3]}")
-    return f
+    base = {"exp": None, "based": (x.basepoint_at(0),), "bar": ()}[variant]
+    return filtration(keyed_complex(x, n, variant, ceiling=ceiling), len, n,
+                      base)

@@ -46,7 +46,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .homology import ChainComplex, _restrict, _submatrix
+from .homology import ChainComplex
 from .simplicial import (
     BasedSimplicialSet,
     SimplexRef,
@@ -291,7 +291,7 @@ def _level_keys(masks: list[int], k: int, bp: int, lo: int, hi: int,
 
 
 def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
-                  reduced: bool = False, relative: bool = False,
+                  reduced: bool = False,
                   ceiling: int = DEFAULT_CELL_CEILING) -> ChainComplex:
     """Normalized chains of a subset-space variant, straight from keys.
 
@@ -302,8 +302,7 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
     boundaries and basis order equal ``normalized_complex`` of the
     levelwise space (a tower stage, or a quotient of neighbouring
     stages), and ``basis`` holds the keys, the collapsed basepoint being
-    the empty key.  ``relative`` drops the basepoint
-    vertex, giving the chains relative to it.
+    the empty key.
 
     Keys are counted per degree while they are enumerated, and a degree
     with more than ``ceiling`` cells raises ``BudgetError`` before any
@@ -313,8 +312,6 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
         raise ValueError("subset spaces need n >= 1")
     if variant not in _FILTERS:
         raise ValueError(f"unknown subset-space variant {variant!r}")
-    if reduced and relative:
-        raise ValueError("a complex is either reduced or relative")
     xs = underlying(x)
     trunc = xs.trunc
     lo, hi, rule = _FILTERS[variant](n)
@@ -327,9 +324,6 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
     keys = [_level_keys(masks[k], k, bps[k], lo, hi, rule, tops[k], ceiling,
                         collapse and k == 0)
             for k in range(trunc + 1)]
-    bp_key = () if collapse else (bps[0],)  # the basepoint vertex
-    if relative:
-        keys[0].remove(bp_key)
     index = [{s: i for i, s in enumerate(ks)} for ks in keys]
 
     def outside(img, lev):
@@ -341,8 +335,7 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
                 raise RuntimeError(f"face {img} at level {lev} left a filter "
                                    f"closed under faces")
             return index[0].get(()) if lev == 0 else None
-        if _shared_degeneracies(masks[lev], img, lev) or (
-                relative and lev == 0 and img == bp_key):
+        if _shared_degeneracies(masks[lev], img, lev):
             return None
         raise RuntimeError(f"non-degenerate face {img} at level {lev} "
                            f"passes the filter but was not enumerated")
@@ -370,39 +363,3 @@ def keyed_complex(x: BasedSimplicialSet, n: int, variant: str = "exp", *,
     c = ChainComplex(dims, boundary, reduced=reduced, basis=keys)
     c.assert_valid()
     return c
-
-
-def keyed_connecting(x: BasedSimplicialSet, n: int, k: int, *,
-                     ceiling: int = DEFAULT_CELL_CEILING
-                     ) -> tuple[ChainComplex, ChainComplex, SparseIntMatrix]:
-    """The chains of the connecting map of the bar tower, straight from keys.
-
-    Returns (source, target, block) for :func:`homology.zigzag_map`, split
-    by key size off one build of the reduced chains of bar_n: the source
-    is bar_n / bar_(n-1), the keys of size n relative to the basepoint;
-    the target is bar_(n-1) / bar_(n-2), the keys of size n-1 relative to
-    the basepoint, or bar_1 (keys of size at most 1, reduced) when n=2;
-    the block is the degree-k boundary on source columns and target rows.
-    Faces never grow keys, so each piece is a subquotient of the checked
-    complex bar_n.  Dims, boundaries, basis order and block equal those
-    of the levelwise ``connecting_map`` of ``tower(x, n, "bar")`` in the
-    degrees it builds: source up to k+1, target up to k.  ``ceiling``
-    bounds the cells of bar_n per degree.
-    """
-    if n < 2:
-        raise ValueError("connecting maps need n >= 2")
-    if k < 1:
-        raise ValueError("connecting maps start in degree >= 1")
-    if x.trunc < k + 1:
-        raise ValueError(f"connecting map in degree {k} needs truncation "
-                         f">= {k + 1}, have {x.trunc}")
-    bar = keyed_complex(x, n, "bar", reduced=True, ceiling=ceiling)
-
-    def sized(sizes: range) -> list[list[int]]:
-        return [[i for i, key in enumerate(keys) if len(key) in sizes]
-                for keys in bar.basis]
-
-    cols = sized(range(n, n + 1))
-    rows = sized(range(2) if n == 2 else range(n - 1, n))
-    return (_restrict(bar, cols), _restrict(bar, rows, reduced=n == 2),
-            _submatrix(bar.boundary[k], rows[k - 1], cols[k]))

@@ -1,10 +1,12 @@
 """Verification matrix: claim-level behavior beyond the acceptance runs."""
 
+import importlib
+
 import pytest
 
 from cli_runner import CliRunner
 from conftest import time_limit
-from finsub.claims import CLAIMS, ParameterError, run_claim
+from finsub.claims import CLAIMS, MISMATCH, ParameterError, run_claim
 from finsub.cli import main
 from finsub.subsetspace import DEFAULT_CELL_CEILING, BudgetError
 
@@ -94,19 +96,63 @@ def test_e1_collapse_small():
 
 
 def test_e1_collapse_builds_bar_chains_once(monkeypatch):
-    from finsub import claims, spectral, subsetspace
-    variants = []
-    build = subsetspace.keyed_complex
+    # the pages filter the Fox-Neuwirth cells of bar_n, built once, and
+    # E^1 is checked against the configuration space of each p <= n
+    from finsub import fncells
+    built = []
 
-    def counting(x, n, variant="exp", **kwargs):
-        variants.append(variant)
-        return build(x, n, variant, **kwargs)
+    def counting(name):
+        build = getattr(fncells, name)
 
-    for module in (claims, spectral):
-        monkeypatch.setattr(module, "keyed_complex", counting)
+        def run(n, *args, **kwargs):
+            built.append((name, n))
+            return build(n, *args, **kwargs)
+        return run
+
+    for name in ("_chains", "fn_cochains"):
+        monkeypatch.setattr(fncells, name, counting(name))
     assert all_match(claim("e1-collapse", 3, 2))
-    assert variants.count("bar") == 1
-    assert variants.count("conf-bar") == 3
+    assert sorted(built) == [("_chains", 3), ("fn_cochains", 1),
+                             ("fn_cochains", 2), ("fn_cochains", 3)]
+
+
+KEYED_SUBJECTS = ("fn-bar", "fn-conf", "fn-exp", "lemma-quo")
+
+
+@pytest.fixture
+def no_keyed(monkeypatch):
+    """Every sphere model and keyed build raises "keyed path"."""
+    def keyed(*args, **kwargs):
+        raise AssertionError("keyed path")
+
+    for module in ("claims", "cli", "spectral", "subsetspace", "simplicial"):
+        module = importlib.import_module(f"finsub.{module}")
+        for name in ("keyed_complex", "sphere_model"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, keyed)
+
+
+@pytest.mark.parametrize("name", sorted(CLAIMS))
+def test_sphere_claims_build_no_keyed_chains(no_keyed, name):
+    # a sphere claim reads the Fox-Neuwirth cells; only the claims whose
+    # subject is the keyed model build a sphere model and keyed chains
+    entry = CLAIMS[name]
+    n, d = max(entry.n[0], 2), entry.default_d or max(entry.d[0], 2)
+    if name in KEYED_SUBJECTS:
+        with pytest.raises(AssertionError, match="keyed path"):
+            claim(name, n, d)
+    else:
+        assert MISMATCH not in {r.verdict for r in claim(name, n, d)}
+
+
+@pytest.mark.parametrize("variant", ["exp", "based", "bar"])
+def test_sphere_pages_build_no_keyed_chains(no_keyed, variant):
+    res = CliRunner().invoke(main, ["page", "--space", "sphere", "--d", "2",
+                                    "--n", "3", "--variant", variant])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, ["page", "--space", "torus", "--n", "2",
+                                    "--variant", variant])
+    assert str(res.exception) == "keyed path"
 
 
 def test_connecting_n2():

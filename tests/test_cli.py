@@ -149,8 +149,8 @@ def test_unwritable_out_is_refused_before_any_work(runner, monkeypatch, tmp_path
         raise AssertionError("the job ran before --out was checked")
 
     cli_module = importlib.import_module("finsub.cli")
-    for name in ("keyed_complex", "exp_chains", "run_claim",
-                 "duality_cochains", "filtered_complex"):
+    for name in ("keyed_complex", "sphere_homology", "run_claim",
+                 "duality_cochains", "filtered_complex", "filtration"):
         monkeypatch.setattr(cli_module, name, no_work)
     out = tmp_path / "missing" / "x.json" if where == "no such folder" else tmp_path
     res = runner.invoke(main, args + ["--out", str(out)])
@@ -425,8 +425,9 @@ def test_sphere_homology_builds_no_keyed_chains(runner, monkeypatch, tmp_path,
         raise AssertionError("keyed path")
 
     cli_module = importlib.import_module("finsub.cli")
-    for name in ("keyed_complex", "sphere_model"):
-        monkeypatch.setattr(cli_module, name, keyed)
+    monkeypatch.setattr(cli_module, "keyed_complex", keyed)
+    monkeypatch.setattr(importlib.import_module("finsub.simplicial"),
+                        "sphere_model", keyed)
     monkeypatch.setattr(cli_module.cache_mod, "BoundaryCache", keyed)
     res = runner.invoke(main, ["homology", "--space", "sphere", "--d", "3",
                                "--n", "3", "--construction", construction,
@@ -500,7 +501,7 @@ def test_cache_dir_that_names_a_file_is_a_usage_error(runner, monkeypatch,
         raise AssertionError("the job ran before --cache-dir was checked")
 
     cli_module = importlib.import_module("finsub.cli")
-    for name in ("keyed_complex", "exp_chains"):
+    for name in ("keyed_complex", "sphere_homology"):
         monkeypatch.setattr(cli_module, name, no_work)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a cache\n")
@@ -677,13 +678,14 @@ def test_homology_ceiling_counts_nondegenerate_cells(runner):
 
 
 def test_verify_connecting_ceiling_counts_nondegenerate_cells(runner):
-    # the connecting claim builds bar_4 once; its largest degree holds
-    # 345 cells, 330 of the source and 15 of the target
+    # the connecting claim builds the Fox-Neuwirth cells of bar_4 once;
+    # its heaviest degree, 6, holds one 3-point cell and three 4-point
+    # cells, each counted once per separator: 11
     args = ["verify", "connecting", "-n", "4", "-d", "2", "--ceiling"]
-    assert runner.invoke(main, args + ["345"]).exit_code == 0
-    res = runner.invoke(main, args + ["344"])
+    assert runner.invoke(main, args + ["11"]).exit_code == 0
+    res = runner.invoke(main, args + ["10"])
     assert res.exit_code == 2
-    assert "resource error" in res.output
+    assert "resource error: bar_4(S^2), degree 6" in res.output
 
 
 def test_homology_lost_key_is_an_engine_fault(runner, monkeypatch):
@@ -760,8 +762,12 @@ def test_ceiling_help_is_one_text(runner):
         assert res.exit_code == 0, res.output
         entry = re.search(r"--ceiling CEILING\s+(.*?)(?:\n  -|\Z)",
                           res.output, re.S)
-        texts.add(" ".join(entry.group(1).split()))
-    assert texts == {"non-degenerate cells allowed in any one degree "
+        # help lines may break after the hyphen of Fox-Neuwirth
+        texts.add(re.sub(r"-\s+", "-", " ".join(entry.group(1).split())))
+    assert texts == {"non-degenerate cells allowed in any one degree, a "
+                     "Fox-Neuwirth cell counting once per separator (at "
+                     "least once); groupcoh and configuration spaces of "
+                     "spheres count all their codimensions together "
                      "[default: 500000]"}
 
 
@@ -837,15 +843,19 @@ def test_launcher_call_with_a_program_name(capsys):
 @pytest.mark.parametrize("args, target", [
     (["homology", "--space", "torus", "--n", "2"], "keyed_complex"),
     (["verify", "thm2", "-n", "2", "-d", "2"], "run_claim"),
-    (["page", "--space", "sphere", "--d", "2", "--n", "2"], "filtered_complex"),
+    (["page", "--space", "torus", "--n", "2"], "filtered_complex"),
     (["homology", "--space", "sphere", "--d", "2", "--n", "2"], "exp_chains"),
+    (["page", "--space", "sphere", "--d", "2", "--n", "2"], "filtration"),
 ])
 def test_engine_value_error_is_not_a_usage_error(runner, monkeypatch, args,
                                                   target):
     def boom(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(importlib.import_module("finsub.cli"), target, boom)
+    for name in ("cli", "fncells"):  # sphere homology builds in fncells
+        module = importlib.import_module(f"finsub.{name}")
+        if hasattr(module, target):
+            monkeypatch.setattr(module, target, boom)
     res = runner.invoke(main, args)
     assert res.exit_code != 2
     assert "Usage" not in res.output and "Error:" not in res.output

@@ -1,6 +1,7 @@
 """Fox-Neuwirth chains of the bar space and of exp_n(S^d) (stages B and
 C of ``finsub.fncells``) against the keyed chains, closed forms, the
-keyed connecting map and the pinned groups past the keyed reach."""
+keyed connecting map, the keyed spectral-sequence pages and the pinned
+groups past the keyed reach."""
 
 import json
 from pathlib import Path
@@ -14,7 +15,13 @@ from test_oracles import reduced_sp2
 from finsub import fncells
 from finsub.cli import main
 from finsub.claims import _sphere_groups
-from finsub.fncells import INFINITY, bar_chains, exp_chains, fn_homology
+from finsub.fncells import (
+    INFINITY,
+    bar_chains,
+    exp_chains,
+    points,
+    sphere_homology,
+)
 from finsub.homology import (
     HomologyGroup,
     _restrict,
@@ -23,8 +30,10 @@ from finsub.homology import (
     zigzag_free_index,
 )
 from finsub.simplicial import sphere_model
+from finsub.spectral import einfty_totals, filtered_complex, pages
 from finsub.subsetspace import DEFAULT_CELL_CEILING as CEILING
-from finsub.subsetspace import BudgetError, keyed_complex, keyed_connecting
+from finsub.subsetspace import BudgetError, keyed_complex
+from subsetspace_reference import keyed_connecting
 
 PINNED = json.loads((Path(__file__).resolve().parent.parent / "scripts"
                      / "reach_groups.json").read_text())
@@ -33,11 +42,6 @@ PINNED = json.loads((Path(__file__).resolve().parent.parent / "scripts"
 # keyed side are covered by `finsub verify fn-exp` runs in CHANGES.md
 KEYED_CASES = [(n, d) for n in range(1, 10) for d in range(1, 10)
                if n * d <= 9]
-
-
-def points(cell):
-    """The finite points of a cell (s, marked): 0 for {inf}."""
-    return 0 if cell == INFINITY else len(cell[0]) + 1
 
 
 def _keyed(n, d, variant, reduced):
@@ -53,8 +57,7 @@ def test_groups_match_keyed(n, d):
     assert homology(exp_chains(n, d, CEILING, based=True)) == \
         _keyed(n, d, "based", False)
     assert homology(bar_chains(n, d, CEILING)) == _keyed(n, d, "bar", True)
-    fn = fn_homology(n, d, CEILING)
-    conf = [fn[k] for k in range(n * d + 1)]
+    conf = sphere_homology(n, d, "conf", CEILING)
     assert conf == _keyed(n, d, "conf-bar", True)
     assert conf == _keyed(n, d, "conf-based", True)
 
@@ -95,7 +98,8 @@ def test_cells(n, d):
         for cell in cells:
             if cell != INFINITY:
                 s, _ = cell
-                assert dim == points(cell) * d - sum(i - 1 for i in s)
+                assert dim == (points(cell) - cell[1]) * d - \
+                    sum(i - 1 for i in s)
     assert sum(exp_chains(4, 2, CEILING).dims) == 23
     assert sum(bar_chains(4, 2, CEILING).dims) == 15
 
@@ -104,12 +108,13 @@ def test_cells(n, d):
 def test_no_face_raises_the_points(n, d):
     # with inf counted, merges and escapes keep the number of points and
     # collisions lower it: exp_(n-1) and the marked cells are subcomplexes
+    assert points(INFINITY) == 1
     ex = exp_chains(n, d, CEILING)
     for dim in range(1, n * d + 1):
         for col, cell in enumerate(ex.basis[dim]):
             for row in ex.boundary[dim].column(col):
                 face = ex.basis[dim - 1][row]
-                assert points(face) + face[1] <= points(cell) + cell[1]
+                assert points(face) <= points(cell)
                 assert face[1] or not cell[1]
 
 
@@ -139,7 +144,8 @@ def test_ceiling_counts_each_degree(n, d):
     for build in (lambda c: exp_chains(n, d, c), lambda c: bar_chains(n, d, c),
                   lambda c: exp_chains(n, d, c, based=True)):
         full = build(CEILING)
-        weights = [sum(max(points(c) - 1, 1) for c in b) for b in full.basis]
+        weights = [sum(max(points(c) - c[1] - 1, 1) for c in b)
+                   for b in full.basis]
         most = max(weights)
         assert build(most).dims == full.dims
         with pytest.raises(BudgetError, match=(
@@ -194,3 +200,53 @@ def test_pinned_groups_past_the_keyed_reach():
         groups = homology(exp_chains(n, d, CEILING))
         assert {str(k): str(g) for k, g in enumerate(groups)
                 if not g.trivial} == PINNED[key]
+
+
+# every (n, d) with nd <= 8
+PAGE_CASES = [(n, d) for n in range(1, 9) for d in range(1, 9) if n * d <= 8]
+
+
+def _sphere_page(n, d, variant, *trunc):
+    res = CliRunner().invoke(main, ["page", "--space", "sphere", "--d", str(d),
+                                    "--n", str(n), "--variant", variant,
+                                    *trunc])
+    assert res.exit_code == 0, res.output
+    return json.loads(res.output)
+
+
+def _below(entries, top):
+    return [e for e in entries if sum(e["from"] if "from" in e
+                                      else (e["p"], e["q"])) < top]
+
+
+@pytest.mark.parametrize("variant", ["exp", "based", "bar"])
+@pytest.mark.parametrize("n,d", PAGE_CASES)
+def test_pages_match_keyed(n, d, variant):
+    # `page --space sphere` filters the cells by their points; the keyed
+    # chains of sphere_model(d, nd + 1), whose degree nd + 1 is empty,
+    # gave the same pages, entries and differential ranks
+    keyed = filtered_complex(sphere_model(d, n * d + 1), n, variant)
+    assert keyed.dims[-1] == 0
+    got = _sphere_page(n, d, variant)
+    assert got["pages"] == [p.to_json() for p in pages(keyed)]
+    assert got["einfty_totals"] == einfty_totals(keyed)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (4, 1)])
+def test_page_trunc_keeps_the_degrees_below_it(n, d):
+    # `page --trunc T` on a sphere gave the keyed pages of
+    # sphere_model(d, T), trusted below degree T: the cells give the same
+    # entries and differentials there, and degree T as the full pages do
+    for variant in ("exp", "based", "bar"):
+        full = _sphere_page(n, d, variant)["pages"]
+        for trunc in range(1, n * d + 3):
+            got = _sphere_page(n, d, variant, "--trunc", str(trunc))
+            assert len(got["einfty_totals"]) == trunc + 1
+            keyed = pages(filtered_complex(sphere_model(d, trunc), n, variant))
+            for page, want, exact in zip(got["pages"], keyed, full,
+                                         strict=True):
+                want = want.to_json()
+                for part in ("entries", "differentials"):
+                    assert _below(page[part], trunc) == \
+                        _below(want[part], trunc), (variant, trunc)
+                    assert page[part] == _below(exact[part], trunc + 1)
