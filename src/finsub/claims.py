@@ -405,7 +405,9 @@ def claim_generaltwo(n: int, d: int, opts: dict) -> list[VerificationReport]:
         h_cn = sphere_homology(n, d, "conf", opts["ceiling"])
     # codimension d-1 for odd d is checked too, except at n = 2, where
     # thm2 adjudicates it: H_(d+1) of SP^2(S^d) is 0 and the
-    # configuration side has a Z
+    # configuration side has a Z.  d starts at 2: on the circle that
+    # codimension is 0, where exp_n(S^1) is S^(n-1) for even n, and
+    # claim circle covers d = 1
     odd_top = d % 2 == 1 and n != 2
     rs = range(d if odd_top else d - 1)
     expected = {str(n * d - r): str(h_cn[n * d - r]) for r in rs}
@@ -416,7 +418,7 @@ def claim_generaltwo(n: int, d: int, opts: dict) -> list[VerificationReport]:
         f"compactified configuration space in codimension < {d - 1}"
         + (" and dim-1" if odd_top else ""),
         "quotient-model configuration homology",
-        expected, computed, _verdict(expected, computed))] if rs else []
+        expected, computed, _verdict(expected, computed))]
     if d % 2 == 1 and n == 2:
         reports.append(_adjudicate(
             "generaltwo", {"n": n, "d": d, "space": tag, "r": d - 1},
@@ -504,7 +506,7 @@ CLAIMS: dict[str, Claim] = {
     "connecting": Claim(claim_connecting, (2, None), (2, None), 2),
     "e1-collapse": Claim(claim_e1_collapse, (1, None), (1, None)),
     "groupcoh-xcheck": Claim(claim_groupcoh_xcheck, (2, 3), (3, 3), 3),
-    "generaltwo": Claim(claim_generaltwo, (1, None), (1, None), torus=True),
+    "generaltwo": Claim(claim_generaltwo, (1, None), (2, None), torus=True),
     "fn-conf": Claim(claim_fn_conf, (1, None), (1, None)),
     "fn-bar": Claim(claim_fn_bar, (1, None), (1, None)),
     "fn-exp": Claim(claim_fn_exp, (1, None), (1, None)),

@@ -28,8 +28,9 @@ ceiling, before any boundary is assembled.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
+from operator import itemgetter
 
 from .fncells import duality_dimension, fn_cochains
 from .homology import ChainComplex, HomologyGroup, homology
@@ -133,8 +134,22 @@ def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
 
     The non-identity elements are numbered 0..m-1 in enumeration order
     and an r-tuple is indexed by its digits in base m, first slot most
-    significant, so faces are index arithmetic on an integer
-    multiplication table (-1 for the identity).
+    significant.  Each coboundary is written column by column: column
+    u = (u_0, .., u_{r-1}) of delta_r holds the (r+1)-tuples with a face
+    equal to u, and their rows are index arithmetic on u.
+
+    - Face 0: rows (a, u_0, .., u_{r-1}) for every a, with the scalar
+      of a.
+    - Merge face i: rows (.., u_{i-1}, a, b, u_{i+1}, ..) with
+      coefficient -(-1)^i, one for each pair a * b = u_i in a preimage
+      table built once from the element ids.
+    - Last face: rows (u_0, .., u_{r-1}, b) for every b, with
+      coefficient (-1)^(r+1).
+
+    Two faces of one tuple coincide only for a constant tuple
+    (c, .., c), in face 0 and the last face of the constant column;
+    those two terms add, and a sum of 0 leaves no entry.  Every entry
+    of a row holds the same int object for the row index.
     """
     if maxdeg < 0:
         raise ValueError("maxdeg must be non-negative")
@@ -150,31 +165,55 @@ def bar_cochain_complex(n: int, action: CoefficientAction, maxdeg: int,
     top = maxdeg + 1
     images = [g.images for g in nontriv]
     ids = {p: i for i, p in enumerate(images)}
-    # (a * b)(i) = a(b(i)), composed on the one-line tuples
-    mult = [[ids.get(tuple(map(a.__getitem__, b)), -1) for b in images]
-            for a in images]
+    # (a * b)(i) = a(b(i)): itemgetter(*b) composes on the one-line tuples
+    preimages: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    compose = [itemgetter(*q) for q in images]
+    for a, p in enumerate(images):
+        for b, g in enumerate(map(ids.get, [right(p) for right in compose])):
+            if g is not None:
+                preimages[g].append((a, b))
     scalars = [action.scalar(g) for g in nontriv]
     dims = [m ** r for r in range(top + 1)]
+    rows = list(range(dims[top]))
     boundary: list[SparseIntMatrix] = [SparseIntMatrix(dims[0], 0)]
     for r in range(top):
-        # delta_r : C^r -> C^{r+1}, assembled row by row over (r+1)-tuples
+        # delta_r : C^r -> C^{r+1}, one column per r-tuple u
         mat = SparseIntMatrix(dims[r + 1], dims[r])
-        columns = [mat.column(c) for c in range(dims[r])]
-        # merging slots i, i+1 keeps the digits above and below them
-        spans = [(m ** (r + 1 - i), m ** (r - 1 - i)) for i in range(r)]
-        for row, t in enumerate(product(range(m), repeat=r + 1)):
-            entries = {row % dims[r]: scalars[t[0]]}
-            sign = -1
-            for i, (above, below) in enumerate(spans):
-                merged = mult[t[i]][t[i + 1]]
-                if merged >= 0:
-                    col = ((row // above) * m + merged) * below + row % below
-                    entries[col] = entries.get(col, 0) + sign
-                sign = -sign
-            entries[row // m] = entries.get(row // m, 0) + sign
-            for col, v in entries.items():
-                if v:
-                    columns[col][row] = v
+        width, height = dims[r], dims[r + 1]
+        last = (-1) ** (r + 1)
+        values = list(scalars)
+        # merge face i: the place values of u_i and of the digit below
+        # it, and the row offsets of the pairs merging to each element;
+        # g = a * b for the m-1 non-identity a other than g
+        merges = []
+        for i in range(r):
+            below = m ** (r - 1 - i)
+            merges.append((m ** (r - i), below,
+                           [[(a * m + b) * below for a, b in pairs]
+                            for pairs in preimages]))
+            values += [-(-1) ** i] * (m - 1)
+        values += [last] * m
+        columns = [mat.column(u) for u in range(width)]
+        for u, column in enumerate(columns):
+            keys = rows[u:height:width]
+            for above, below, offsets in merges:
+                hi, rest = divmod(u, above)
+                g, lo = divmod(rest, below)
+                base = hi * above * m + lo
+                keys += [rows[base + o] for o in offsets[g]]
+            keys += rows[u * m:u * m + m]
+            column.update(zip(keys, values, strict=True))
+        # the constant tuple (c, .., c): face 0 and the last face add,
+        # where the dict kept only the last face's term
+        col_step = sum(m ** k for k in range(r))
+        row_step = col_step + m ** r
+        for c in range(m):
+            col = columns[c * col_step]
+            v = scalars[c] + last
+            if v:
+                col[c * row_step] = v
+            else:
+                del col[c * row_step]
         boundary.append(mat)
     c = ChainComplex(dims, boundary, cochain=True)
     c.assert_valid()

@@ -22,6 +22,15 @@ class SpaceFormatError(ValueError):
     """Raised for malformed space files, with field diagnostics."""
 
 
+def _in_range(maps: list[list[int]], length: int, size: int) -> bool:
+    """Whether every map has ``length`` entries (level sizes are
+    positive), all in 0..size-1: one min and one max per map.  The
+    callers walk the maps entry by entry only when this fails, to name
+    the first bad one."""
+    return all(len(mp) == length for mp in maps) and \
+        min(map(min, maps)) >= 0 and max(map(max, maps)) < size
+
+
 class SimplexRef:
     """Position of a simplex: level and index into that level's table.
     A value: equal positions hash alike."""
@@ -77,6 +86,8 @@ class SimplicialSet:
             maps = self.faces[k]
             if maps is None or len(maps) != k + 1:
                 raise ValueError(f"level {k} needs face maps d_0..d_{k}")
+            if _in_range(maps, self.levels[k], self.levels[k - 1]):
+                continue
             for i, fmap in enumerate(maps):
                 if len(fmap) != self.levels[k]:
                     raise ValueError(f"face map d_{i} at level {k} has wrong length")
@@ -88,6 +99,8 @@ class SimplicialSet:
             maps = self.degeneracies[k]
             if maps is None or len(maps) != k + 1:
                 raise ValueError(f"level {k} needs degeneracy maps s_0..s_{k}")
+            if _in_range(maps, self.levels[k], self.levels[k + 1]):
+                continue
             for j, smap in enumerate(maps):
                 if len(smap) != self.levels[k]:
                     raise ValueError(f"degeneracy s_{j} at level {k} has wrong length")
@@ -217,6 +230,8 @@ class SimplicialMap:
         if len(maps) != self.trunc + 1:
             raise ValueError("maps must cover levels 0..min(trunc)")
         for k, mp in enumerate(maps):
+            if _in_range([mp], source.level_size(k), target.level_size(k)):
+                continue
             if len(mp) != source.level_size(k):
                 raise ValueError(f"level-{k} map has wrong length")
             tsize = target.level_size(k)

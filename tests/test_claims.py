@@ -74,20 +74,29 @@ def test_generaltwo_torus():
     assert all_match(claim("generaltwo", 2, space="torus"))
 
 
-@pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_generaltwo_spheres(n, d):
     reports = claim("generaltwo", n, d, budget_nd=max(8, n * d))
     if n == 2 and d % 2:
         # codimension d-1 is the node thm2 adjudicates: H_(d+1) of
-        # SP^2(S^d) is 0, where the configuration side has a Z; for d = 1
-        # no codimension is left to compare
-        assert [r.verdict for r in reports] == \
-            ["match"] * (d > 1) + ["adjudicated"]
+        # SP^2(S^d) is 0, where the configuration side has a Z
+        assert [r.verdict for r in reports] == ["match", "adjudicated"]
         assert reports[-1].params["r"] == d - 1
         assert reports[-1].expected["correspondence"] == "Z"
         assert reports[-1].computed == "0"
     else:
         assert all_match(reports) and len(reports) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generaltwo_leaves_the_circle_to_circle(n):
+    # at d = 1 codimension d-1 is 0, where exp_n(S^1) is S^(n-1) for even
+    # n and the configuration side S^n; the circle is the claim circle's
+    res = CliRunner().invoke(main, ["verify", "generaltwo", "-n", str(n),
+                                    "-d", "1"])
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert "Error: claim 'generaltwo': -d must be >= 2" in res.output
+    assert all_match(claim("circle", n, 1))
 
 
 def test_e1_collapse_small():

@@ -10,6 +10,7 @@ from finsub.simplicial import (
     BasedSimplicialSet,
     SimplexRef,
     SimplicialMap,
+    SimplicialSet,
     SpaceFormatError,
     identity_map,
     load_space,
@@ -237,6 +238,33 @@ def test_restrict_refuses_keeps_that_are_not_subspaces():
     for bad in (-1, c.level_size(1)):
         with pytest.raises(ValueError, match="level 1 is out of range"):
             restrict(c, [[0], [0, 1, bad], range(c.level_size(2))])
+
+
+def _two_vertex_space(face, degeneracy):
+    """Two vertices and two edges, level 1 the top, with d_0 = ``face``
+    and s_0 = ``degeneracy``."""
+    return SimplicialSet(1, [2, 2], [None, [face, [0, 1]]],
+                         [[degeneracy], None])
+
+
+def test_out_of_range_entries_are_named_in_order():
+    # the first entry outside the level is named, whichever of a small
+    # and a large value comes first
+    assert _two_vertex_space([0, 1], [0, 1]).levels == [2, 2]
+    for face, (x, t) in (([0, -1], (1, -1)), ([2, -1], (0, 2))):
+        with pytest.raises(ValueError) as err:
+            _two_vertex_space(face, [0, 1])
+        assert str(err.value) == f"face d_0({x}) at level 1 out of range: {t}"
+    with pytest.raises(ValueError) as err:
+        _two_vertex_space([0, 1], [1, 5])
+    assert str(err.value) == "degeneracy s_0(1) at level 0 out of range: 5"
+    x = _two_vertex_space([0, 1], [0, 1])
+    assert SimplicialMap(x, x, [[1, 0], [1, 0]]).maps == [[1, 0], [1, 0]]
+    for images, (k, i, t) in (([[0, 1], [0, 2]], (1, 1, 2)),
+                              ([[-3, 9], [0, 1]], (0, 0, -3))):
+        with pytest.raises(ValueError) as err:
+            SimplicialMap(x, x, images)
+        assert str(err.value) == f"level-{k} image of {i} out of range: {t}"
 
 
 def test_map_composition_and_identity():
