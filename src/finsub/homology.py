@@ -135,14 +135,18 @@ class ChainComplex:
     def validate(self) -> list[tuple[int, int]]:
         """Columns where the double differential fails to vanish.
 
-        Each product column is summed into one dense list per degree,
-        with the +-1 entries of the inner column added without a
-        multiplication, and only the rows it touched are read and reset.
+        A bad column is reported as ``(k, c)``: column c of the
+        differential arriving at degree k.  Only the stored boundaries
+        are paired, each with the next one, since the differentials
+        past the top degree are zero.  Each product column is summed
+        into one dense list per degree, with the +-1 entries of the
+        inner column added without a multiplication, and only the rows
+        it touched are read and reset.
         """
         bad = []
-        for k in range(len(self.dims)):
-            outer = self.out_matrix(k)
-            inner = self.in_matrix(k)
+        b = self.boundary
+        for k in range(self.top_degree):
+            outer, inner = (b[k + 1], b[k]) if self.cochain else (b[k], b[k + 1])
             if outer.rows == 0 or inner.cols == 0:
                 continue
             outer_cols = [outer.column(j) for j in range(outer.cols)]

@@ -25,9 +25,11 @@ first stream the rows, sparsest first, into a fully reduced +-1 echelon
 normal form computations", 2001): a row is dropped as soon as it
 reduces to zero, where the engine would carry it to the end, and each
 pivot row adds a factor 1.  A row left with no +-1 waits, unless a
-waiting row equal to it up to sign is held already, and every row is
-let go once it has been streamed, so besides the echelon and its
-column index it holds only the distinct waiting rows.  The waiting rows,
+waiting row equal to it up to sign is held already.  Rows are built
+from the columns only shortly before they are streamed (in batches,
+when a rank bound may stop the stream early) and let go once they have
+been, so besides the echelon and its column index it holds only the
+distinct waiting rows.  The waiting rows,
 reduced again by the final echelon, form the residue; it is streamed
 into a row echelon over Z by gcd steps, and the engine finishes on that
 echelon.  :func:`rank` stops at that row echelon: its rows count the
@@ -36,8 +38,9 @@ columns by the unit echelon's pivot rows; a differential it needs only
 the rank of stops streaming once the rank is fixed.
 :func:`kernel_lattice` reads a kernel basis straight off the same
 echelon and gives the engine only the residue, with the column
-transform tracked, while ``diagonalize`` tracks the column transform of
-the whole matrix it is given.
+transform tracked, and no engine at all when the residue is empty;
+``diagonalize`` tracks the column transform of the whole matrix it is
+given.
 """
 
 from __future__ import annotations
@@ -526,6 +529,56 @@ def _reduce(x: dict[int, int], echelon: dict[int, dict[int, int]]) -> None:
                 del x[c2]
 
 
+def _sparsest_first(m: SparseIntMatrix, skip_cols: Collection[int],
+                    bound: Optional[int]
+                    ) -> Iterator[tuple[int, dict[int, int]]]:
+    """Yield ``(r, row r of m)`` for every row of ``m``, sparsest first
+    and in index order among rows of one length, with the columns in
+    ``skip_cols`` read as zero.  A row's entries are in column order,
+    and a row is let go once it has been yielded.
+
+    A stream that stops at a rank ``bound`` seldom reads more than its
+    first 4 * bound rows.  When that covers ``m`` (or there is no
+    bound), every row is built in one pass over the columns.  Otherwise
+    the row lengths are counted off the columns and rows are built only
+    in batches about to be yielded, by intersecting each column with
+    the batch: first 4 * bound rows, then each batch as large as all
+    before it.
+    """
+    cols = [(c, col) for c, col in enumerate(m._cols)
+            if col and c not in skip_cols]
+    size = m.rows if bound is None else max(4 * bound, 1)
+    if size >= m.rows:
+        rows: list[Optional[dict[int, int]]] = [{} for _ in range(m.rows)]
+        for c, col in cols:
+            for r, v in col.items():
+                rows[r][c] = v
+        for r in sorted(range(m.rows), key=list(map(len, rows)).__getitem__):
+            x = rows[r]
+            rows[r] = None
+            yield r, x
+        return
+    length = [0] * m.rows
+    for _, col in cols:
+        for r in col:
+            length[r] += 1
+    order = sorted(range(m.rows), key=length.__getitem__)
+    del length
+    start = 0
+    while start < m.rows:
+        wanted = order[start:start + size]
+        batch: dict[int, dict[int, int]] = {r: {} for r in wanted}
+        keys = set(wanted)
+        for c, col in cols:
+            for r in keys.intersection(col):
+                batch[r][c] = col[r]
+        del keys
+        for r in wanted:
+            yield r, batch.pop(r)
+        start += size
+        size = start
+
+
 def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = (),
                   bound: Optional[int] = None
                   ) -> tuple[list[int], dict[int, dict[int, int]],
@@ -533,7 +586,9 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = (),
     """Stream the rows of ``m`` into a fully reduced +-1 echelon.
 
     Columns in ``skip_cols`` are read as zero.  Rows arrive sparsest
-    first.  Each is reduced by the echelon rows on its pivot columns and
+    first, from :func:`_sparsest_first`, which builds a row only shortly
+    before it arrives, so rows past a stop are never built.  Each is
+    reduced by the echelon rows on its pivot columns and
     dropped if it reaches zero.  Otherwise, if it holds a +-1, it becomes
     the pivot row of the +-1 entry whose column the fewest echelon rows
     hold, and that column is cleared from them; a row with no +-1 waits,
@@ -576,11 +631,6 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = (),
     E's pivot columns, so the streamed rows are row-equivalent to
     [E; residue; 0] and everything above holds for them.
     """
-    rows: list[Optional[dict[int, int]]] = [{} for _ in range(m.rows)]
-    for c, col in enumerate(m._cols):
-        if col and c not in skip_cols:
-            for r, v in col.items():
-                rows[r][c] = v
     # pivot column -> echelon row
     echelon: dict[int, dict[int, int]] = {}
     # non-pivot column -> pivot columns of the echelon rows holding it
@@ -591,7 +641,7 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = (),
     held: dict[int, list[dict[int, int]]] = {}
     # echelon and waiting sizes at the last rank check
     checked = (-1, 0)
-    for r in sorted(range(m.rows), key=lambda r: len(rows[r])):
+    for r, x in _sparsest_first(m, skip_cols, bound):
         if bound is not None and len(echelon) + len(waiting) >= bound and (
                 len(echelon) > checked[0] or len(waiting) >= 2 * checked[1]):
             checked = (len(echelon), len(waiting))
@@ -599,8 +649,6 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = (),
             if len(echelon) + len(basis) >= bound:
                 waiting = basis
                 break
-        x = rows[r]
-        rows[r] = None
         _reduce(x, echelon)
         best = None
         for c, v in x.items():
@@ -633,7 +681,7 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = (),
             if c2 != c:
                 holders.setdefault(c2, set()).add(c)
         pivot_rows.append(r)
-    del rows, held, holders
+    del held, holders
     residue = []
     for x in waiting:
         _reduce(x, echelon)
@@ -781,7 +829,9 @@ def kernel_lattice(m: SparseIntMatrix, bound: Optional[int] = None
     K_E . proj_F(x), and V'^-1 . proj_F(x) is zero above r', so the rows
     L = V'^-1_bottom . proj_F give x's coordinates in K.  The rank of
     ``m`` is |Q| + r'.  The echelon rows are let go as K_E is read off
-    them, and the residue rows once R[:, F] is built.
+    them, and the residue rows once R[:, F] is built.  With no residue
+    rows V' is the identity, so K = K_E and L = proj_F are returned
+    without running the elimination.
 
     Given a ``bound`` that the rank of ``m`` cannot exceed, the stream
     stops once the rows streamed so far reach it (see ``_unit_echelon``),
@@ -804,6 +854,8 @@ def kernel_lattice(m: SparseIntMatrix, bound: Optional[int] = None
         s = e.pop(q)
         for f, v in e.items():
             k_e[f][q] = -s * v
+    if not residue:
+        return list(k_e.values()), m.cols - len(free), [{f: 1} for f in free]
     r = SparseIntMatrix(len(residue), len(free))
     for i, x in enumerate(residue):
         for f, v in x.items():

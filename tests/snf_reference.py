@@ -5,10 +5,13 @@ fallback for small residues) and ``_Tracked`` (unimodular transforms,
 Markowitz-style pivots, explicit row and column swaps) are kept here
 unchanged as references for the differential tests in ``test_snf.py``.
 ``divisor_chain`` is the old quadratic normalization, units included.
-``_unit_echelon`` is the +-1 echelon as it was before it dropped
-waiting rows equal up to sign to one already held and freed streamed
-rows; it keeps every waiting row, and ``test_unit_echelon.py`` compares
-the two.
+``_unit_echelon_keeping_repeats`` is the +-1 echelon as it was before
+it dropped waiting rows equal up to sign to one already held and freed
+streamed rows; it keeps every waiting row.  ``_unit_echelon`` is the
+echelon as it was before it built only the rows its stream reads: it
+transposes the whole matrix into row dicts and sorts every row before
+streaming the first, with the same ``bound`` stop and repeat check.
+``test_unit_echelon.py`` compares both with ``finsub.snf``.
 Nothing under ``src/`` imports this module.
 """
 
@@ -17,7 +20,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Collection, Iterable, Optional
 
-from finsub.snf import SnfResult, SparseIntMatrix
+from finsub.snf import (SnfResult, SparseIntMatrix, _gcd_echelon, _hold,
+                        _reduced_copies)
 
 # Active submatrices at most this size are eliminated densely once no
 # +-1 pivot is left.
@@ -632,9 +636,9 @@ def _reduce(x: dict[int, int], echelon: dict[int, dict[int, int]]) -> None:
                 del x[c2]
 
 
-def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
-                  ) -> tuple[list[int], dict[int, dict[int, int]],
-                             list[dict[int, int]]]:
+def _unit_echelon_keeping_repeats(
+        m: SparseIntMatrix, skip_cols: Collection[int] = ()
+        ) -> tuple[list[int], dict[int, dict[int, int]], list[dict[int, int]]]:
     """Stream the rows of ``m`` into a fully reduced +-1 echelon.
 
     Columns in ``skip_cols`` are read as zero.  Rows arrive sparsest
@@ -676,6 +680,79 @@ def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = ()
                     best = key
         if best is None:
             if x:
+                waiting.append(x)
+            continue
+        c = best[1]
+        s = x[c]
+        for pc in holders.pop(c, ()):
+            e = echelon[pc]
+            f = e[c] * s
+            for c2, v in x.items():
+                old = e.get(c2)
+                if old is None:
+                    e[c2] = -f * v
+                    holders.setdefault(c2, set()).add(pc)
+                elif old != f * v:
+                    e[c2] = old - f * v
+                else:
+                    del e[c2]
+                    if c2 != c:
+                        holders[c2].discard(pc)
+        echelon[c] = x
+        for c2 in x:
+            if c2 != c:
+                holders.setdefault(c2, set()).add(c)
+        pivot_rows.append(r)
+    residue = []
+    for x in waiting:
+        _reduce(x, echelon)
+        if x:
+            residue.append(x)
+    return pivot_rows, echelon, residue
+
+
+def _unit_echelon(m: SparseIntMatrix, skip_cols: Collection[int] = (),
+                  bound: Optional[int] = None
+                  ) -> tuple[list[int], dict[int, dict[int, int]],
+                             list[dict[int, int]]]:
+    """``_unit_echelon_keeping_repeats`` with a waiting row dropped when
+    one equal to it up to sign is held already, and with the stream
+    stopped once the rows streamed so far reach a rank ``bound``: the
+    check runs once |E| + |W| reaches it, and again only after E has
+    grown or W has doubled, and on a stop the residue is the gcd
+    echelon of W reduced by E.  Every row is a dict before the first is
+    streamed; each is let go once it has been.
+    """
+    rows: list[Optional[dict[int, int]]] = [{} for _ in range(m.rows)]
+    for c, col in enumerate(m._cols):
+        if col and c not in skip_cols:
+            for r, v in col.items():
+                rows[r][c] = v
+    echelon: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}
+    pivot_rows: list[int] = []
+    waiting: list[dict[int, int]] = []
+    held: dict[int, list[dict[int, int]]] = {}
+    checked = (-1, 0)
+    for r in sorted(range(m.rows), key=lambda r: len(rows[r])):
+        if bound is not None and len(echelon) + len(waiting) >= bound and (
+                len(echelon) > checked[0] or len(waiting) >= 2 * checked[1]):
+            checked = (len(echelon), len(waiting))
+            basis = _gcd_echelon(_reduced_copies(waiting, echelon))
+            if len(echelon) + len(basis) >= bound:
+                waiting = basis
+                break
+        x = rows[r]
+        rows[r] = None
+        _reduce(x, echelon)
+        best = None
+        for c, v in x.items():
+            if v == 1 or v == -1:
+                key = (len(holders.get(c, ())), c)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            if x and _hold(x, held):
                 waiting.append(x)
             continue
         c = best[1]

@@ -29,6 +29,7 @@ from finsub.homology import homology, homology_basis
 from finsub.simplicial import sphere_model, torus_model
 from finsub.snf import SparseIntMatrix, invariant_factors, kernel_lattice, rank
 from finsub.subsetspace import keyed_complex
+from test_snf import _matmul, _random_unimodular
 
 # the module; ``finsub.homology`` on the package is the function
 homology_module = sys.modules["finsub.homology"]
@@ -159,6 +160,16 @@ def test_kernel_lattice_of_bar_coboundary_tracks_only_the_residue(monkeypatch):
     with peak_traced() as peak:
         kernel_lattice(m)
     assert peak.mb < 6
+    # With the d.d bound the stream reads about 1 700 of the rows, and
+    # only those are built: a 3.77 MB peak when every row was.
+    with peak_traced() as peak:
+        kernel_lattice(m, 506)
+    assert peak.mb < 2.5
+    # d.d pairs only the stored coboundaries: checking the top one
+    # against the zero differential past it took a 0.99 MB peak.
+    with peak_traced() as peak:
+        c.assert_valid()
+    assert peak.mb < 0.3
     tracked = []
     init = snf._Elimination.__init__
 
@@ -227,3 +238,65 @@ def test_transposed_stage_matches_reference_on_keyed_images(monkeypatch, x, n):
         c = keyed_complex(x, n, variant)
         for b in incoming_images(monkeypatch, c, range(c.top_degree + 1)):
             assert_transposed_stage(b)
+
+
+def kernel_lattice_through_diagonalize(m, bound=None):
+    """``kernel_lattice`` with the residue always eliminated, an empty
+    one too: V' and V'^-1 are then identities."""
+    _, echelon, residue = snf._unit_echelon(m, bound=bound)
+    free = [c for c in range(m.cols) if c not in echelon]
+    position = {f: i for i, f in enumerate(free)}
+    k_e = {f: {f: 1} for f in free}
+    while echelon:
+        q, e = echelon.popitem()
+        s = e.pop(q)
+        for f, v in e.items():
+            k_e[f][q] = -s * v
+    r = SparseIntMatrix(len(residue), len(free))
+    for i, x in enumerate(residue):
+        for f, v in x.items():
+            r.set(i, position[f], v)
+    res = snf.diagonalize(r)
+    kernel = []
+    for j in range(res.rank, len(free)):
+        vec = {}
+        for i, w in res.V.column(j).items():
+            snf._addmul(vec, k_e[free[i]], w)
+        kernel.append(vec)
+    coords = [{free[i]: w for i, w in row.items()}
+              for row in res.Vinv.row_dicts()[res.rank:]]
+    return kernel, m.cols - len(free) + res.rank, coords
+
+
+def test_empty_residue_skips_the_identity_transform(monkeypatch):
+    rng = random.Random(5150)
+    cases = [SparseIntMatrix.identity(n) for n in range(5)]
+    cases += [SparseIntMatrix(0, cols) for cols in range(5)]
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        u = _random_unimodular(rng, n, 3 * n)
+        cases.append(SparseIntMatrix.from_dense(u))
+        # a wide one, [U | U.A], and a tall one with repeated rows
+        width = rng.randint(1, 4)
+        a = [[rng.choice([0, 0, 1, -1, 2, 5]) for _ in range(width)]
+             for _ in range(n)]
+        cases.append(SparseIntMatrix.from_dense(
+            [p + q for p, q in zip(u, _matmul(u, a))]))
+        cases.append(SparseIntMatrix.from_dense(u + [rng.choice(u) for _ in range(n)]))
+    empty = 0
+    for m in cases:
+        if snf._unit_echelon(m)[2]:
+            continue
+        empty += 1
+        for bound in (None, rank(m)):
+            got = kernel_lattice(m, bound)
+            want = kernel_lattice_through_diagonalize(m, bound)
+            assert got == want
+            # the same dict order, entry by entry
+            assert [list(v.items()) for v in got[0] + got[2]] == \
+                [list(v.items()) for v in want[0] + want[2]]
+    assert empty > 40
+    # and no elimination engine runs on those
+    monkeypatch.setattr(snf, "_Elimination", None)
+    for m in cases[:10]:
+        kernel_lattice(m)
