@@ -17,10 +17,10 @@ it puts the checkout's ``src`` on the import path itself.
 
 ``reach_groups.json``, next to the script, pins the groups of measured
 runs under the key ``"D N variant"``: keyed runs of this script, and
-past the keyed reach (S^3 n=5, S^2 n=7 and 8, S^4 n=4) the groups that
-``finsub homology`` reads off the Fox-Neuwirth cells.  When it holds the
-run's key and the groups differ, the script prints the record, names
-each differing degree on stderr and exits 1.
+past the keyed reach (S^3 n=5 and 6, S^2 n=7, 8 and 10, S^4 n=4 and 5)
+the groups that ``finsub homology`` reads off the Fox-Neuwirth cells.
+When it holds the run's key and the groups differ, the script prints
+the record, names each differing degree on stderr and exits 1.
 """
 
 from __future__ import annotations

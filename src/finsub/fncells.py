@@ -69,8 +69,18 @@ orientation w with cell = (-du) ^ w is
 
 The face cell has its own depth-first order: the merged block's value
 v first, then its sub-blocks in their shuffled order, each with its
-subtree.  With pi the permutation taking the remaining list to that
-order, the incidence of the term is (-1)^(p+1) sgn pi.
+subtree.  Call B's level-(i+2) sub-blocks L_1..L_k and those of B'
+R_1..R_l.  A sub-block X from point x to point y has its parameters
+in one run of the list, from (x, i+1) to (y, m), of length |X|; the
+remaining list is L_1..L_k, then v, then R_1..R_l, and no parameter
+outside them moves.  Taking it to the face's order moves v in front
+of the L_x, past sum_x |L_x| parameters, and then shuffles whole runs
+without reordering inside them, each L_x passing every R_y placed
+before it.  So the incidence of the term is
+
+    (-1)^(p + 1 + sum_x |L_x| + sum_(R_y before L_x) |L_x| |R_y|),
+
+and only the parity of each |X| matters.
 
 Duality.  F(R^m, n) is (m-2)-connected and S_n acts freely on it, so
 UConf_n(R^m) -> BS_n is (m-1)-connected; UConf_n(R^m) is an nm-manifold
@@ -90,12 +100,12 @@ plain count would admit n = 1000 through codimension 2 with 499 500
 cells of 999 separators each, about 4 GB.  Counted by separators, the
 cells of one codimension took 8 to 25 bytes per separator counted
 (tracemalloc, n = 4 to 1000), and the faces of a cell are assembled
-from its separators and the parameters of the points they merge
-(:func:`cell_boundary`).  :func:`fn_cochains` counts the cells of all
-the codimensions it builds against one ``ceiling``, while they are
-enumerated, and raises ``BudgetError`` in the first codimension that
-takes the running count over it; so a window of many codimensions is
-bounded by its whole size, not by its largest codimension.
+from its separators alone (:func:`cell_boundary`).  :func:`fn_cochains`
+counts the cells of all the codimensions it builds against one
+``ceiling``, while they are enumerated, and raises ``BudgetError`` in
+the first codimension that takes the running count over it; so a
+window of many codimensions is bounded by its whole size, not by its
+largest codimension.
 
 The bar space and exp_n(S^m).  S^m = R^m u {inf}, and the subsets of at
 most n points of R^m are the union of the configuration spaces of
@@ -155,7 +165,6 @@ it raises ``BudgetError``.  d.d = 0 is checked on every column.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations
 from typing import Optional
 
@@ -221,25 +230,24 @@ def _sub_blocks(s: tuple[int, ...], first: int, last: int, level: int
     return out
 
 
-def _odd(keys: list[tuple[int, int]]) -> int:
-    """The parity of the inversion count of distinct ``keys``."""
-    later: list[tuple[int, int]] = []  # sorted
-    odd = 0
-    for key in reversed(keys):
-        below = bisect_left(later, key)  # later keys smaller than this one
-        odd ^= below & 1
-        later.insert(below, key)
-    return odd
+def _runs(s: tuple[int, ...], m: int, first: int, last: int, i: int
+          ) -> list[tuple[tuple[int, ...], int]]:
+    """The level-(i+2) sub-blocks of the points first..last, each as its
+    separator word led by the separator i+1 it follows in a face, with
+    the parity of its parameter count: a sub-block of the points x..y
+    has the run of the depth-first list from (x, i+1) to (y, m)."""
+    return [((i + 1,) + s[x:y], (_position(s, m, y, m)
+                                 - _position(s, m, x, i + 1) + 1) & 1)
+            for x, y in _sub_blocks(s, first, last, i + 1)]
 
 
 def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     """The cellular boundary of one cell: face -> incidence, zeros
     dropped (the rule and its signs are in the module docstring).
 
-    A face merges the points a..b and moves only their parameters,
-    which sit together in the depth-first order between the unmoved
-    ones, so its sign needs only those: the work per face term is the
-    n-1 separators of the face plus the merged points' parameters."""
+    A face term's sign needs only the parity of each merged sub-block's
+    parameter count, so the work per term is the n-1 separators of the
+    face."""
     n = len(s) + 1
     out: dict[tuple[int, ...], int] = {}
     for j, i in enumerate(s):
@@ -251,32 +259,21 @@ def cell_boundary(s: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
         b = j + 1
         while b < n - 1 and s[b] > i:
             b += 1
-        left = _sub_blocks(s, a, j, i + 1)
-        right = _sub_blocks(s, j + 1, b, i + 1)
-        p = _position(s, m, a, i)  # of B's coordinate i
-        rest = [(x, c) for x in range(a, b + 1)
-                for c in range(s[x - 1] if x else 1, m + 1) if (x, c) != (a, i)]
-        count = len(left) + len(right)
-        for slots in combinations(range(count), len(left)):
-            picked = set(slots)
-            lefts, rights = iter(left), iter(right)
-            order = [next(lefts) if k in picked else next(rights)
-                     for k in range(count)]
-            moved = {}  # point of the cell -> point of the face
-            seps: list[int] = []
-            at = a
-            for k, (first, last) in enumerate(order):
-                if k:
-                    seps.append(i + 1)
-                seps.extend(s[first:last])
-                for x in range(first, last + 1):
-                    moved[x] = at + x - first
-                at += last - first + 1
-            face = s[:a] + tuple(seps) + s[b:]
-            # parameters below the merge follow their points; the
-            # merged block and its ancestors start at point a
-            keys = [(moved[x], c) if c > i else (a, c) for x, c in rest]
-            _add(out, face, -1 if (p + 1 + _odd(keys)) % 2 else 1)
+        left, right = _runs(s, m, a, j, i), _runs(s, m, j + 1, b, i)
+        crossed = [0]  # the parity of the parameters of right[:y]
+        for _, o in right:
+            crossed.append(crossed[-1] ^ o)
+        # p + 1 + sum_x |L_x|, the part of the sign every shuffle shares
+        shared = _position(s, m, a, i) + 1 + sum(o for _, o in left)
+        for slots in combinations(range(len(left) + len(right)), len(left)):
+            words = [w for w, _ in right]
+            flips = shared
+            for x, k in enumerate(slots):  # left[x] lands after right[:k-x]
+                words.insert(k, left[x][0])
+                flips += left[x][1] & crossed[k - x]
+            seps = [sep for w in words for sep in w]
+            face = s[:a] + tuple(seps[1:]) + s[b:]
+            _add(out, face, -1 if flips % 2 else 1)
     return out
 
 

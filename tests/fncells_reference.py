@@ -4,9 +4,11 @@ differential tests.  Nothing under ``src/`` imports this module.
 ``cells`` enumerates the separator sequences of one codimension by
 recursion, one level per separator, as before the enumeration became
 an iterative successor.  ``cell_boundary`` reads each face term's sign
-off the cell's whole parameter list, counting inversions over all of
-it, as before the sign was taken over the merged points' parameters
-alone.  ``test_fncells.py`` compares against both.
+off the cell's whole parameter list, as the parity of the inversions
+of the permutation that takes it to the face's order, counted over
+all of it; ``finsub.fncells`` reads the same sign off the parities of
+the merged sub-blocks' parameter counts.  ``test_fncells.py`` compares
+against both.
 """
 
 from __future__ import annotations

@@ -216,10 +216,22 @@ def test_unknown_claim():
 def test_budget_nd_guard():
     with pytest.raises(BudgetError):
         claim("thm2", 3, 3)
-    # raising the budget turns the same call into a (legitimately) big run;
-    # just confirm the guard itself is the only obstacle
+    # nd = 10 is over the default budget, so the guard alone refuses a
+    # run that the Fox-Neuwirth cells finish at once under a raised one
     with pytest.raises(BudgetError):
         claim("tuffley-s2", 5, budget_nd=8)
+
+
+@pytest.mark.parametrize("name,n,d", [
+    ("tuffley-s2", 10, None), ("thm1", 4, 5), ("thm2", 3, 5),
+    ("thm2a-partial", 4, 4), ("connectivity", 5, 3), ("e1-collapse", 4, 4),
+    ("generaltwo", 4, 4), ("circle", 12, None), ("connecting", 5, 4)])
+def test_sphere_claims_past_the_default_budget(name, n, d):
+    # nd of 12 to 20, over the default of 8: the computed sides read the
+    # Fox-Neuwirth cells and each claim finishes in well under a second
+    with time_limit(5):
+        reports = claim(name, n, d, budget_nd=20)
+    assert reports and all_match(reports)
 
 
 def test_reports_carry_statements_and_provenance():

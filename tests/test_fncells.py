@@ -57,10 +57,13 @@ def test_cells_of_many_points():
 
 
 @pytest.mark.parametrize("n,m", [(1, 4), (2, 7), (3, 6), (4, 5), (5, 4),
-                                 (6, 3), (7, 3), (9, 2)])
+                                 (6, 3), (7, 3), (9, 2), (6, 1), (6, 4),
+                                 (8, 3), (11, 2)])
 def test_cells_and_faces_match_the_whole_list_reference(n, m):
     # every cell and every face term, its sign included, equals the
-    # recursive enumeration and the sign over all nm parameters
+    # recursive enumeration and the sign over all nm parameters; m = 1
+    # and sub-blocks of mixed shapes, odd and even parameter counts,
+    # included
     for c in range((n - 1) * (m - 1) + 2):
         found = cells(n, m, c, CEILING)
         assert found == reference.cells(n, m, c)
